@@ -31,7 +31,7 @@ from .ingest import (
     render_transactions_csv,
 )
 from .report import format_percent, frequency_csv, group_by_consequent, render_rules, stats_table
-from .rules import RuleSet, canonical_sort, derive_rules, rule_metrics
+from .rules import RuleSet, canonical_sort, derive_rules
 
 __version__ = "0.1.0"
 
@@ -70,6 +70,5 @@ __all__ = [
     "partition_rules",
     "render_rules",
     "render_transactions_csv",
-    "rule_metrics",
     "stats_table",
 ]

@@ -37,7 +37,7 @@ EXIT_ERROR = 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    return Path(path).read_text(encoding="utf-8-sig")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -69,10 +69,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     db = parse_transactions(schema, _read(args.data))
     config = MiningConfig(
         min_confidence=_confidence_from_flag(args.min_conf),
-        min_coverage_count=args.min_coverage_count,
+        min_support_count=args.min_support_count,
         max_antecedent_size=args.max_antecedent,
     )
-    ruleset = canonical_sort(derive_rules(db, config, workers=args.threads))
+    ruleset = canonical_sort(derive_rules(db, config))
     document = render_rules(schema.catalog, classify_rules(ruleset), args.format)
     _emit(document, args.out)
     return EXIT_OK
@@ -124,10 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--data", required=True)
     mine.add_argument("--min-conf", default="90", help="minimum confidence percent")
     mine.add_argument("--max-antecedent", type=_positive_int, default=2)
-    mine.add_argument("--min-coverage-count", type=_positive_int, default=1)
+    mine.add_argument("--min-support-count", type=_positive_int, default=1)
     mine.add_argument("--format", choices=("csv", "text"), default="csv")
     mine.add_argument("--out")
-    mine.add_argument("--threads", type=_positive_int, default=1)
     mine.set_defaults(handler=_cmd_mine)
 
     stats = sub.add_parser("stats", help="per-facility frequency table")

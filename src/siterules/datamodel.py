@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class ItemClass(enum.Enum):
@@ -67,6 +67,8 @@ class AttributeDef:
             raise ValueError(f"attribute {self.name!r}: only numeric attributes take bins")
         if self.kind is AttributeKind.BINARY and len(self.values) != 1:
             raise ValueError(f"attribute {self.name!r}: binary attributes have exactly one item")
+        if self.item_class is ItemClass.FACILITY and self.kind is not AttributeKind.BINARY:
+            raise ValueError(f"attribute {self.name!r}: facility attributes must be binary")
 
 
 @dataclass(frozen=True)
@@ -156,14 +158,6 @@ class ItemCatalog:
         if attr == "facility":
             attr, value = value, "yes"
         return self.item_id(attr, value)
-
-
-def itemset(ids: Iterable[int]) -> tuple[int, ...]:
-    """Normalize item ids to the canonical sorted, duplicate-free tuple."""
-    out = tuple(sorted(set(ids)))
-    if out and out[0] < 0:
-        raise ValueError("item ids must be non-negative")
-    return out
 
 
 @dataclass(frozen=True)
@@ -277,7 +271,9 @@ class Percent:
             return NotImplemented
         return self.numerator * other.denominator == other.numerator * self.denominator
 
-    def __lt__(self, other: "Percent") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Percent):
+            return NotImplemented
         return self.numerator * other.denominator < other.numerator * self.denominator
 
     def __hash__(self) -> int:
@@ -356,26 +352,19 @@ class RuleClass(enum.IntEnum):
 
 @dataclass(frozen=True)
 class MiningConfig:
-    """Template and thresholds for rule derivation.
+    """Thresholds for deriving demographic => single-facility rules.
 
-    The defaults reproduce the study setting: demographic antecedents of at
-    most two items, single facility consequents, confidence at least 90%, and
-    no support floor beyond requiring the joint itemset to occur at all.
+    The defaults reproduce the study setting: antecedents of at most two
+    items, confidence at least 90%, and no support floor beyond requiring the
+    joint itemset to occur at all.
     """
 
     min_confidence: Percent = Percent(90, 100)
-    min_coverage_count: int = 1
+    min_support_count: int = 1
     max_antecedent_size: int = 2
-    antecedent_class: ItemClass = ItemClass.DEMOGRAPHIC
-    consequent_class: ItemClass = ItemClass.FACILITY
-    consequent_size: int = 1
 
     def __post_init__(self) -> None:
-        if self.min_coverage_count < 1:
-            raise ValueError("min_coverage_count must be at least 1")
+        if self.min_support_count < 1:
+            raise ValueError("min_support_count must be at least 1")
         if self.max_antecedent_size < 1:
             raise ValueError("max_antecedent_size must be at least 1")
-        if self.consequent_size < 1:
-            raise ValueError("consequent_size must be at least 1")
-        if self.antecedent_class is self.consequent_class:
-            raise ValueError("antecedent and consequent classes must differ")

@@ -4,16 +4,12 @@ Raw transactions are touched once, when the database's vertical index is
 built; all counting afterwards is word-level intersection plus popcount on
 per-item transaction bitsets. A candidate at level k+1 is counted by
 intersecting the cached bitset of its size-k prefix with one item vector.
-
-Counting work may be partitioned across worker threads; partial results are
-merged back in candidate order, so output is identical for any worker count.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .datamodel import TransactionDatabase, build_vertical_index
 
@@ -87,49 +83,27 @@ def generate_candidates(level: FrequentLevel) -> list[tuple[int, ...]]:
     return out
 
 
-def _count_block(
-    cands: Sequence[tuple[int, ...]],
-    parent_vectors: dict,
-    item_vectors: Sequence[int],
-    min_count: int,
-) -> list[tuple[tuple[int, ...], int, int]]:
-    kept = []
-    for cand in cands:
-        vec = parent_vectors[cand[:-1]] & item_vectors[cand[-1]]
-        count = vec.bit_count()
-        if count >= min_count:
-            kept.append((cand, count, vec))
-    return kept
-
-
 def mine_frequent(
     db: TransactionDatabase,
     min_count: int,
-    item_filter: Optional[Callable[[int], bool]] = None,
     max_size: Optional[int] = None,
-    workers: int = 1,
 ) -> list[FrequentLevel]:
     """All frequent itemsets, level by level, up to ``max_size`` if given.
 
-    Level 1 holds every item passing ``item_filter`` whose vector popcount
-    reaches ``min_count``; each further level is generated by join+prune and
-    counted against the previous level's cached vectors. Returns only the
-    non-empty levels. Output is deterministic regardless of transaction
-    order or ``workers``.
+    Level 1 holds every item whose vector popcount reaches ``min_count``;
+    each further level is generated by join+prune and counted against the
+    previous level's cached vectors. Returns only the non-empty levels.
+    Output is deterministic regardless of transaction order.
     """
     if db.size == 0:
         raise ValueError("cannot mine an empty database")
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
     index = db.vertical_index
-    ids = range(db.catalog.n_items)
-    if item_filter is not None:
-        ids = [i for i in ids if item_filter(i)]
-
     singles = [
-        CountedItemset((i,), index[i].bit_count())
-        for i in ids
-        if index[i].bit_count() >= min_count
+        CountedItemset((i,), vec.bit_count())
+        for i, vec in enumerate(index)
+        if vec.bit_count() >= min_count
     ]
     levels: list[FrequentLevel] = []
     current = FrequentLevel(1, tuple(singles))
@@ -139,19 +113,14 @@ def mine_frequent(
         levels.append(current)
         if max_size is not None and current.k >= max_size:
             break
-        cands = generate_candidates(current)
-        if workers > 1 and len(cands) > 1:
-            step = (len(cands) + workers - 1) // workers
-            blocks = [cands[p:p + step] for p in range(0, len(cands), step)]
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = pool.map(
-                    lambda b: _count_block(b, vectors, index, min_count), blocks
-                )
-                kept = [entry for block in results for entry in block]
-        else:
-            kept = _count_block(cands, vectors, index, min_count)
-        vectors = {items: vec for items, _, vec in kept}
-        current = FrequentLevel(
-            current.k + 1, tuple(CountedItemset(items, count) for items, count, _ in kept)
-        )
+        kept = []
+        next_vectors = {}
+        for cand in generate_candidates(current):
+            vec = vectors[cand[:-1]] & index[cand[-1]]
+            count = vec.bit_count()
+            if count >= min_count:
+                kept.append(CountedItemset(cand, count))
+                next_vectors[cand] = vec
+        vectors = next_vectors
+        current = FrequentLevel(current.k + 1, tuple(kept))
     return levels

@@ -3,14 +3,15 @@
 The schema file is line oriented; ``#`` starts a comment. Three declaration
 forms are accepted:
 
-    attribute <name> categorical <antecedent|consequent> values: v1, v2, ...
-    attribute <name> numeric <antecedent|consequent> bins: 0-10=a, 11-29=b, 30-=c
+    attribute <name> categorical antecedent values: v1, v2, ...
+    attribute <name> numeric antecedent bins: 0-10=a, 11-29=b, 30-=c
     facility <name> "<description>"
 
-``facility`` is sugar for a binary consequent attribute with the single item
-value "yes". The transaction CSV has a ``record_id`` first column, then one
-column per attribute (order-insensitive): categorical cells hold a declared
-value, numeric cells an integer, facility cells a yes/no token or nothing.
+``facility`` declares a binary consequent attribute with the single item
+value "yes"; it is the only way to declare a consequent. The transaction CSV
+has a ``record_id`` first column, then one column per attribute
+(order-insensitive): categorical cells hold a declared value, numeric cells
+an integer, facility cells a yes/no token or nothing.
 A row whose facility cells are all empty is excluded from the database and
 only counted; a partially empty facility row is an error.
 """
@@ -41,8 +42,6 @@ _ATTR_RE = re.compile(
 )
 _FACILITY_RE = re.compile(r'^facility\s+(?P<name>\S+)\s+"(?P<desc>[^"]*)"$')
 _BIN_RE = re.compile(r"^(?P<lo>\d+)-(?P<hi>\d*)=(?P<label>[^\s,]+)$")
-
-_CLASS_KEYWORDS = {"antecedent": ItemClass.DEMOGRAPHIC, "consequent": ItemClass.FACILITY}
 
 
 class SchemaError(ValueError):
@@ -97,6 +96,8 @@ def parse_schema(text: str) -> Schema:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        bins: tuple[NumericBin, ...] = ()
+        description = ""
         if line.startswith("attribute"):
             m = _ATTR_RE.match(line)
             if m is None:
@@ -104,37 +105,36 @@ def parse_schema(text: str) -> Schema:
             name, kind_word, cls_word = m.group("name"), m.group("kind"), m.group("cls")
             if kind_word not in ("categorical", "numeric"):
                 raise SchemaError(f"line {lineno}: unknown attribute kind {kind_word!r}")
-            if cls_word not in _CLASS_KEYWORDS:
+            if cls_word == "consequent":
+                raise SchemaError(f"line {lineno}: consequents are declared with 'facility'")
+            if cls_word != "antecedent":
                 raise SchemaError(f"line {lineno}: unknown class keyword {cls_word!r}")
-            item_class = _CLASS_KEYWORDS[cls_word]
+            item_class = ItemClass.DEMOGRAPHIC
             if kind_word == "categorical":
                 if m.group("list") != "values":
                     raise SchemaError(f"line {lineno}: categorical attributes take 'values:'")
+                kind = AttributeKind.CATEGORICAL
                 values = tuple(v.strip() for v in m.group("body").split(","))
                 if any(not v for v in values):
                     raise SchemaError(f"line {lineno}: empty value in list")
-                attr = AttributeDef(name, AttributeKind.CATEGORICAL, item_class, values)
             else:
                 if m.group("list") != "bins":
                     raise SchemaError(f"line {lineno}: numeric attributes take 'bins:'")
+                kind = AttributeKind.NUMERIC
                 bins = _parse_bins(m.group("body"), lineno)
-                labels = tuple(b.label for b in bins)
-                if len(set(labels)) != len(labels):
-                    raise SchemaError(f"line {lineno}: duplicate bin labels")
-                attr = AttributeDef(name, AttributeKind.NUMERIC, item_class, labels, bins)
+                values = tuple(b.label for b in bins)
         elif line.startswith("facility"):
             m = _FACILITY_RE.match(line)
             if m is None:
                 raise SchemaError(f"line {lineno}: malformed facility declaration")
-            attr = AttributeDef(
-                m.group("name"),
-                AttributeKind.BINARY,
-                ItemClass.FACILITY,
-                ("yes",),
-                description=m.group("desc"),
-            )
+            name, kind, item_class = m.group("name"), AttributeKind.BINARY, ItemClass.FACILITY
+            values, description = ("yes",), m.group("desc")
         else:
             raise SchemaError(f"line {lineno}: unrecognized declaration {line.split()[0]!r}")
+        try:
+            attr = AttributeDef(name, kind, item_class, values, bins, description)
+        except ValueError as exc:
+            raise SchemaError(f"line {lineno}: {exc}") from None
         if attr.name in seen:
             raise SchemaError(f"line {lineno}: duplicate attribute {attr.name!r}")
         seen.add(attr.name)

@@ -40,7 +40,6 @@ class GroupColumn:
 
     label: str
     item_ids: tuple[int, ...]
-    aggregate: bool = False
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,7 @@ def stats_table(
         GroupColumn(catalog.item_label(i), (i,))
         for i in catalog.ids_of_class(ItemClass.DEMOGRAPHIC)
     ]
-    columns += [GroupColumn(label, tuple(ids), aggregate=True) for label, ids in aggregates]
+    columns += [GroupColumn(label, tuple(ids)) for label, ids in aggregates]
 
     all_mask = (1 << db.size) - 1
     group_vectors = [

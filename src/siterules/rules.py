@@ -1,18 +1,16 @@
 """Template-constrained rule derivation and canonical ordering.
 
-Rules are read off the frequent itemsets: any frequent itemset holding
-exactly one consequent-class item y, whose remainder A is all
-antecedent-class and within the size cap, yields the candidate rule A => y.
-The rule's counts are exact, taken from the mined itemset counts, so every
-metric derives from integers.
+Rules are read off the frequent itemsets of at most ``max_antecedent_size``
++ 1 items: one holding exactly one facility item y, whose remainder A is then
+all demographic, yields the candidate rule A => y. The rule's counts are exact,
+taken from the mined itemset counts, so every metric derives from integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .datamodel import MiningConfig, Percent, Rule, TransactionDatabase
+from .datamodel import ItemClass, MiningConfig, Percent, Rule, TransactionDatabase
 from .engine import mine_frequent
 
 
@@ -29,66 +27,38 @@ class RuleSet:
         return iter(self.rules)
 
 
-class RuleMetrics(NamedTuple):
-    confidence: Percent
-    coverage: Percent
-    support: Percent
-
-
-def rule_metrics(rule: Rule) -> RuleMetrics:
-    """Exact confidence, coverage and support of a rule.
-
-    Coverage is the antecedent share of the database; support the joint
-    share. Coverage is the quantity the reference files publish in their
-    support column.
-    """
-    return RuleMetrics(rule.confidence, rule.coverage, rule.support)
-
-
 def derive_rules(
     db: TransactionDatabase,
     config: MiningConfig = MiningConfig(),
-    workers: int = 1,
 ) -> RuleSet:
-    """Mine all rules matching the configured template and thresholds.
+    """Mine all demographic => facility rules reaching the configured thresholds.
 
-    Frequent itemsets are mined over the union of antecedent- and
-    consequent-class items with the configured coverage count as the
-    frequency floor, so a rule is emitted iff its joint itemset occurs at
-    least ``min_coverage_count`` times and its confidence reaches
-    ``min_confidence``.
+    Frequent itemsets are mined over the whole catalog with the configured
+    support count as the frequency floor, so a rule is emitted iff its joint
+    itemset occurs at least ``min_support_count`` times and its confidence
+    reaches ``min_confidence``.
     """
     if db.size == 0:
         raise ValueError("cannot derive rules from an empty database")
-    if config.consequent_size != 1:
-        raise ValueError("only single-item consequents are supported")
     catalog = db.catalog
-    antecedent_ids = set(catalog.ids_of_class(config.antecedent_class))
-    consequent_ids = set(catalog.ids_of_class(config.consequent_class))
-    if not antecedent_ids:
-        raise ValueError(f"catalog has no {config.antecedent_class.value} items")
-    if not consequent_ids:
-        raise ValueError(f"catalog has no {config.consequent_class.value} items")
+    if not catalog.ids_of_class(ItemClass.DEMOGRAPHIC):
+        raise ValueError("catalog has no demographic items")
+    facility_ids = set(catalog.ids_of_class(ItemClass.FACILITY))
+    if not facility_ids:
+        raise ValueError("catalog has no facility items")
 
-    allowed = antecedent_ids | consequent_ids
     levels = mine_frequent(
-        db,
-        config.min_coverage_count,
-        item_filter=allowed.__contains__,
-        max_size=config.max_antecedent_size + 1,
-        workers=workers,
+        db, config.min_support_count, max_size=config.max_antecedent_size + 1
     )
     counts = {ci.items: ci.count for level in levels for ci in level}
 
     rules: list[Rule] = []
     for level in levels[1:]:
         for ci in level:
-            tail = [i for i in ci.items if i in consequent_ids]
+            tail = [i for i in ci.items if i in facility_ids]
             if len(tail) != 1:
                 continue
             antecedent = tuple(i for i in ci.items if i != tail[0])
-            if len(antecedent) > config.max_antecedent_size:
-                continue
             n_antecedent = counts[antecedent]
             if Percent(ci.count, n_antecedent) < config.min_confidence:
                 continue

@@ -56,7 +56,7 @@ class TestMineCommand:
         assert run_mine(fixture_dir, a) == 0
         assert run_mine(
             fixture_dir, b, "--min-conf", "90", "--max-antecedent", "2",
-            "--min-coverage-count", "1",
+            "--min-support-count", "1",
         ) == 0
         assert a.read_bytes() == b.read_bytes()
 
@@ -74,11 +74,27 @@ class TestMineCommand:
         assert code == 2
         assert "confidence must be in [0,100]" in capsys.readouterr().err
 
-    def test_threads_do_not_change_output(self, fixture_dir, tmp_path):
-        one, four = tmp_path / "one.csv", tmp_path / "four.csv"
-        assert run_mine(fixture_dir, one, "--threads", "1") == 0
-        assert run_mine(fixture_dir, four, "--threads", "4") == 0
-        assert one.read_bytes() == four.read_bytes()
+    def test_consequent_attribute_schema_is_usage_error(self, tmp_path, capsys):
+        schema = tmp_path / "schema.txt"
+        schema.write_text(
+            "attribute age categorical antecedent values: young, old\n"
+            "attribute size categorical consequent values: small, big\n"
+        )
+        data = tmp_path / "data.csv"
+        data.write_text("record_id,age,size\nr1,young,small\nr2,old,big\n")
+        code = main(["mine", "--schema", str(schema), "--data", str(data)])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
+    def test_utf8_bom_inputs_mine_identically(self, fixture_dir, tmp_path):
+        bom_dir = tmp_path / "bom"
+        bom_dir.mkdir()
+        for name in ("schema_appendix_a.txt", "fixture_data.csv"):
+            (bom_dir / name).write_bytes(b"\xef\xbb\xbf" + (fixture_dir / name).read_bytes())
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        assert run_mine(fixture_dir, plain) == 0
+        assert run_mine(bom_dir, bom) == 0
+        assert bom.read_bytes() == plain.read_bytes()
 
     def test_text_format(self, fixture_dir, tmp_path):
         out = tmp_path / "rules.txt"

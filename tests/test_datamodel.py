@@ -16,7 +16,6 @@ from siterules.datamodel import (
     Transaction,
     TransactionDatabase,
     build_vertical_index,
-    itemset,
 )
 
 
@@ -56,16 +55,15 @@ class TestPercent:
         assert (left == right) == (Fraction(a, b) == Fraction(c, d))
         assert (left >= right) == (Fraction(a, b) >= Fraction(c, d))
 
+    def test_ordering_rejects_foreign_types(self):
+        with pytest.raises(TypeError):
+            Percent(1, 2) < 3
+        with pytest.raises(TypeError):
+            Percent(1, 2) < 0.5
+
     def test_basis_points(self):
         assert Percent.from_basis_points(9795) == Percent(9795, 10_000)
         assert Percent.from_basis_points(9500) == Percent(95, 100)
-
-
-def test_itemset_normalizes():
-    assert itemset([3, 1, 2, 1]) == (1, 2, 3)
-    assert itemset([]) == ()
-    with pytest.raises(ValueError):
-        itemset([-1, 2])
 
 
 class TestCatalog:
@@ -84,6 +82,10 @@ class TestCatalog:
         assert catalog.item_pair(4) == ("facility", "has_door")
         assert catalog.resolve_pair(("facility", "has_door")) == 4
         assert catalog.resolve_pair(("color", "blue")) == 1
+
+    def test_facility_attributes_must_be_binary(self):
+        with pytest.raises(ValueError, match="facility attributes must be binary"):
+            AttributeDef("size", AttributeKind.CATEGORICAL, ItemClass.FACILITY, ("small", "big"))
 
     def test_duplicate_attribute_rejected(self):
         attr = AttributeDef("x", AttributeKind.BINARY, ItemClass.FACILITY, ("yes",))
@@ -178,9 +180,7 @@ def test_rule_class_orders_by_strength():
 
 def test_mining_config_validation():
     with pytest.raises(ValueError):
-        MiningConfig(min_coverage_count=0)
+        MiningConfig(min_support_count=0)
     with pytest.raises(ValueError):
         MiningConfig(max_antecedent_size=0)
-    with pytest.raises(ValueError):
-        MiningConfig(antecedent_class=ItemClass.FACILITY)
     assert MiningConfig().min_confidence == Percent(90, 100)

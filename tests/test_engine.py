@@ -154,14 +154,6 @@ class TestMineFrequent:
         levels = mine_frequent(db, 1, max_size=2)
         assert [lvl.k for lvl in levels] == [1, 2]
 
-    def test_item_filter(self):
-        db = db_from_masks([0b111] * 4, 3)
-        levels = mine_frequent(db, 1, item_filter=lambda i: i != 1)
-        assert as_plain(levels) == [
-            (1, [((0,), 4), ((2,), 4)]),
-            (2, [((0, 2), 4)]),
-        ]
-
     def test_matches_brute_force_on_random_databases(self):
         rng = random.Random(42)
         for _ in range(60):
@@ -180,11 +172,3 @@ class TestMineFrequent:
         a = as_plain(mine_frequent(db_from_masks(masks, 8), 3))
         b = as_plain(mine_frequent(db_from_masks(shuffled, 8), 3))
         assert a == b
-
-    def test_worker_count_invariance(self):
-        rng = random.Random(11)
-        masks = [rng.getrandbits(10) for _ in range(60)]
-        db = db_from_masks(masks, 10)
-        serial = as_plain(mine_frequent(db, 4, workers=1))
-        threaded = as_plain(mine_frequent(db, 4, workers=4))
-        assert serial == threaded

@@ -74,6 +74,23 @@ class TestParseSchema:
         with pytest.raises(SchemaError, match="malformed bin"):
             parse_schema("attribute a numeric antecedent bins: ten-20=x\n")
 
+    @pytest.mark.parametrize("text", [
+        "attribute age categorical antecedent values: a, a\n",
+        "attribute age numeric antecedent bins: 0-10=a, 11-=a\n",
+    ])
+    def test_duplicate_values_carry_line_number(self, text):
+        with pytest.raises(SchemaError, match="line 1: attribute 'age' has duplicate values"):
+            parse_schema(text)
+
+    def test_consequent_attribute_rejected(self):
+        # A two-valued consequent would render both values as "facility=size".
+        text = (
+            "attribute age categorical antecedent values: young, old\n"
+            "attribute size categorical consequent values: small, big\n"
+        )
+        with pytest.raises(SchemaError, match="line 2: consequents are declared with 'facility'"):
+            parse_schema(text)
+
     def test_syntax_error_carries_line_number(self):
         with pytest.raises(SchemaError, match="line 2"):
             parse_schema("facility ok \"fine\"\nattribute broken\n")

@@ -16,7 +16,7 @@ from siterules.datamodel import (
     TransactionDatabase,
 )
 from siterules.report import render_rules
-from siterules.rules import RuleSet, canonical_sort, derive_rules, rule_metrics
+from siterules.rules import RuleSet, canonical_sort, derive_rules
 
 
 def tiny_catalog(n_demo, n_fac):
@@ -47,7 +47,7 @@ def brute_force_rules(masks, n_demo, n_fac, config):
             n_a = count(combo)
             for y in range(n_demo, n_demo + n_fac):
                 n_ay = count(combo + (y,))
-                if n_ay < config.min_coverage_count:
+                if n_ay < config.min_support_count:
                     continue
                 if Percent(n_ay, n_a) < config.min_confidence:
                     continue
@@ -102,10 +102,6 @@ class TestDeriveRules:
         with pytest.raises(ValueError, match="no demographic items"):
             derive_rules(db)
 
-    def test_multi_item_consequents_rejected(self, fixture_db):
-        with pytest.raises(ValueError, match="single-item consequents"):
-            derive_rules(fixture_db, MiningConfig(consequent_size=2))
-
     def test_matches_brute_force_enumeration(self):
         rng = random.Random(99)
         for _ in range(40):
@@ -115,7 +111,7 @@ class TestDeriveRules:
             masks = [rng.getrandbits(n_demo + n_fac) for _ in range(m)]
             config = MiningConfig(
                 min_confidence=Percent(rng.randint(0, 10_000), 10_000),
-                min_coverage_count=rng.randint(1, max(1, m // 2)),
+                min_support_count=rng.randint(1, max(1, m // 2)),
                 max_antecedent_size=rng.randint(1, 3),
             )
             db = tiny_db(masks, n_demo, n_fac)
@@ -151,20 +147,19 @@ class TestDeriveRules:
 
 class TestRuleMetrics:
     def test_published_example(self):
-        conf, cov, supp = rule_metrics(Rule((0,), (9,), 35, 34, 91))
-        assert conf == Percent(34, 35)
-        assert cov == Percent(35, 91)
-        assert supp == Percent(34, 91)
+        rule = Rule((0,), (9,), 35, 34, 91)
+        assert rule.confidence == Percent(34, 35)
+        assert rule.coverage == Percent(35, 91)
+        assert rule.support == Percent(34, 91)
 
     def test_exact_full_confidence(self):
-        conf, _, _ = rule_metrics(Rule((0,), (9,), 7, 7, 91))
-        assert conf == Percent(1, 1)
+        assert Rule((0,), (9,), 7, 7, 91).confidence == Percent(1, 1)
 
     def test_support_differs_from_coverage(self):
-        _, cov, supp = rule_metrics(Rule((0,), (9,), 49, 48, 91))
-        assert cov == Percent(49, 91)
-        assert supp == Percent(48, 91)
-        assert supp < cov
+        rule = Rule((0,), (9,), 49, 48, 91)
+        assert rule.coverage == Percent(49, 91)
+        assert rule.support == Percent(48, 91)
+        assert rule.support < rule.coverage
 
     def test_product_identity(self, mined_classified):
         for entry in mined_classified:
