@@ -4,6 +4,11 @@ frequency targets, and a constraint-based fixture reconstruction.
 The original per-company checklist answers were never published; what
 survives is the 68-rule reference list (appendix_b.csv), whose support
 column pins antecedent group sizes, and a per-facility frequency table.
+Single and pairwise group sizes are read from that support column and the
+attribute families from the packaged schema (schema_appendix_a.txt); the only
+hand-typed tables are the frequency table (``_FREQUENCY_BP``) and the
+definition of its group columns (``_GROUP_DEFS``).
+
 ``build_fixture`` reconstructs a 91-row database that reproduces every count
 those published figures pin down exactly: single and pairwise demographic
 group sizes, the joint count implied by each reference rule, and each
@@ -19,6 +24,7 @@ and candidate values highest-first, so repeated builds are byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,16 +32,10 @@ from importlib.resources import files
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .classify import ClassifiedRule, classify_rule
-from .datamodel import (
-    ItemCatalog,
-    ItemClass,
-    Rule,
-    Transaction,
-    TransactionDatabase,
-)
+from .datamodel import ItemCatalog, ItemClass, Percent, Rule, Transaction, TransactionDatabase
 from .engine import count_support
 from .ingest import GoldenRule, Schema, parse_golden_rules, parse_pct_bp, parse_schema
-from .report import RULES_HEADER
+from .report import RULES_HEADER, format_percent
 
 
 class InfeasibleFixtureError(Exception):
@@ -68,44 +68,8 @@ def load_golden_rules() -> list[GoldenRule]:
 
 M_ACCESSIBLE = 91
 
-# Antecedent group shares from the reference rules' support column
-# (two-decimal truncation of count/91).
-_SINGLE_BP = {
-    ("age", "below10"): 1208,
-    ("age", "11-29"): 3846,
-    ("age", "above30"): 4945,
-    ("ownership", "governmental"): 5384,
-    ("ownership", "private"): 3076,
-    ("ownership", "semiprivate"): 1538,
-    ("industry", "products"): 4835,
-    ("industry", "services"): 5164,
-}
-
-_PAIR_BP = {
-    frozenset({("age", "11-29"), ("ownership", "governmental")}): 2197,
-    frozenset({("age", "above30"), ("ownership", "governmental")}): 3076,
-    frozenset({("age", "above30"), ("ownership", "private")}): 1208,
-    frozenset({("age", "11-29"), ("industry", "products")}): 1648,
-    frozenset({("age", "above30"), ("industry", "products")}): 2857,
-    frozenset({("age", "11-29"), ("industry", "services")}): 2197,
-    frozenset({("age", "above30"), ("industry", "services")}): 2087,
-    frozenset({("ownership", "governmental"), ("industry", "products")}): 3296,
-    frozenset({("ownership", "governmental"), ("industry", "services")}): 2087,
-    frozenset({("ownership", "private"), ("industry", "services")}): 2087,
-}
-
-# Published per-facility presence shares (rounded to two decimals), one row
-# per facility: total, then the seven demographic group columns.
-GROUP_COLUMNS = (
-    "governmental",
-    "private_semiprivate",
-    "products",
-    "services",
-    "below10",
-    "11-29",
-    "above30",
-)
-
+# The frequency table's seven demographic group columns. A column's members
+# share one attribute, and an attribute's columns partition the database.
 _GROUP_DEFS: dict[str, tuple[tuple[str, str], ...]] = {
     "governmental": (("ownership", "governmental"),),
     "private_semiprivate": (("ownership", "private"), ("ownership", "semiprivate")),
@@ -116,14 +80,10 @@ _GROUP_DEFS: dict[str, tuple[tuple[str, str], ...]] = {
     "above30": (("age", "above30"),),
 }
 
-# Columns that partition the database, per demographic attribute; used to
-# reject a group target that contradicts the row total without searching.
-_COLUMN_FAMILIES = (
-    ("governmental", "private_semiprivate"),
-    ("products", "services"),
-    ("below10", "11-29", "above30"),
-)
+GROUP_COLUMNS = tuple(_GROUP_DEFS)
 
+# Published per-facility presence shares (rounded to two decimals), one row
+# per facility: total, then the group columns.
 _FREQUENCY_BP = {
     #                      total   gov  p+s   prod  serv  <10  11-29  30+
     "about_us": (9560, 9796, 9286, 9773, 9362, 10000, 9714, 9333),
@@ -148,12 +108,6 @@ _FREQUENCY_BP = {
     "at_a_glance_english": (6813, 7143, 6429, 5909, 7660, 5455, 7714, 6444),
 }
 
-_ATTRIBUTE_FAMILIES = (
-    ("age", ("below10", "11-29", "above30")),
-    ("ownership", ("governmental", "private", "semiprivate")),
-    ("industry", ("products", "services")),
-)
-
 
 def _derived_count(bp: int, denominator: int, mode: str) -> int:
     """Integer count implied by a published two-decimal percentage.
@@ -163,23 +117,30 @@ def _derived_count(bp: int, denominator: int, mode: str) -> int:
     mode (truncate for the rule list, round for the frequency table).
     """
     count = (bp * denominator + 5000) // 10000
-    if mode == "truncate":
-        ok = (10_000 * count) // denominator == bp
-    else:
-        ok = (2 * 10_000 * count + denominator) // (2 * denominator) == bp
-    if not (ok and 0 <= count <= denominator):
+    in_range = 0 <= count <= denominator
+    if not (in_range and parse_pct_bp(format_percent(Percent(count, denominator), mode)) == bp):
         raise InfeasibleFixtureError(
             f"embedded figure {bp / 100:.2f}% of {denominator} fails its integrality check"
         )
     return count
 
 
-def _implied_joint(confidence_bp: int, antecedent_count: int) -> tuple[int, Fraction]:
-    """Joint count implied by a published confidence, with its deviation."""
-    scaled = confidence_bp * antecedent_count
+def _rule_counts(g: GoldenRule, m: int) -> tuple[int, int, Fraction]:
+    """Antecedent and joint counts implied by a reference rule's published
+    support and confidence, with the joint's distance from an integer."""
+    n_antecedent = (g.support_bp * m + 5000) // 10000
+    scaled = g.confidence_bp * n_antecedent
     joint = (scaled + 5000) // 10000
-    deviation = Fraction(abs(scaled - 10_000 * joint), 10_000)
-    return joint, deviation
+    return n_antecedent, joint, Fraction(abs(scaled - 10_000 * joint), 10_000)
+
+
+def _demographic_families() -> list[tuple[str, tuple[str, ...]]]:
+    """Each demographic attribute of the study schema with its values."""
+    return [
+        (a.name, a.values)
+        for a in load_study_schema().attributes
+        if a.item_class is ItemClass.DEMOGRAPHIC
+    ]
 
 
 @dataclass(frozen=True)
@@ -200,25 +161,29 @@ class StudyCounts:
 
 
 def study_group_counts() -> StudyCounts:
-    """The embedded constants, re-verified on every call.
+    """Counts recovered from the packaged figures, re-verified on every call.
 
-    Raises :class:`InfeasibleFixtureError` if any published figure stops
+    Single and pairwise group sizes come from the reference rules' support
+    column; the families they must partition come from the study schema. Raises
+    :class:`InfeasibleFixtureError` if any published figure stops
     reproducing under its table's rounding mode (i.e. a transcription error).
     """
-    singles = {
-        pair: _derived_count(bp, M_ACCESSIBLE, "truncate") for pair, bp in _SINGLE_BP.items()
-    }
-    for attr, values in _ATTRIBUTE_FAMILIES:
+    shares: dict[frozenset, int] = {}
+    for g in load_golden_rules():
+        if shares.setdefault(frozenset(g.antecedent_items), g.support_bp) != g.support_bp:
+            raise InfeasibleFixtureError(f"rule {g.rule_id}: support contradicts an earlier rule")
+    by_key = {key: _derived_count(bp, M_ACCESSIBLE, "truncate") for key, bp in shares.items()}
+    families = _demographic_families()
+    singles = {(a, v): by_key.get(frozenset({(a, v)}), 0) for a, values in families for v in values}
+    for attr, values in families:
         total = sum(singles[(attr, v)] for v in values)
         if total != M_ACCESSIBLE:
             raise InfeasibleFixtureError(f"{attr} group counts sum to {total}, not {M_ACCESSIBLE}")
-    pairs = {}
-    for key, bp in _PAIR_BP.items():
-        count = _derived_count(bp, M_ACCESSIBLE, "truncate")
+    pairs = {key: count for key, count in by_key.items() if len(key) == 2}
+    for key, count in pairs.items():
         for pair in key:
-            if count > singles[pair]:
+            if count > singles.get(pair, 0):
                 raise InfeasibleFixtureError(f"pair count {count} exceeds its marginal {pair}")
-        pairs[key] = count
 
     group_sizes = {"total": M_ACCESSIBLE}
     for column, members in _GROUP_DEFS.items():
@@ -271,13 +236,9 @@ def arithmetic_consistency_check(
     """
     entries = []
     for g in golden:
-        n_antecedent = (g.support_bp * counts.m + 5000) // 10000
-        joint, deviation = _implied_joint(g.confidence_bp, n_antecedent)
-        entries.append(
-            ArithmeticCheckEntry(
-                g.rule_id, n_antecedent, joint, deviation, deviation <= Fraction(1, 100)
-            )
-        )
+        n_antecedent, joint, deviation = _rule_counts(g, counts.m)
+        consistent = deviation <= Fraction(1, 100)
+        entries.append(ArithmeticCheckEntry(g.rule_id, n_antecedent, joint, deviation, consistent))
     return ArithmeticReport(tuple(entries))
 
 
@@ -289,8 +250,7 @@ def golden_as_rules(
     for g in golden:
         antecedent = tuple(sorted(catalog.resolve_pair(p) for p in g.antecedent_items))
         consequent = (catalog.resolve_pair(g.consequent_item),)
-        n_antecedent = (g.support_bp * m + 5000) // 10000
-        joint, _ = _implied_joint(g.confidence_bp, n_antecedent)
+        n_antecedent, joint, _ = _rule_counts(g, m)
         out.append(classify_rule(Rule(antecedent, consequent, n_antecedent, joint, m)))
     return out
 
@@ -423,6 +383,7 @@ def _complete_pair_counts(counts: StudyCounts) -> dict:
     genuinely free cells open.
     """
     known = dict(counts.pair_counts)
+    families = _demographic_families()
 
     def resolve(fixed: tuple[str, str], over_attr: str, over_values: Sequence[str]) -> bool:
         keys = [frozenset({fixed, (over_attr, v)}) for v in over_values]
@@ -446,9 +407,7 @@ def _complete_pair_counts(counts: StudyCounts) -> dict:
     changed = True
     while changed:
         changed = False
-        for (attr_a, values_a), (attr_b, values_b) in itertools.combinations(
-            _ATTRIBUTE_FAMILIES, 2
-        ):
+        for (attr_a, values_a), (attr_b, values_b) in itertools.combinations(families, 2):
             for va in values_a:
                 changed |= resolve((attr_a, va), attr_b, values_b)
             for vb in values_b:
@@ -485,13 +444,12 @@ def _facility_mandatory(
         wanted = set(g.antecedent_items)
         idxs = tuple(ci for ci, cell in enumerate(cells) if wanted <= set(cell))
         n_antecedent = sum(sizes[ci] for ci in idxs)
-        expected = (g.support_bp * counts.m + 5000) // 10000
+        expected, joint, deviation = _rule_counts(g, counts.m)
         if n_antecedent != expected:
             raise InfeasibleFixtureError(
                 f"rule {g.rule_id}: antecedent group holds {n_antecedent} rows, "
                 f"published support implies {expected}"
             )
-        joint, deviation = _implied_joint(g.confidence_bp, n_antecedent)
         if deviation > Fraction(1, 100):
             raise InfeasibleFixtureError(
                 f"rule {g.rule_id}: confidence implies non-integer joint count"
@@ -524,14 +482,11 @@ def _facility_assignment(
     unmet: list[tuple[str, int]] = []
 
     def family_conflict(candidate: str) -> bool:
-        # a column that completes a partition family must agree with the total
-        for family in _COLUMN_FAMILIES:
-            if candidate not in family:
-                continue
-            others = [c for c in family if c != candidate]
-            if all(c in accepted_columns for c in others):
-                family_sum = sum(counts.facility_counts[facility][c] for c in family)
-                return family_sum != total
+        # a column that completes its attribute's partition must agree with the total
+        attr = _GROUP_DEFS[candidate][0][0]
+        family = [c for c, members in _GROUP_DEFS.items() if members[0][0] == attr]
+        if all(c in accepted_columns for c in family if c != candidate):
+            return sum(counts.facility_counts[facility][c] for c in family) != total
         return False
 
     for column in GROUP_COLUMNS:
@@ -641,9 +596,7 @@ def _verify_fixture(
             raise InfeasibleFixtureError(f"fixture lost facility total for {facility}")
     for g in golden:
         antecedent = [catalog.resolve_pair(p) for p in g.antecedent_items]
-        joint, _ = _implied_joint(
-            g.confidence_bp, (g.support_bp * counts.m + 5000) // 10000
-        )
+        _, joint, _ = _rule_counts(g, counts.m)
         if count_support(db, antecedent + [catalog.resolve_pair(g.consequent_item)]) != joint:
             raise InfeasibleFixtureError(f"fixture lost the joint count of rule {g.rule_id}")
 
@@ -651,7 +604,7 @@ def _verify_fixture(
 def study_aggregate_groups(catalog: ItemCatalog) -> list[tuple[str, tuple[int, ...]]]:
     """The merged ownership column of the published frequency table, when the
     catalog carries the study's ownership values."""
-    wanted = (("ownership", "private"), ("ownership", "semiprivate"))
+    wanted = _GROUP_DEFS["private_semiprivate"]
     if all(catalog.has_item(a, v) for a, v in wanted):
         return [
             (
@@ -680,7 +633,7 @@ class MinedRuleRow:
 
 
 def parse_rules_csv(text: str) -> list[MinedRuleRow]:
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:

@@ -19,6 +19,7 @@ only counted; a partially empty facility row is an error.
 from __future__ import annotations
 
 import csv
+import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,7 +171,7 @@ def _facility_token(cell: str) -> Optional[bool]:
 def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
     """Materialize a transaction database from CSV contents."""
     catalog = schema.catalog
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -336,7 +337,7 @@ GOLDEN_HEADER = ["rule_id", "antecedent", "consequent", "confidence_pct", "suppo
 
 def parse_golden_rules(text: str) -> list[GoldenRule]:
     """Parse the transcribed reference rules, validating percentage ranges."""
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
     except StopIteration:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from siterules import corpus
+from siterules.datamodel import ItemClass
 from siterules.engine import count_support
 from siterules.ingest import GoldenRule, parse_transactions, render_transactions_csv
 from siterules.report import format_percent, render_rules, stats_table
@@ -42,6 +43,35 @@ class TestPaperCounts:
         assert corpus._derived_count(9795, 49, "truncate") == 48
         assert corpus._derived_count(9796, 49, "round") == 48
         assert corpus._derived_count(1208, 91, "truncate") == 11
+
+    def test_conflicting_support_rejected(self, monkeypatch):
+        # rules 1 and 2 share the antecedent age=below10; 13.18% of 91 is integral
+        original = corpus.golden_text()
+        text = original.replace(
+            "2,age=below10,facility=contact_us,100.00,12.08",
+            "2,age=below10,facility=contact_us,100.00,13.18",
+        )
+        assert text != original
+        monkeypatch.setattr(corpus, "golden_text", lambda: text)
+        with pytest.raises(corpus.InfeasibleFixtureError, match="rule 2: support contradicts"):
+            corpus.study_group_counts()
+
+    def test_value_without_single_rule_fails_family_sum(self, monkeypatch):
+        lines = corpus.golden_text().splitlines(keepends=True)
+        kept = [line for line in lines if line.split(",")[1] != "age=below10"]
+        assert len(kept) < len(lines)
+        monkeypatch.setattr(corpus, "golden_text", lambda: "".join(kept))
+        with pytest.raises(corpus.InfeasibleFixtureError, match="age group counts sum to 80"):
+            corpus.study_group_counts()
+
+    def test_group_columns_partition_each_attribute(self, study_schema):
+        for members in corpus._GROUP_DEFS.values():
+            assert len({attr for attr, _ in members}) == 1, members
+        for attr in study_schema.attributes:
+            if attr.item_class is not ItemClass.DEMOGRAPHIC:
+                continue
+            covered = [v for ms in corpus._GROUP_DEFS.values() for a, v in ms if a == attr.name]
+            assert sorted(covered) == sorted(attr.values), attr.name
 
 
 class TestArithmeticConsistency:

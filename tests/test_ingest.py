@@ -165,6 +165,11 @@ class TestParseTransactions:
                 small_schema, rows_to_csv(["c1,private,5,Y,N", "c1,private,6,Y,N"])
             )
 
+    def test_quoted_newline_kept_in_record_id(self, small_schema):
+        text = rows_to_csv(['"a\nb",private,5,Y,N', "ab,private,6,Y,N"])
+        db = parse_transactions(small_schema, text)
+        assert [t.record_id for t in db.transactions] == ["a\nb", "ab"]
+
     def test_partial_facility_row_rejected(self, small_schema):
         with pytest.raises(DataError, match="all present or all empty"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,5,Y,"]))
