@@ -23,8 +23,6 @@ and candidate values highest-first, so repeated builds are byte-identical.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +32,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 from .classify import ClassifiedRule, classify_rule
 from .datamodel import ItemCatalog, ItemClass, Percent, Rule, Transaction, TransactionDatabase
 from .engine import count_support
-from .ingest import GoldenRule, Schema, parse_golden_rules, parse_pct_bp, parse_schema
+from .ingest import GoldenRule, Schema, csv_rows, parse_golden_rules, parse_pct_bp, parse_schema
 from .report import RULES_HEADER, format_percent
 
 
@@ -633,7 +631,7 @@ class MinedRuleRow:
 
 
 def parse_rules_csv(text: str) -> list[MinedRuleRow]:
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv_rows(text, ValueError)
     try:
         header = next(reader)
     except StopIteration:

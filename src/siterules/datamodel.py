@@ -175,22 +175,60 @@ class Transaction:
         return bool(self.members >> item_id & 1)
 
 
+_BLOCK_ROWS = 8192
+
+
 def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> tuple[int, ...]:
     """Transpose row bitmasks into one transaction bitset per item.
 
-    Bit j of item i's vector is set iff transaction j contains item i. Columns
-    are accumulated in bytearrays so the cost is one pass over the set bits.
+    Bit j of item i's vector is set iff transaction j contains item i. Each
+    block of rows is written as one string of ``n_items``-wide binary rows,
+    so item i's bits in that block are every ``n_items``-th character from
+    position ``n_items - 1 - i``; ``int(..., 2)`` reads the reversed column.
+    Blocks keep the string small. A mask wider than the catalog makes the
+    string too long and raises ``ValueError``.
     """
-    width = (len(transactions) + 7) // 8 or 1
-    cols = [bytearray(width) for _ in range(n_items)]
-    for j, txn in enumerate(transactions):
-        bits = txn.members
-        byte, mask = j >> 3, 1 << (j & 7)
-        while bits:
-            low = bits & -bits
-            cols[low.bit_length() - 1][byte] |= mask
-            bits ^= low
-    return tuple(int.from_bytes(col, "little") for col in cols)
+    if not n_items:
+        # format() writes at least one digit, so an empty catalog has no rows to slice.
+        if any(txn.members for txn in transactions):
+            raise ValueError("a membership mask is wider than the catalog")
+        return ()
+    spec = f"0{n_items}b"
+    pieces: list[list[str]] = [[] for _ in range(n_items)]
+    for start in range(0, len(transactions), _BLOCK_ROWS):
+        block = transactions[start : start + _BLOCK_ROWS]
+        text = "".join([format(txn.members, spec) for txn in block])
+        if len(text) != len(block) * n_items:
+            raise ValueError("a membership mask is wider than the catalog")
+        for i, column in enumerate(pieces):
+            column.append(text[n_items - 1 - i :: n_items])
+    return tuple(int("".join(column)[::-1] or "0", 2) for column in pieces)
+
+
+def _overlapping(index: Sequence[int], item_ids: Sequence[int]) -> bool:
+    """Whether some transaction holds two of ``item_ids``."""
+    union = 0
+    for i in item_ids:
+        union |= index[i]
+    return sum(index[i].bit_count() for i in item_ids) != union.bit_count()
+
+
+def _raise_first_invalid(
+    n_items: int, exclusive: Sequence[Sequence[int]], transactions: Sequence[Transaction]
+) -> None:
+    """Raise ``ValueError`` for the first record that repeats an id, sets an
+    item outside the catalog, or sets two items of one ``exclusive`` group."""
+    seen: set[str] = set()
+    exclusive_masks = [sum(1 << i for i in ids) for ids in exclusive]
+    for txn in transactions:
+        if txn.record_id in seen:
+            raise ValueError(f"duplicate record_id {txn.record_id!r}")
+        seen.add(txn.record_id)
+        if txn.members.bit_length() > n_items:
+            raise ValueError(f"record {txn.record_id!r} sets an item id outside the catalog")
+        for mask in exclusive_masks:
+            if (txn.members & mask).bit_count() > 1:
+                raise ValueError(f"record {txn.record_id!r} sets multiple values of one attribute")
 
 
 @dataclass(frozen=True)
@@ -220,26 +258,29 @@ class TransactionDatabase:
         transactions: Sequence[Transaction],
         excluded_count: int = 0,
     ) -> "TransactionDatabase":
-        """Validate transactions against the catalog and index them."""
-        n = catalog.n_items
-        seen: set[str] = set()
-        exclusive_masks = [
-            sum(1 << i for i in catalog.ids_of_attribute(attr.name))
+        """Validate transactions against the catalog and index them.
+
+        The checks run on the index: record ids are distinct, no mask is
+        wider than the catalog, and no two items of one non-binary attribute
+        share a transaction. Only when one fails are the rows scanned, to
+        name the first offending record.
+        """
+        records = [txn.record_id for txn in transactions]
+        exclusive = [
+            catalog.ids_of_attribute(attr.name)
             for attr in catalog.attributes
             if attr.kind is not AttributeKind.BINARY
         ]
-        for txn in transactions:
-            if txn.record_id in seen:
-                raise ValueError(f"duplicate record_id {txn.record_id!r}")
-            seen.add(txn.record_id)
-            if txn.members.bit_length() > n:
-                raise ValueError(f"record {txn.record_id!r} sets an item id outside the catalog")
-            for mask in exclusive_masks:
-                if (txn.members & mask).bit_count() > 1:
-                    raise ValueError(
-                        f"record {txn.record_id!r} sets multiple values of one attribute"
-                    )
-        index = build_vertical_index(n, transactions)
+        try:
+            index = build_vertical_index(catalog.n_items, transactions)
+        except ValueError:
+            index = None
+        if (
+            index is None
+            or len(set(records)) != len(records)
+            or any(_overlapping(index, ids) for ids in exclusive)
+        ):
+            _raise_first_invalid(catalog.n_items, exclusive, transactions)
         return cls(catalog, tuple(transactions), excluded_count, index)
 
     @property

@@ -23,7 +23,7 @@ import io
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .datamodel import (
     AttributeDef,
@@ -43,6 +43,7 @@ _ATTR_RE = re.compile(
 )
 _FACILITY_RE = re.compile(r'^facility\s+(?P<name>\S+)\s+"(?P<desc>[^"]*)"$')
 _BIN_RE = re.compile(r"^(?P<lo>\d+)-(?P<hi>\d*)=(?P<label>[^\s,]+)$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
 class SchemaError(ValueError):
@@ -168,12 +169,57 @@ def _facility_token(cell: str) -> Optional[bool]:
     raise ValueError(f"unrecognized yes/no token {cell!r}")
 
 
-def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
-    """Materialize a transaction database from CSV contents."""
-    catalog = schema.catalog
+def csv_rows(text: str, error: type[ValueError]) -> Iterator[list[str]]:
+    """The CSV records of ``text``; a record the reader rejects (say, a field
+    over the csv module's size limit) raises ``error`` naming its line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
+        yield from reader
+    except csv.Error as exc:
+        raise error(f"line {reader.line_num}: {exc}") from None
+
+
+def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -> int:
+    """The item bit one cell of column ``attr`` sets (0 for a facility's "no").
+
+    The bit depends only on the column and the raw cell; ``rowno`` only
+    names the row in the message of a rejected cell.
+    """
+    value = cell.strip()
+    if attr.kind is AttributeKind.BINARY:
+        try:
+            present = _facility_token(value)
+        except ValueError as exc:
+            raise DataError(f"row {rowno}, column {attr.name!r}: {exc}") from None
+        return 1 << catalog.item_id(attr.name, "yes") if present else 0
+    if not value:
+        raise DataError(f"row {rowno}: empty value for attribute {attr.name!r}")
+    if attr.kind is AttributeKind.NUMERIC:
+        if _INT_RE.fullmatch(value) is None:
+            raise DataError(f"row {rowno}, column {attr.name!r}: unparseable integer {value!r}")
+        try:
+            label = bin_numeric(int(value), attr.bins)
+        except ValueError as exc:
+            raise DataError(f"row {rowno}, column {attr.name!r}: {exc}") from None
+    else:
+        if value not in attr.values:
+            raise DataError(f"row {rowno}, column {attr.name!r}: value {value!r} not in schema")
+        label = value
+    return 1 << catalog.item_id(attr.name, label)
+
+
+def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
+    """Materialize a transaction database from CSV contents.
+
+    Each column keeps a table from raw cell to item bit, filled by
+    :func:`_cell_bit` the first time a cell is seen, so a row whose cells
+    have all been seen costs one lookup per cell. Empty cells never enter a
+    table: a row holding one takes the checked path.
+    """
+    catalog = schema.catalog
+    rows = csv_rows(text, DataError)
+    try:
+        header = next(rows)
     except StopIteration:
         raise DataError("missing header row") from None
     if not header or header[0] != "record_id":
@@ -189,11 +235,13 @@ def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
         raise DataError("duplicate columns in header")
     attr_by_col = [catalog.attribute(col) for col in header[1:]]
     facility_cols = [k for k, a in enumerate(attr_by_col) if a.kind is AttributeKind.BINARY]
+    tables: list[dict[str, int]] = [{} for _ in attr_by_col]
+    lookup = dict.__getitem__
 
     transactions: list[Transaction] = []
     seen_ids: set[str] = set()
     excluded = 0
-    for rowno, row in enumerate(reader, start=2):
+    for rowno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise DataError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
         record_id = row[0].strip()
@@ -204,44 +252,21 @@ def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
         seen_ids.add(record_id)
 
         cells = row[1:]
-        empties = [not cells[k].strip() for k in facility_cols]
-        if facility_cols and all(empties):
-            excluded += 1
-            continue
-        if any(empties):
-            raise DataError(f"row {rowno}: facility cells must be all present or all empty")
-
-        members = 0
-        for cell, attr in zip(cells, attr_by_col):
-            value = cell.strip()
-            if attr.kind is AttributeKind.BINARY:
-                try:
-                    present = _facility_token(value)
-                except ValueError as exc:
-                    raise DataError(f"row {rowno}, column {attr.name!r}: {exc}") from None
-                if present:
-                    members |= 1 << catalog.item_id(attr.name, "yes")
+        try:
+            # Each column is a different attribute, so the bits are disjoint
+            # and their sum is their union.
+            members = sum(map(lookup, tables, cells))
+        except KeyError:
+            empties = [not cells[k].strip() for k in facility_cols]
+            if facility_cols and all(empties):
+                excluded += 1
                 continue
-            if not value:
-                raise DataError(f"row {rowno}: empty value for attribute {attr.name!r}")
-            if attr.kind is AttributeKind.NUMERIC:
-                try:
-                    number = int(value)
-                except ValueError:
-                    raise DataError(
-                        f"row {rowno}, column {attr.name!r}: unparseable integer {value!r}"
-                    ) from None
-                try:
-                    label = bin_numeric(number, attr.bins)
-                except ValueError as exc:
-                    raise DataError(f"row {rowno}, column {attr.name!r}: {exc}") from None
-            else:
-                if value not in attr.values:
-                    raise DataError(
-                        f"row {rowno}, column {attr.name!r}: value {value!r} not in schema"
-                    )
-                label = value
-            members |= 1 << catalog.item_id(attr.name, label)
+            if any(empties):
+                raise DataError(f"row {rowno}: facility cells must be all present or all empty")
+            members = 0
+            for table, cell, attr in zip(tables, cells, attr_by_col):
+                table[cell] = bit = _cell_bit(catalog, attr, cell, rowno)
+                members |= bit
         transactions.append(Transaction(record_id, members))
     try:
         return TransactionDatabase.build(catalog, transactions, excluded)
@@ -266,7 +291,9 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     catalog = db.catalog
     header = ["record_id"] + [a.name for a in catalog.attributes]
     columns = [(a, catalog.ids_of_attribute(a.name)) for a in catalog.attributes]
-    lines = [",".join(header)]
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
     for txn in db.transactions:
         cells = [txn.record_id]
         for attr, ids in columns:
@@ -280,11 +307,11 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
                 cells.append(_numeric_representative(attr, catalog.item(present[0]).value))
             else:
                 cells.append(catalog.item(present[0]).value)
-        lines.append(",".join(cells))
+        writer.writerow(cells)
     width = len(header) - 1
     for k in range(db.excluded_count):
-        lines.append(",".join([f"__excluded_{k + 1}"] + [""] * width))
-    return "\n".join(lines) + "\n"
+        writer.writerow([f"__excluded_{k + 1}"] + [""] * width)
+    return out.getvalue()
 
 
 _PCT_RE = re.compile(r"^(?P<whole>\d+)(?:\.(?P<frac>\d{1,2}))?$")
@@ -337,7 +364,7 @@ GOLDEN_HEADER = ["rule_id", "antecedent", "consequent", "confidence_pct", "suppo
 
 def parse_golden_rules(text: str) -> list[GoldenRule]:
     """Parse the transcribed reference rules, validating percentage ranges."""
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv_rows(text, GoldenFileError)
     try:
         header = next(reader)
     except StopIteration:

@@ -1,8 +1,9 @@
-"""Smoke test of the benchmark contract: one zero-second study-pipeline run.
+"""Smoke test of the benchmark contract: one zero-second run of a workload.
 
 The benchmark calls the package's public names directly; a change that
 removes or renames one of them fails here rather than in a later benchmark
-run.
+run. ``study-scale`` also checks the parse of a 100k-row CSV against the
+benchmark's own recounts, which do not import the package.
 """
 
 import json
@@ -19,13 +20,14 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="the benchmark pins itself to one CPU"
 )
-def test_study_pipeline_run_is_correct():
+@pytest.mark.parametrize("workload", ["study-pipeline", "study-scale"])
+def test_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [
             sys.executable,
             "perfbench/run.py",
             "--workload",
-            "study-pipeline",
+            workload,
             "--seed",
             "1",
             "--seconds",

@@ -96,6 +96,15 @@ class TestMineCommand:
         assert run_mine(bom_dir, bom) == 0
         assert bom.read_bytes() == plain.read_bytes()
 
+    def test_overlong_field_is_usage_error(self, fixture_dir, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        text = (fixture_dir / "fixture_data.csv").read_text(encoding="utf-8")
+        data.write_text(text + "x" * 131_073 + "\n", encoding="utf-8")
+        schema = str(fixture_dir / "schema_appendix_a.txt")
+        argv = ["mine", "--schema", schema, "--data", str(data), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        assert "error: line 93: field larger than field limit" in capsys.readouterr().err
+
     def test_text_format(self, fixture_dir, tmp_path):
         out = tmp_path / "rules.txt"
         assert run_mine(fixture_dir, out, "--format", "text") == 0

@@ -214,6 +214,12 @@ class TestValidation:
         report = corpus.validate_rows_against_golden(rows, golden)
         assert report.ok
 
+    def test_overlong_field_in_rules_csv_names_its_line(self, catalog, mined_classified):
+        doc = render_rules(catalog, mined_classified) + f"999,{'x' * 131_073},,,,,\n"
+        line = len(doc.splitlines())
+        with pytest.raises(ValueError, match=f"line {line}: field larger than field limit"):
+            corpus.parse_rules_csv(doc)
+
     def test_render_summary_line(self, catalog, mined_classified, golden):
         report = corpus.validate_against_golden(catalog, mined_classified, golden)
         first = report.render().splitlines()[0]

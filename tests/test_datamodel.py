@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siterules.datamodel import (
+    _BLOCK_ROWS,
     AttributeDef,
     AttributeKind,
     ItemCatalog,
@@ -128,8 +130,44 @@ class TestDatabase:
     def test_build_rejects_conflicting_categorical_values(self):
         catalog = make_catalog()
         both_colors = (1 << 0) | (1 << 1)
-        with pytest.raises(ValueError, match="multiple values"):
+        with pytest.raises(ValueError, match="record 'a' sets multiple values of one attribute"):
             TransactionDatabase.build(catalog, [Transaction("a", both_colors)])
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([("a", 0), ("b", 0b11), ("a", 0)], "record 'b' sets multiple values"),
+            ([("a", 0), ("a", 0), ("b", 0b11)], "duplicate record_id 'a'"),
+            ([("a", 0), ("b", 1 << 9), ("c", 0b11)], "record 'b' sets an item id outside"),
+            ([("a", 0b10100), ("b", 0b11), ("c", 1 << 9)], "record 'b' sets multiple values"),
+        ],
+    )
+    def test_build_names_the_first_offending_record(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            TransactionDatabase.build(make_catalog(), [Transaction(r, m) for r, m in rows])
+
+    def test_mask_wider_than_catalog_rejected_by_transpose(self):
+        with pytest.raises(ValueError):
+            build_vertical_index(3, [Transaction("a", 1), Transaction("b", 1 << 3)])
+        with pytest.raises(ValueError):
+            build_vertical_index(0, [Transaction("a", 1)])
+
+    @pytest.mark.parametrize("n_items", [0, 1, 28, 64, 65])
+    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=2, deadline=None)
+    def test_transpose_matches_per_bit_reference(self, n_items, n_rows, seed):
+        rng = random.Random(seed)
+        rows = [
+            Transaction(f"r{j}", rng.getrandbits(n_items) & rng.getrandbits(n_items))
+            for j in range(n_rows)
+        ]
+        expected = [0] * n_items
+        for j, txn in enumerate(rows):
+            for i in range(n_items):
+                if txn.members >> i & 1:
+                    expected[i] |= 1 << j
+        assert build_vertical_index(n_items, rows) == tuple(expected)
 
     def test_excluded_count_tracked(self):
         catalog = make_catalog()

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siterules.datamodel import ItemClass, NumericBin
@@ -186,6 +186,16 @@ class TestParseTransactions:
         with pytest.raises(DataError, match="unparseable integer"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,old,Y,N"]))
 
+    @pytest.mark.parametrize("age", ["1_0", "\u0661\u0660"])
+    def test_non_ascii_digits_rejected(self, small_schema, age):
+        with pytest.raises(DataError, match=r"row 2, column 'age': unparseable integer"):
+            parse_transactions(small_schema, rows_to_csv([f"c1,private,{age},Y,N"]))
+
+    def test_overlong_field_names_its_line(self, small_schema):
+        text = rows_to_csv(["c1,private,5,Y,N", f"c2,private,5,{'Y' * 131_073},N"])
+        with pytest.raises(DataError, match="line 3: field larger than field limit"):
+            parse_transactions(small_schema, text)
+
     def test_unbinnable_number(self, small_schema):
         with pytest.raises(DataError, match="falls in no bin"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,-4,Y,N"]))
@@ -212,16 +222,26 @@ class TestParseTransactions:
             assert count_support(db_a, (i,)) == count_support(db_b, (i,))
 
 
+def quoted(cell):
+    return '"' + cell.replace('"', '""') + '"'
+
+
 @st.composite
 def random_rows(draw):
+    """Rows with quoted record ids that hold commas, quotes or newlines, and
+    several spellings of each cell value, so one value repeats in several
+    raw forms within a column."""
     n = draw(st.integers(0, 25))
     rows = []
     for k in range(n):
-        ownership = draw(st.sampled_from(["governmental", "private", "semiprivate"]))
+        record_id = draw(st.sampled_from(["r", "a,b", 'q"x', "a\nb"])) + str(k)
+        ownership = draw(st.sampled_from(["governmental", "private", " private", "semiprivate"]))
         age = draw(st.integers(0, 60))
-        about = draw(st.sampled_from(["Y", "N"]))
-        search = draw(st.sampled_from(["Y", "N"]))
-        rows.append(f"r{k},{ownership},{age},{about},{search}")
+        age_cell = draw(st.sampled_from([str(age), f" {age}", f"+{age}", f"{age:03d}"]))
+        about, search = (
+            draw(st.sampled_from(["Y", " y", "yes", "1", "N", "n ", "no", "0"])) for _ in range(2)
+        )
+        rows.append(f"{quoted(record_id)},{ownership},{age_cell},{about},{search}")
     excluded = draw(st.integers(0, 4))
     rows += [f"gone{k},,,," for k in range(excluded)]
     return rows
@@ -229,6 +249,7 @@ def random_rows(draw):
 
 class TestRoundTrip:
     @given(random_rows())
+    @example(['"a,b",private,5,Y,N', '"q""x",private,25,N,Y', '"a\nb",governmental,40,Y,Y'])
     @settings(max_examples=60, deadline=None)
     def test_serialize_then_parse_is_identity(self, rows):
         schema = parse_schema(SMALL_SCHEMA)
@@ -239,6 +260,15 @@ class TestRoundTrip:
         assert [t.members for t in again.transactions] == [t.members for t in db.transactions]
         assert [t.record_id for t in again.transactions] == [t.record_id for t in db.transactions]
         assert again.vertical_index == db.vertical_index
+
+    @given(random_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_parse_as_they_do_alone(self, rows):
+        schema = parse_schema(SMALL_SCHEMA)
+        db = parse_transactions(schema, rows_to_csv(rows))
+        alone = [parse_transactions(schema, rows_to_csv([row])) for row in rows]
+        assert db.transactions == tuple(t for one in alone for t in one.transactions)
+        assert db.excluded_count == sum(one.excluded_count for one in alone)
 
 
 GOLDEN_HEADER = "rule_id,antecedent,consequent,confidence_pct,support_pct"
@@ -300,6 +330,11 @@ class TestParseGoldenRules:
             ]
         )
         with pytest.raises(GoldenFileError, match="duplicate rule_id"):
+            parse_golden_rules(text)
+
+    def test_overlong_field_names_its_line(self):
+        text = GOLDEN_HEADER + f"\n1,age=below10,facility={'x' * 131_073},100.00,12.08"
+        with pytest.raises(GoldenFileError, match="line 2: field larger than field limit"):
             parse_golden_rules(text)
 
     def test_packaged_file_has_68_rules(self, golden):
