@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import ClassifiedRule, classify_rule
 from .datamodel import ItemCatalog, ItemClass, Percent, Rule, Transaction, TransactionDatabase
@@ -256,9 +256,6 @@ def golden_as_rules(
 # ---------------------------------------------------------------------------
 # deterministic integer feasibility search
 
-_BIG = 1 << 30
-
-
 def _iter_solutions(
     caps: Sequence[Optional[int]],
     constraints: Sequence[tuple[tuple[int, ...], int]],
@@ -266,49 +263,64 @@ def _iter_solutions(
     """Yield all non-negative integer assignments meeting every constraint.
 
     Each constraint is (variable indices, exact target sum). Variables are
-    assigned in index order, candidate values highest-first, with interval
-    propagation at every node, so solutions arrive in a fixed order.
+    assigned in index order, candidate values highest-first, so solutions
+    arrive in lexicographically descending order.
+
+    A variable's bound is its cap tightened by the targets of its
+    constraints. ``slack[ci]`` is the sum of those bounds over constraint
+    ci's unassigned members; entering variable i subtracts its bound from
+    each of its constraints' slack and leaving adds it back. Variable i's
+    value then lies between each constraint's remaining target less the
+    slack of its other unassigned members and the smallest remaining target,
+    so a constraint whose last member is assigned meets its target exactly,
+    and a node costs O(constraints of i). A constraint whose target is
+    negative or above its slack before any assignment admits no solution.
+    Only subtrees holding no solution are pruned.
     """
     n = len(caps)
-    members = [tuple(idxs) for idxs, _ in constraints]
     by_var: list[list[int]] = [[] for _ in range(n)]
-    for ci, idxs in enumerate(members):
+    for ci, (idxs, _) in enumerate(constraints):
         for j in idxs:
             by_var[j].append(ci)
+    bound = []
     for j in range(n):
-        if caps[j] is None and not by_var[j]:
+        targets = [constraints[ci][1] for ci in by_var[j]]
+        if caps[j] is not None:
+            targets.append(caps[j])
+        if not targets:
             raise ValueError(f"variable {j} is unbounded")
-    assignment = [0] * n
+        bound.append(min(targets))
     remaining = [t for _, t in constraints]
-    if any(r < 0 for r in remaining):
+    slack = [sum(bound[j] for j in idxs) for idxs, _ in constraints]
+    if any(r < 0 or r > s for r, s in zip(remaining, slack)):
         return
+    assignment = [0] * n
 
     def dfs(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
-            if all(r == 0 for r in remaining):
-                yield tuple(assignment)
+            yield tuple(assignment)
             return
-        ub = [_BIG if caps[j] is None else caps[j] for j in range(i, n)]
-        for ci, idxs in enumerate(members):
-            rem = remaining[ci]
-            for j in idxs:
-                if j >= i and rem < ub[j - i]:
-                    ub[j - i] = rem
-        hi = ub[0]
+        own = by_var[i]
+        b = bound[i]
+        hi = b
         lo = 0
-        for ci in by_var[i]:
-            slack = sum(ub[j - i] for j in members[ci] if j > i)
-            need = remaining[ci] - slack
-            if need > lo:
-                lo = need
+        for ci in own:
+            slack[ci] -= b
+            rem = remaining[ci]
+            if rem < hi:
+                hi = rem
+            if rem - slack[ci] > lo:
+                lo = rem - slack[ci]
         for value in range(hi, lo - 1, -1):
             assignment[i] = value
-            for ci in by_var[i]:
+            for ci in own:
                 remaining[ci] -= value
             yield from dfs(i + 1)
-            for ci in by_var[i]:
+            for ci in own:
                 remaining[ci] += value
         assignment[i] = 0
+        for ci in own:
+            slack[ci] += b
 
     yield from dfs(0)
 
@@ -322,11 +334,33 @@ def _first_solution(caps, constraints) -> Optional[tuple[int, ...]]:
 
 
 @dataclass(frozen=True)
+class FamilySumConflict:
+    """The cell completes its attribute's group columns, and the family's
+    published column counts do not sum to the facility total."""
+
+    attribute: str
+    columns: tuple[tuple[str, int], ...]
+    total: int
+
+
+@dataclass(frozen=True)
+class SearchInfeasible:
+    """No assignment meets the accepted constraints, each (cell indices,
+    target), together with the cell's target."""
+
+    accepted: tuple[tuple[tuple[int, ...], int], ...]
+
+
+UnmetReason = Union[FamilySumConflict, SearchInfeasible]
+
+
+@dataclass(frozen=True)
 class UnmetCell:
     facility: str
     column: str
     target: int
     achieved: int
+    reason: UnmetReason
 
 
 @dataclass(frozen=True)
@@ -457,53 +491,74 @@ def _facility_mandatory(
     return list(by_cells.items())
 
 
+def _column_cells(cells: Sequence[tuple[tuple[str, str], ...]]) -> dict[str, tuple[int, ...]]:
+    """Indices of the demographic cells that each group column covers."""
+    return {
+        column: tuple(
+            ci for ci, cell in enumerate(cells) if any(pair in cell for pair in members)
+        )
+        for column, members in _GROUP_DEFS.items()
+    }
+
+
 def _facility_assignment(
     facility: str,
     counts: StudyCounts,
     mandatory: list[tuple[tuple[int, ...], int]],
-    cells: Sequence[tuple[tuple[str, str], ...]],
+    first: tuple[int, ...],
+    column_idxs: dict[str, tuple[int, ...]],
     sizes: Sequence[int],
 ) -> tuple[tuple[int, ...], list[UnmetCell]]:
     """Mandatory constraints plus a greedy, deterministic pass over the
-    published group cells, each kept only if the set stays feasible."""
-    column_idxs = {
-        column: tuple(
-            ci
-            for ci, cell in enumerate(cells)
-            if any(pair in cell for pair in _GROUP_DEFS[column])
-        )
-        for column in GROUP_COLUMNS
-    }
-    total = counts.facility_counts[facility]["total"]
+    published group cells, each kept only if the set stays feasible.
+
+    ``first`` is the first solution of the mandatory set. Solutions arrive
+    in descending order, so when the current first solution already meets a
+    column's target it is also the first solution of the larger set, and
+    only a column it misses needs a search.
+    """
+    targets = counts.facility_counts[facility]
     accepted = list(mandatory)
     accepted_columns: set[str] = set()
-    unmet: list[tuple[str, int]] = []
+    current = first
+    unmet: list[tuple[str, UnmetReason]] = []
 
-    def family_conflict(candidate: str) -> bool:
+    def family_conflict(candidate: str) -> Optional[FamilySumConflict]:
         # a column that completes its attribute's partition must agree with the total
         attr = _GROUP_DEFS[candidate][0][0]
         family = [c for c, members in _GROUP_DEFS.items() if members[0][0] == attr]
         if all(c in accepted_columns for c in family if c != candidate):
-            return sum(counts.facility_counts[facility][c] for c in family) != total
-        return False
+            published = tuple((c, targets[c]) for c in family)
+            if sum(count for _, count in published) != targets["total"]:
+                return FamilySumConflict(attr, published, targets["total"])
+        return None
 
     for column in GROUP_COLUMNS:
-        target = counts.facility_counts[facility][column]
-        candidate = (column_idxs[column], target)
-        if family_conflict(column) or _first_solution(sizes, accepted + [candidate]) is None:
-            unmet.append((column, target))
+        idxs, target = column_idxs[column], targets[column]
+        reason: Optional[UnmetReason] = family_conflict(column)
+        if reason is None and sum(current[ci] for ci in idxs) != target:
+            solution = _first_solution(sizes, accepted + [(idxs, target)])
+            if solution is None:
+                reason = SearchInfeasible(tuple(accepted))
+            else:
+                current = solution
+        if reason is not None:
+            unmet.append((column, reason))
             continue
-        accepted.append(candidate)
+        accepted.append((idxs, target))
         accepted_columns.add(column)
 
-    final = _first_solution(sizes, accepted)
-    if final is None:
-        raise InfeasibleFixtureError(f"mandatory constraints infeasible for {facility}")
     unmet_cells = [
-        UnmetCell(facility, column, target, sum(final[ci] for ci in column_idxs[column]))
-        for column, target in unmet
+        UnmetCell(
+            facility,
+            column,
+            targets[column],
+            sum(current[ci] for ci in column_idxs[column]),
+            reason,
+        )
+        for column, reason in unmet
     ]
-    return final, unmet_cells
+    return current, unmet_cells
 
 
 def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureResult:
@@ -527,26 +582,29 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     sizes: Optional[tuple[int, ...]] = None
     mandatory_sets: dict[str, list] = {}
     for table in _iter_solutions(caps, demographic):
-        candidate_sets = {
+        mandatory_sets = {
             f: _facility_mandatory(f, counts, golden, cells, table) for f in facilities
         }
-        if all(
-            _first_solution(table, constraint_set) is not None
-            for constraint_set in candidate_sets.values()
-        ):
+        first: dict[str, tuple[int, ...]] = {}
+        for f, constraint_set in mandatory_sets.items():
+            solution = _first_solution(table, constraint_set)
+            if solution is None:
+                break
+            first[f] = solution
+        else:
             sizes = table
-            mandatory_sets = candidate_sets
             break
     if sizes is None:
         raise InfeasibleFixtureError("no demographic table admits the mandatory constraints")
 
+    column_idxs = _column_cells(cells)
     assignments = {}
     unmet: list[UnmetCell] = []
     rule_targets = 0
     for facility in facilities:
         rule_targets += len(mandatory_sets[facility]) - 1  # total is not a rule target
         assignment, facility_unmet = _facility_assignment(
-            facility, counts, mandatory_sets[facility], cells, sizes
+            facility, counts, mandatory_sets[facility], first[facility], column_idxs, sizes
         )
         assignments[facility] = assignment
         unmet.extend(facility_unmet)

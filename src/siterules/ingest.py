@@ -293,6 +293,9 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     columns = [(a, catalog.ids_of_attribute(a.name)) for a in catalog.attributes]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
+    # csv.writer quotes a field for the terminator's "\n" but not for a bare
+    # "\r", which a reader takes as a line end; such rows are quoted whole.
+    quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
     for txn in db.transactions:
         cells = [txn.record_id]
@@ -307,7 +310,7 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
                 cells.append(_numeric_representative(attr, catalog.item(present[0]).value))
             else:
                 cells.append(catalog.item(present[0]).value)
-        writer.writerow(cells)
+        (quote_all if "\r" in txn.record_id else writer).writerow(cells)
     width = len(header) - 1
     for k in range(db.excluded_count):
         writer.writerow([f"__excluded_{k + 1}"] + [""] * width)

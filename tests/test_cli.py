@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,20 @@ class TestFixtureCommand:
         assert main(["fixture", "--out-dir", str(again)]) == 0
         for name in ("schema_appendix_a.txt", "fixture_data.csv", "construction_report.txt"):
             assert (again / name).read_bytes() == (fixture_dir / name).read_bytes()
+
+    def test_fixture_bytes_are_pinned(self, tmp_path):
+        # a search change that picks a different first solution changes these
+        assert main(["fixture", "--out-dir", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("fixture_data.csv", "construction_report.txt")
+        }
+        assert digests == {
+            "fixture_data.csv": "f968bed791ac228064b153937c9926cee2f096f23fb2de5152523820a773e151",
+            "construction_report.txt": (
+                "f67ecd1e7e35b0952d3add829666af6dae3263a5d00e977a006d2293bc07b8be"
+            ),
+        }
 
 
 class TestMineCommand:

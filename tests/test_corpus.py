@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siterules import corpus
 from siterules.datamodel import ItemClass
@@ -99,6 +103,56 @@ class TestGoldenAsRules:
         assert r21.consequent == (catalog.item_id("about_us", "yes"),)
 
 
+@st.composite
+def small_systems(draw):
+    """Up to six variables with caps 0-4 or none, and one to four exact-sum
+    constraints; every uncapped variable is in some constraint."""
+    n = draw(st.integers(1, 6))
+    caps = draw(st.lists(st.none() | st.integers(0, 4), min_size=n, max_size=n))
+    members = st.lists(st.integers(0, n - 1), unique=True).map(lambda idxs: tuple(sorted(idxs)))
+    constraints = draw(st.lists(st.tuples(members, st.integers(-1, 6)), min_size=1, max_size=4))
+    covered = {j for idxs, _ in constraints for j in idxs}
+    uncovered = [j for j in range(n) if caps[j] is None and j not in covered]
+    if uncovered:
+        idxs, target = constraints[0]
+        constraints[0] = (tuple(sorted(set(idxs) | set(uncovered))), target)
+    return caps, constraints
+
+
+def brute_force_solutions(caps, constraints):
+    """Every solution, by trying every value up to each variable's cap or
+    the smallest target of its constraints, in ascending order."""
+    ranges = []
+    for j, cap in enumerate(caps):
+        limits = [t for idxs, t in constraints if j in idxs]
+        if cap is not None:
+            limits.append(cap)
+        ranges.append(range(min(limits) + 1))
+    return [
+        values
+        for values in itertools.product(*ranges)
+        if all(sum(values[j] for j in idxs) == t for idxs, t in constraints)
+    ]
+
+
+class TestSearch:
+    @given(small_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_yields_every_solution_in_descending_order(self, system):
+        caps, constraints = system
+        solutions = list(corpus._iter_solutions(caps, constraints))
+        assert solutions == brute_force_solutions(caps, constraints)[::-1]
+        if any(t < 0 for _, t in constraints):
+            assert solutions == []
+
+    @given(small_systems())
+    @settings(max_examples=50, deadline=None)
+    def test_unbounded_variable_rejected(self, system):
+        caps, constraints = system
+        with pytest.raises(ValueError, match=f"variable {len(caps)} is unbounded"):
+            list(corpus._iter_solutions(caps + [None], constraints))
+
+
 class TestBuildFixture:
     def test_shape(self, fixture_db):
         assert fixture_db.size == 91
@@ -149,6 +203,60 @@ class TestBuildFixture:
         }
         for u in fixture_result.report.unmet_cells:
             assert abs(u.target - u.achieved) <= 3
+
+    def test_unmet_cells_are_family_sum_conflicts(self, fixture_result):
+        conflict = corpus.FamilySumConflict
+        ownership = ("governmental", "private_semiprivate")
+        age = ("below10", "11-29", "above30")
+        reasons = {(u.facility, u.column): u.reason for u in fixture_result.report.unmet_cells}
+        assert reasons == {
+            ("site_map", "private_semiprivate"): conflict(
+                "ownership", tuple(zip(ownership, (35, 30))), 66
+            ),
+            ("site_map", "services"): conflict(
+                "industry", (("products", 28), ("services", 37)), 66
+            ),
+            ("site_map", "above30"): conflict("age", tuple(zip(age, (7, 26, 32))), 66),
+            ("english_homepage", "private_semiprivate"): conflict(
+                "ownership", tuple(zip(ownership, (44, 29))), 70
+            ),
+            ("related_links", "private_semiprivate"): conflict(
+                "ownership", tuple(zip(ownership, (42, 30))), 70
+            ),
+            ("load_time", "above30"): conflict("age", tuple(zip(age, (9, 31, 40))), 79),
+        }
+
+    def test_unreachable_column_is_search_infeasible(self, counts, golden, catalog, fixture_result):
+        # 50 governmental sites with about_us, in a group of 49
+        targets = dict(counts.facility_counts["about_us"], governmental=50)
+        edited = dataclasses.replace(
+            counts, facility_counts=dict(counts.facility_counts, about_us=targets)
+        )
+        cells = corpus._demographic_cells(catalog)
+        sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
+        mandatory = corpus._facility_mandatory("about_us", edited, golden, cells, sizes)
+        first = corpus._first_solution(sizes, mandatory)
+        _, unmet = corpus._facility_assignment(
+            "about_us", edited, mandatory, first, corpus._column_cells(cells), sizes
+        )
+        assert [(u.column, u.target, u.achieved) for u in unmet] == [("governmental", 50, 48)]
+        assert unmet[0].reason == corpus.SearchInfeasible(tuple(mandatory))
+
+    def test_warm_start_matches_a_fresh_search(self, counts, golden, catalog, fixture_result):
+        cells = corpus._demographic_cells(catalog)
+        sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
+        column_idxs = corpus._column_cells(cells)
+        for facility, targets in counts.facility_counts.items():
+            mandatory = corpus._facility_mandatory(facility, counts, golden, cells, sizes)
+            first = corpus._first_solution(sizes, mandatory)
+            assignment, unmet = corpus._facility_assignment(
+                facility, counts, mandatory, first, column_idxs, sizes
+            )
+            skipped = {u.column for u in unmet}
+            accepted = mandatory + [
+                (column_idxs[c], targets[c]) for c in corpus.GROUP_COLUMNS if c not in skipped
+            ]
+            assert assignment == corpus._first_solution(sizes, accepted), facility
 
     def test_deterministic_rebuild(self, counts, golden, fixture_result):
         again = corpus.build_fixture(counts, golden)

@@ -228,13 +228,13 @@ def quoted(cell):
 
 @st.composite
 def random_rows(draw):
-    """Rows with quoted record ids that hold commas, quotes or newlines, and
-    several spellings of each cell value, so one value repeats in several
-    raw forms within a column."""
+    """Rows with quoted record ids that hold commas, quotes, newlines or
+    carriage returns, and several spellings of each cell value, so one value
+    repeats in several raw forms within a column."""
     n = draw(st.integers(0, 25))
     rows = []
     for k in range(n):
-        record_id = draw(st.sampled_from(["r", "a,b", 'q"x', "a\nb"])) + str(k)
+        record_id = draw(st.sampled_from(["r", "a,b", 'q"x', "a\nb", "p\rq"])) + str(k)
         ownership = draw(st.sampled_from(["governmental", "private", " private", "semiprivate"]))
         age = draw(st.integers(0, 60))
         age_cell = draw(st.sampled_from([str(age), f" {age}", f"+{age}", f"{age:03d}"]))
@@ -250,6 +250,7 @@ def random_rows(draw):
 class TestRoundTrip:
     @given(random_rows())
     @example(['"a,b",private,5,Y,N', '"q""x",private,25,N,Y', '"a\nb",governmental,40,Y,Y'])
+    @example(['"p\rq",private,5,Y,N', "z,governmental,40,N,Y"])
     @settings(max_examples=60, deadline=None)
     def test_serialize_then_parse_is_identity(self, rows):
         schema = parse_schema(SMALL_SCHEMA)
