@@ -30,7 +30,7 @@ from importlib.resources import files
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .classify import ClassifiedRule, classify_rule
-from .datamodel import ItemCatalog, ItemClass, Percent, Rule, Transaction, TransactionDatabase
+from .datamodel import ItemCatalog, ItemClass, Percent, Rule, TransactionDatabase
 from .engine import count_support
 from .ingest import GoldenRule, Schema, csv_rows, parse_golden_rules, parse_pct_bp, parse_schema
 from .report import RULES_HEADER, format_percent
@@ -609,8 +609,8 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
         assignments[facility] = assignment
         unmet.extend(facility_unmet)
 
-    transactions = []
-    record = 0
+    record_ids: list[str] = []
+    masks: list[int] = []
     for ci, cell in enumerate(cells):
         base = 0
         for pair in cell:
@@ -619,13 +619,13 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
             (catalog.item_id(f, "yes"), assignments[f][ci]) for f in facilities
         ]
         for k in range(sizes[ci]):
-            record += 1
             members = base
             for item_id, quota in facility_bits:
                 if k < quota:
                     members |= 1 << item_id
-            transactions.append(Transaction(f"C{record:03d}", members))
-    db = TransactionDatabase.build(catalog, transactions, excluded_count=0)
+            record_ids.append(f"C{len(record_ids) + 1:03d}")
+            masks.append(members)
+    db = TransactionDatabase.from_columns(catalog, record_ids, masks, excluded_count=0)
 
     _verify_fixture(db, counts, golden)
     report = ConstructionReport(

@@ -1,9 +1,11 @@
 """Core domain types: items, catalogs, transactions, databases, rules.
 
-Every type here is immutable after construction. Metric values are stored as
-integer count pairs (`Percent`) and compared by cross-multiplication, so
-threshold and tie decisions never touch floating point; floats appear only
-when a value is formatted for display.
+Every type here is immutable after construction. A database keeps its rows as
+an id column and a bitmask column; ``Transaction`` is only the row input type
+of ``TransactionDatabase.build``. Metric values are stored as integer count
+pairs (`Percent`) and compared by cross-multiplication, so threshold and tie
+decisions never touch floating point; floats appear only when a value is
+formatted for display.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ class NumericBin:
     lo: int
     hi: Optional[int]
     label: str
-
-    def contains(self, value: float) -> bool:
-        if value < self.lo:
-            return False
-        return self.hi is None or value <= self.hi
 
 
 @dataclass(frozen=True)
@@ -162,44 +159,34 @@ class ItemCatalog:
 
 @dataclass(frozen=True)
 class Transaction:
-    """One record: an id plus a bitmask with bit i set iff item i is present."""
+    """One input row: an id plus a bitmask with bit i set iff item i is present."""
 
     record_id: str
     members: int
-
-    def __post_init__(self) -> None:
-        if self.members < 0:
-            raise ValueError("membership mask must be non-negative")
-
-    def contains(self, item_id: int) -> bool:
-        return bool(self.members >> item_id & 1)
 
 
 _BLOCK_ROWS = 8192
 
 
 def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> tuple[int, ...]:
-    """Transpose row bitmasks into one transaction bitset per item.
+    """Transpose row bitmasks into one transaction bitset per item (see :func:`_transpose`)."""
+    return _transpose(n_items, [txn.members for txn in transactions])
 
-    Bit j of item i's vector is set iff transaction j contains item i. Each
-    block of rows is written as one string of ``n_items``-wide binary rows,
-    so item i's bits in that block are every ``n_items``-th character from
-    position ``n_items - 1 - i``; ``int(..., 2)`` reads the reversed column.
-    Blocks keep the string small. A mask wider than the catalog makes the
-    string too long and raises ``ValueError``.
+
+def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
+    """Bit j of item i's vector is set iff ``masks[j]`` has bit i set.
+
+    Each block of rows is written as one string of ``n_items``-wide binary
+    rows (masks must lie in ``[0, 2**n_items)`` to keep that width), so item
+    i's bits in that block are every ``n_items``-th character from position
+    ``n_items - 1 - i``; ``int(..., 2)`` reads the reversed column.
     """
-    if not n_items:
-        # format() writes at least one digit, so an empty catalog has no rows to slice.
-        if any(txn.members for txn in transactions):
-            raise ValueError("a membership mask is wider than the catalog")
-        return ()
+    if min(masks, default=0) < 0 or max(masks, default=0).bit_length() > n_items:
+        raise ValueError("a membership mask is negative or wider than the catalog")
     spec = f"0{n_items}b"
     pieces: list[list[str]] = [[] for _ in range(n_items)]
-    for start in range(0, len(transactions), _BLOCK_ROWS):
-        block = transactions[start : start + _BLOCK_ROWS]
-        text = "".join([format(txn.members, spec) for txn in block])
-        if len(text) != len(block) * n_items:
-            raise ValueError("a membership mask is wider than the catalog")
+    for start in range(0, len(masks), _BLOCK_ROWS):
+        text = "".join([format(mask, spec) for mask in masks[start : start + _BLOCK_ROWS]])
         for i, column in enumerate(pieces):
             column.append(text[n_items - 1 - i :: n_items])
     return tuple(int("".join(column)[::-1] or "0", 2) for column in pieces)
@@ -214,26 +201,29 @@ def _overlapping(index: Sequence[int], item_ids: Sequence[int]) -> bool:
 
 
 def _raise_first_invalid(
-    n_items: int, exclusive: Sequence[Sequence[int]], transactions: Sequence[Transaction]
+    n_items: int, exclusive: Sequence[Sequence[int]], record_ids: Sequence[str], masks: Sequence[int]
 ) -> None:
-    """Raise ``ValueError`` for the first record that repeats an id, sets an
-    item outside the catalog, or sets two items of one ``exclusive`` group."""
+    """Raise ``ValueError`` for the first record that repeats an id, has a negative mask,
+    sets an item outside the catalog, or sets two items of one ``exclusive`` group."""
     seen: set[str] = set()
     exclusive_masks = [sum(1 << i for i in ids) for ids in exclusive]
-    for txn in transactions:
-        if txn.record_id in seen:
-            raise ValueError(f"duplicate record_id {txn.record_id!r}")
-        seen.add(txn.record_id)
-        if txn.members.bit_length() > n_items:
-            raise ValueError(f"record {txn.record_id!r} sets an item id outside the catalog")
+    for record_id, members in zip(record_ids, masks):
+        if record_id in seen:
+            raise ValueError(f"duplicate record_id {record_id!r}")
+        seen.add(record_id)
+        if members < 0:
+            raise ValueError(f"record {record_id!r} has a negative membership mask")
+        if members.bit_length() > n_items:
+            raise ValueError(f"record {record_id!r} sets an item id outside the catalog")
         for mask in exclusive_masks:
-            if (txn.members & mask).bit_count() > 1:
-                raise ValueError(f"record {txn.record_id!r} sets multiple values of one attribute")
+            if (members & mask).bit_count() > 1:
+                raise ValueError(f"record {record_id!r} sets multiple values of one attribute")
 
 
 @dataclass(frozen=True)
 class TransactionDatabase:
-    """An immutable transaction set plus its per-item vertical index.
+    """An immutable transaction set (``record_ids[j]`` with bitmask ``masks[j]``)
+    plus its per-item vertical index.
 
     ``excluded_count`` records input rows that were dropped before the
     database was built (e.g. unreachable websites); they never enter any
@@ -241,7 +231,8 @@ class TransactionDatabase:
     """
 
     catalog: ItemCatalog
-    transactions: tuple[Transaction, ...]
+    record_ids: tuple[str, ...]
+    masks: tuple[int, ...]
     excluded_count: int
     vertical_index: tuple[int, ...]
 
@@ -252,43 +243,50 @@ class TransactionDatabase:
             raise ValueError("vertical index must have one vector per item")
 
     @classmethod
-    def build(
-        cls,
-        catalog: ItemCatalog,
-        transactions: Sequence[Transaction],
+    def from_columns(
+        cls, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
         excluded_count: int = 0,
     ) -> "TransactionDatabase":
-        """Validate transactions against the catalog and index them.
+        """Validate rows given as an id column and a mask column, and index them.
 
-        The checks run on the index: record ids are distinct, no mask is
-        wider than the catalog, and no two items of one non-binary attribute
-        share a transaction. Only when one fails are the rows scanned, to
-        name the first offending record.
+        The checks run on whole columns: record ids are distinct, the masks transpose, and
+        no two items of one non-binary attribute share a transaction. Only when one fails
+        are the rows scanned, to name the first offending record.
         """
-        records = [txn.record_id for txn in transactions]
         exclusive = [
             catalog.ids_of_attribute(attr.name)
             for attr in catalog.attributes
             if attr.kind is not AttributeKind.BINARY
         ]
         try:
-            index = build_vertical_index(catalog.n_items, transactions)
+            index = _transpose(catalog.n_items, masks)
         except ValueError:
             index = None
         if (
             index is None
-            or len(set(records)) != len(records)
+            or len(set(record_ids)) != len(record_ids)
             or any(_overlapping(index, ids) for ids in exclusive)
         ):
-            _raise_first_invalid(catalog.n_items, exclusive, transactions)
-        return cls(catalog, tuple(transactions), excluded_count, index)
+            _raise_first_invalid(catalog.n_items, exclusive, record_ids, masks)
+        return cls(catalog, tuple(record_ids), tuple(masks), excluded_count, index)
+
+    @classmethod
+    def build(
+        cls, catalog: ItemCatalog, transactions: Sequence[Transaction], excluded_count: int = 0
+    ) -> "TransactionDatabase":
+        """:meth:`from_columns` over rows given as :class:`Transaction` objects."""
+        record_ids = [txn.record_id for txn in transactions]
+        masks = [txn.members for txn in transactions]
+        return cls.from_columns(catalog, record_ids, masks, excluded_count)
+
+    @property
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The rows as :class:`Transaction` objects, built on each access."""
+        return tuple(map(Transaction, self.record_ids, self.masks))
 
     @property
     def size(self) -> int:
-        return len(self.transactions)
-
-    def item_vector(self, item_id: int) -> int:
-        return self.vertical_index[item_id]
+        return len(self.record_ids)
 
 
 @total_ordering

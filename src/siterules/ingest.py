@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .datamodel import (
     ItemCatalog,
     ItemClass,
     NumericBin,
-    Transaction,
     TransactionDatabase,
 )
 
@@ -51,7 +51,7 @@ class SchemaError(ValueError):
 
 
 class DataError(ValueError):
-    """Transaction CSV rejected; the message carries the offending row."""
+    """The transaction CSV was rejected; the message carries the offending row."""
 
 
 class GoldenFileError(ValueError):
@@ -133,6 +133,17 @@ def parse_schema(text: str) -> Schema:
             values, description = ("yes",), m.group("desc")
         else:
             raise SchemaError(f"line {lineno}: unrecognized declaration {line.split()[0]!r}")
+        # Rule files write an item as attribute=value, join antecedent items
+        # with " AND " and separate cells with ","; these names and values
+        # would read back as other items.
+        for char in ",=":
+            if char in name:
+                raise SchemaError(f"line {lineno}: attribute name {name!r} contains {char!r}")
+        if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
+            raise SchemaError(f"line {lineno}: 'facility' labels facility items; rename the attribute")
+        for value in values:
+            if " AND " in value + " ":  # a trailing " AND" joins into " AND AND "
+                raise SchemaError(f"line {lineno}: value {value!r} contains ' AND '")
         try:
             attr = AttributeDef(name, kind, item_class, values, bins, description)
         except ValueError as exc:
@@ -153,7 +164,7 @@ def bin_numeric(value: float, bins: Sequence[NumericBin]) -> str:
     the integers but leave fractional values between bins unassigned.
     """
     for b in bins:
-        if b.contains(value):
+        if b.lo <= value and (b.hi is None or value <= b.hi):
             return b.label
     raise ValueError(f"value {value} falls in no bin")
 
@@ -211,7 +222,9 @@ def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -
 def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
     """Materialize a transaction database from CSV contents.
 
-    Each column keeps a table from raw cell to item bit, filled by
+    Rows go straight to a record-id column and a bitmask column, which
+    :meth:`TransactionDatabase.from_columns` checks and indexes. Each CSV
+    column keeps a table from raw cell to item bit, filled by
     :func:`_cell_bit` the first time a cell is seen, so a row whose cells
     have all been seen costs one lookup per cell. Empty cells never enter a
     table: a row holding one takes the checked path.
@@ -238,7 +251,8 @@ def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
     tables: list[dict[str, int]] = [{} for _ in attr_by_col]
     lookup = dict.__getitem__
 
-    transactions: list[Transaction] = []
+    record_ids: list[str] = []
+    masks: list[int] = []
     seen_ids: set[str] = set()
     excluded = 0
     for rowno, row in enumerate(rows, start=2):
@@ -267,9 +281,10 @@ def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
             for table, cell, attr in zip(tables, cells, attr_by_col):
                 table[cell] = bit = _cell_bit(catalog, attr, cell, rowno)
                 members |= bit
-        transactions.append(Transaction(record_id, members))
+        record_ids.append(record_id)
+        masks.append(members)
     try:
-        return TransactionDatabase.build(catalog, transactions, excluded)
+        return TransactionDatabase.from_columns(catalog, record_ids, masks, excluded)
     except ValueError as exc:
         raise DataError(str(exc)) from None
 
@@ -286,7 +301,8 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
 
     Numeric cells are written as a representative integer of the transaction's
     bin, so re-parsing reproduces the same membership bits. Excluded rows are
-    regenerated as synthetic all-empty rows to preserve the excluded count.
+    regenerated as all-empty rows named ``__excluded_k`` (skipping any name
+    already used as a record id) to preserve the excluded count.
     """
     catalog = db.catalog
     header = ["record_id"] + [a.name for a in catalog.attributes]
@@ -297,23 +313,25 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     # "\r", which a reader takes as a line end; such rows are quoted whole.
     quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
-    for txn in db.transactions:
-        cells = [txn.record_id]
+    for record_id, mask in zip(db.record_ids, db.masks):
+        cells = [record_id]
         for attr, ids in columns:
             if attr.kind is AttributeKind.BINARY:
-                cells.append("Y" if txn.contains(ids[0]) else "N")
+                cells.append("Y" if mask >> ids[0] & 1 else "N")
                 continue
-            present = [i for i in ids if txn.contains(i)]
+            present = [i for i in ids if mask >> i & 1]
             if not present:
                 cells.append("")
             elif attr.kind is AttributeKind.NUMERIC:
                 cells.append(_numeric_representative(attr, catalog.item(present[0]).value))
             else:
                 cells.append(catalog.item(present[0]).value)
-        (quote_all if "\r" in txn.record_id else writer).writerow(cells)
-    width = len(header) - 1
-    for k in range(db.excluded_count):
-        writer.writerow([f"__excluded_{k + 1}"] + [""] * width)
+        (quote_all if "\r" in record_id else writer).writerow(cells)
+    taken = set(db.record_ids)
+    names = (f"__excluded_{k}" for k in itertools.count(1))
+    fresh = (name for name in names if name not in taken)
+    for name in itertools.islice(fresh, db.excluded_count):
+        writer.writerow([name] + [""] * (len(header) - 1))
     return out.getvalue()
 
 

@@ -82,7 +82,7 @@ def stats_table(
     ]
     rows = []
     for fid in catalog.ids_of_class(ItemClass.FACILITY):
-        fvec = db.item_vector(fid)
+        fvec = db.vertical_index[fid]
         cells: list[Optional[Percent]] = []
         for gvec in group_vectors:
             size = gvec.bit_count()
@@ -97,7 +97,7 @@ def stats_table(
 def _union_vector(db: TransactionDatabase, ids: Sequence[int]) -> int:
     vec = 0
     for i in ids:
-        vec |= db.item_vector(i)
+        vec |= db.vertical_index[i]
     return vec
 
 

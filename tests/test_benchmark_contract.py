@@ -3,7 +3,9 @@
 The benchmark calls the package's public names directly; a change that
 removes or renames one of them fails here rather than in a later benchmark
 run. ``study-scale`` also checks the parse of a 100k-row CSV against the
-benchmark's own recounts, which do not import the package.
+benchmark's own recounts, which do not import the package. ``engine-deep`` is
+the one workload that hands ``TransactionDatabase.build`` and
+``build_vertical_index`` a list of ``Transaction`` rows.
 """
 
 import json
@@ -20,7 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="the benchmark pins itself to one CPU"
 )
-@pytest.mark.parametrize("workload", ["study-pipeline", "study-scale"])
+@pytest.mark.parametrize("workload", ["study-pipeline", "study-scale", "engine-deep"])
 def test_benchmark_run_is_correct(workload):
     proc = subprocess.run(
         [

@@ -101,6 +101,26 @@ class TestMineCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "declaration",
+        [
+            "attribute own,er categorical antecedent values: a, b",
+            "attribute o=wn categorical antecedent values: a, b",
+            "attribute own categorical antecedent values: x AND y, z",
+            "attribute facility categorical antecedent values: a, b",
+        ],
+    )
+    def test_schema_that_breaks_rule_files_is_usage_error(self, tmp_path, capsys, declaration):
+        schema = tmp_path / "schema.txt"
+        schema.write_text(f'facility about_us "About Us page"\n{declaration}\n')
+        data = tmp_path / "data.csv"
+        data.write_text("record_id,about_us\nr1,Y\n")
+        out = tmp_path / "rules.csv"
+        code = main(["mine", "--schema", str(schema), "--data", str(data), "--out", str(out)])
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_utf8_bom_inputs_mine_identically(self, fixture_dir, tmp_path):
         bom_dir = tmp_path / "bom"
         bom_dir.mkdir()

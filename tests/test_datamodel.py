@@ -118,7 +118,7 @@ class TestDatabase:
             for i in range(6):
                 assert (vecs[i] >> j & 1) == (txn.members >> i & 1)
         for i in range(6):
-            assert vecs[i].bit_count() == sum(1 for t in rows if t.contains(i))
+            assert vecs[i].bit_count() == sum(1 for t in rows if t.members >> i & 1)
 
     def test_build_rejects_duplicates_and_bad_bits(self):
         catalog = make_catalog()
@@ -145,6 +145,16 @@ class TestDatabase:
     def test_build_names_the_first_offending_record(self, rows, message):
         with pytest.raises(ValueError, match=message):
             TransactionDatabase.build(make_catalog(), [Transaction(r, m) for r, m in rows])
+
+    @pytest.mark.parametrize("rows", [[("a", -5)], [("b", 0), ("a", -5)], [("a", -5), ("b", 0)]])
+    def test_negative_mask_names_its_record(self, rows):
+        # format(-5, "05b") is "-0101": as wide as a valid mask of 5 items.
+        with pytest.raises(ValueError, match="record 'a' has a negative membership mask"):
+            TransactionDatabase.build(make_catalog(), [Transaction(r, m) for r, m in rows])
+        with pytest.raises(ValueError, match="record 'a' has a negative membership mask"):
+            TransactionDatabase.from_columns(make_catalog(), [r for r, _ in rows], [m for _, m in rows])
+        with pytest.raises(ValueError):
+            build_vertical_index(5, [Transaction(r, m) for r, m in rows])
 
     def test_mask_wider_than_catalog_rejected_by_transpose(self):
         with pytest.raises(ValueError):

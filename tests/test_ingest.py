@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siterules.datamodel import ItemClass, NumericBin
+from siterules.datamodel import ItemClass, NumericBin, TransactionDatabase
 from siterules.engine import count_support
 from siterules.ingest import (
     DataError,
@@ -91,6 +93,22 @@ class TestParseSchema:
         with pytest.raises(SchemaError, match="line 2: consequents are declared with 'facility'"):
             parse_schema(text)
 
+    @pytest.mark.parametrize(
+        "declaration, message",
+        [
+            ("attribute own,er categorical antecedent values: a, b", "attribute name 'own,er' contains ','"),
+            ('facility about,us "About"', "attribute name 'about,us' contains ','"),
+            ("attribute o=wn categorical antecedent values: a, b", "attribute name 'o=wn' contains '='"),
+            ("attribute own categorical antecedent values: x AND y, z", "value 'x AND y' contains ' AND '"),
+            ("attribute own categorical antecedent values: x AND, z", "value 'x AND' contains ' AND '"),
+            ("attribute facility categorical antecedent values: a, b", "'facility' labels facility items"),
+        ],
+    )
+    def test_names_that_break_rule_files_rejected(self, declaration, message):
+        # Rule files write items as attribute=value joined by " AND " in a CSV cell.
+        with pytest.raises(SchemaError, match=f"line 2: {re.escape(message)}"):
+            parse_schema(f'facility search "site search"\n{declaration}\n')
+
     def test_syntax_error_carries_line_number(self):
         with pytest.raises(SchemaError, match="line 2"):
             parse_schema("facility ok \"fine\"\nattribute broken\n")
@@ -127,10 +145,10 @@ class TestParseTransactions:
         db = parse_transactions(small_schema, rows_to_csv(["c1,governmental,25,Y,n"]))
         catalog = small_schema.catalog
         txn = db.transactions[0]
-        assert txn.contains(catalog.item_id("ownership", "governmental"))
-        assert txn.contains(catalog.item_id("age", "11-29"))
-        assert txn.contains(catalog.item_id("about_us", "yes"))
-        assert not txn.contains(catalog.item_id("search", "yes"))
+        assert txn.members >> catalog.item_id("ownership", "governmental") & 1
+        assert txn.members >> catalog.item_id("age", "11-29") & 1
+        assert txn.members >> catalog.item_id("about_us", "yes") & 1
+        assert not txn.members >> catalog.item_id("search", "yes") & 1
 
     def test_all_empty_facilities_excluded(self, small_schema):
         rows = [f"c{k},private,5,Y,N" for k in range(91)]
@@ -147,7 +165,7 @@ class TestParseTransactions:
     def test_header_order_insensitive(self, small_schema):
         text = "record_id,search,about_us,age,ownership\nc1,N,Y,40,private\n"
         db = parse_transactions(small_schema, text)
-        assert db.transactions[0].contains(small_schema.catalog.item_id("age", "above30"))
+        assert db.transactions[0].members >> small_schema.catalog.item_id("age", "above30") & 1
 
     def test_unknown_column(self, small_schema):
         text = "record_id,ownership,age,about_us,search,bogus\nc1,private,5,Y,N,x\n"
@@ -209,7 +227,7 @@ class TestParseTransactions:
             small_schema, rows_to_csv(["c1,private,5,YES,0", "c2,private,5,1,no"])
         )
         about = small_schema.catalog.item_id("about_us", "yes")
-        assert [t.contains(about) for t in db.transactions] == [True, True]
+        assert [t.members >> about & 1 for t in db.transactions] == [1, 1]
 
     def test_row_order_permutes_transactions_not_counts(self, small_schema):
         rows = ["c1,governmental,5,Y,N", "c2,private,25,N,Y", "c3,semiprivate,40,Y,Y"]
@@ -229,12 +247,14 @@ def quoted(cell):
 @st.composite
 def random_rows(draw):
     """Rows with quoted record ids that hold commas, quotes, newlines or
-    carriage returns, and several spellings of each cell value, so one value
-    repeats in several raw forms within a column."""
+    carriage returns or read like the rendered ``__excluded_k`` ids, and
+    several spellings of each cell value, so one value repeats in several raw
+    forms within a column."""
     n = draw(st.integers(0, 25))
     rows = []
     for k in range(n):
-        record_id = draw(st.sampled_from(["r", "a,b", 'q"x', "a\nb", "p\rq"])) + str(k)
+        prefix = draw(st.sampled_from(["r", "a,b", 'q"x', "a\nb", "p\rq", "__excluded_"]))
+        record_id = prefix + str(k)
         ownership = draw(st.sampled_from(["governmental", "private", " private", "semiprivate"]))
         age = draw(st.integers(0, 60))
         age_cell = draw(st.sampled_from([str(age), f" {age}", f"+{age}", f"{age:03d}"]))
@@ -251,6 +271,7 @@ class TestRoundTrip:
     @given(random_rows())
     @example(['"a,b",private,5,Y,N', '"q""x",private,25,N,Y', '"a\nb",governmental,40,Y,Y'])
     @example(['"p\rq",private,5,Y,N', "z,governmental,40,N,Y"])
+    @example(["__excluded_1,private,5,Y,N", "gone,,,,"])
     @settings(max_examples=60, deadline=None)
     def test_serialize_then_parse_is_identity(self, rows):
         schema = parse_schema(SMALL_SCHEMA)
@@ -261,6 +282,18 @@ class TestRoundTrip:
         assert [t.members for t in again.transactions] == [t.members for t in db.transactions]
         assert [t.record_id for t in again.transactions] == [t.record_id for t in db.transactions]
         assert again.vertical_index == db.vertical_index
+
+    @given(random_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_build_from_rows_matches_parse(self, rows):
+        schema = parse_schema(SMALL_SCHEMA)
+        db = parse_transactions(schema, rows_to_csv(rows))
+        again = TransactionDatabase.build(schema.catalog, db.transactions, db.excluded_count)
+        assert again.record_ids == db.record_ids
+        assert again.masks == db.masks
+        assert again.excluded_count == db.excluded_count
+        assert again.vertical_index == db.vertical_index
+        assert again == db
 
     @given(random_rows())
     @settings(max_examples=60, deadline=None)
