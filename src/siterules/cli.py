@@ -64,6 +64,18 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+def _tolerance(raw: str) -> Fraction:
+    try:
+        value = Fraction(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator: {raw!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be non-negative")
+    return value
+
+
 def _cmd_mine(args: argparse.Namespace) -> int:
     schema = parse_schema(_read(args.schema))
     db = parse_transactions(schema, _read(args.data))
@@ -89,10 +101,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     golden = parse_golden_rules(_read(args.golden))
     mined = corpus.parse_rules_csv(_read(args.mined))
-    tolerance = Fraction(args.tolerance)
     if args.subset == "single-antecedent":
         golden = [g for g in golden if len(g.antecedent_items) == 1]
-    report = corpus.validate_rows_against_golden(mined, golden, tolerance)
+    report = corpus.validate_rows_against_golden(mined, golden, args.tolerance)
     sys.stdout.write(report.render())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
@@ -138,7 +149,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser("validate", help="compare mined rules to a reference list")
     validate.add_argument("--mined", required=True)
     validate.add_argument("--golden", required=True)
-    validate.add_argument("--tolerance", default="0.011", help="percentage points")
+    validate.add_argument(
+        "--tolerance", type=_tolerance, default="0.011", help="percentage points"
+    )
     validate.add_argument(
         "--subset", choices=("all", "single-antecedent"), default="all"
     )
@@ -158,7 +171,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except corpus.InfeasibleFixtureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    except (SchemaError, DataError, GoldenFileError, OSError, ValueError, ZeroDivisionError) as exc:
+    except (SchemaError, DataError, GoldenFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -275,7 +275,15 @@ def _iter_solutions(
     so a constraint whose last member is assigned meets its target exactly,
     and a node costs O(constraints of i). A constraint whose target is
     negative or above its slack before any assignment admits no solution.
-    Only subtrees holding no solution are pruned.
+
+    The solutions below variable i depend only on i and the remaining
+    targets: bounds are fixed and the slack is a function of which variables
+    are unassigned. So once a subtree has been searched to the end without
+    a solution, its ``(i, remaining)`` key goes into ``dead`` and the search
+    returns at once when the key comes up again (nogood recording). Only
+    subtrees holding no solution are pruned, so the order of the solutions
+    is unchanged. ``dead`` is local to one call: a subtree left early by a
+    closed generator records nothing.
     """
     n = len(caps)
     by_var: list[list[int]] = [[] for _ in range(n)]
@@ -295,11 +303,18 @@ def _iter_solutions(
     if any(r < 0 or r > s for r, s in zip(remaining, slack)):
         return
     assignment = [0] * n
+    dead: set[tuple[int, tuple[int, ...]]] = set()
+    found = [0]
 
     def dfs(i: int) -> Iterator[tuple[int, ...]]:
         if i == n:
+            found[0] += 1
             yield tuple(assignment)
             return
+        key = (i, tuple(remaining))
+        if key in dead:
+            return
+        found_before = found[0]
         own = by_var[i]
         b = bound[i]
         hi = b
@@ -321,6 +336,8 @@ def _iter_solutions(
         assignment[i] = 0
         for ci in own:
             slack[ci] += b
+        if found[0] == found_before:
+            dead.add(key)
 
     yield from dfs(0)
 

@@ -1,7 +1,8 @@
 """Template-constrained rule derivation and canonical ordering.
 
 Rules are read off the frequent itemsets of at most ``max_antecedent_size``
-+ 1 items: one holding exactly one facility item y, whose remainder A is then
++ 1 items, and of no more items than there are demographic attributes plus
+one: one holding exactly one facility item y, whose remainder A is then
 all demographic, yields the candidate rule A => y. The rule's counts are exact,
 taken from the mined itemset counts, so every metric derives from integers.
 """
@@ -47,8 +48,13 @@ def derive_rules(
     if not facility_ids:
         raise ValueError("catalog has no facility items")
 
+    # a transaction holds at most one item of each demographic attribute, so
+    # no antecedent is longer than the number of those attributes
+    n_demographic = sum(a.item_class is ItemClass.DEMOGRAPHIC for a in catalog.attributes)
     levels = mine_frequent(
-        db, config.min_support_count, max_size=config.max_antecedent_size + 1
+        db,
+        config.min_support_count,
+        max_size=min(config.max_antecedent_size, n_demographic) + 1,
     )
     counts = {ci.items: ci.count for level in levels for ci in level}
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from siterules import rules
 from siterules.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -74,6 +75,23 @@ class TestMineCommand:
             "--min-support-count", "1",
         ) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_antecedent_cap_beyond_the_demographic_attributes_changes_nothing(
+        self, fixture_dir, tmp_path, monkeypatch
+    ):
+        mine_frequent = rules.mine_frequent
+
+        def bounded(db, min_count, max_size=None):
+            # an uncapped depth mines facility-only itemsets until memory runs
+            # out; fail at once instead (three demographic attributes + 1)
+            assert max_size is not None and max_size <= 4
+            return mine_frequent(db, min_count, max_size=max_size)
+
+        monkeypatch.setattr(rules, "mine_frequent", bounded)
+        three, thirty = tmp_path / "three.csv", tmp_path / "thirty.csv"
+        assert run_mine(fixture_dir, three, "--max-antecedent", "3") == 0
+        assert run_mine(fixture_dir, thirty, "--max-antecedent", "30") == 0
+        assert three.read_bytes() == thirty.read_bytes()
 
     def test_higher_threshold_keeps_only_must_haves(self, fixture_dir, tmp_path):
         loose, tight = tmp_path / "loose.csv", tmp_path / "tight.csv"
@@ -218,11 +236,25 @@ class TestValidateCommand:
         assert "confidence below 90" in capsys.readouterr().err
 
     def test_bad_tolerance(self, mined_csv, golden_csv, capsys):
-        code = main([
-            "validate", "--mined", str(mined_csv), "--golden", str(golden_csv),
-            "--tolerance", "bogus",
-        ])
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "validate", "--mined", str(mined_csv), "--golden", str(golden_csv),
+                "--tolerance", "bogus",
+            ])
+        assert exc.value.code == 2
+        assert "argument --tolerance: not a number: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, message", [("1/0", "zero denominator: '1/0'"), ("-1", "must be non-negative")]
+    )
+    def test_tolerance_error_names_the_flag(self, mined_csv, golden_csv, capsys, raw, message):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "validate", "--mined", str(mined_csv), "--golden", str(golden_csv),
+                "--tolerance", raw,
+            ])
+        assert exc.value.code == 2
+        assert f"argument --tolerance: {message}" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

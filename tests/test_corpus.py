@@ -119,6 +119,28 @@ def small_systems(draw):
     return caps, constraints
 
 
+@st.composite
+def overlapping_systems(draw):
+    """Four to eight variables with caps 0-3 and two to five exact-sum
+    constraints, each sharing a variable with the one before it. Variables 0
+    and 1 sit in the same constraints, so swapping their values reaches the
+    same remaining targets, and a subtree found empty is met again. Targets
+    are a hidden assignment's sums, each moved by at most one."""
+    n = draw(st.integers(4, 8))
+    caps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    hidden = [draw(st.integers(0, cap)) for cap in caps]
+    constraints = []
+    for _ in range(draw(st.integers(2, 5))):
+        idxs = set(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)))
+        if constraints:
+            idxs.add(draw(st.sampled_from(constraints[-1][0])))
+        if idxs & {0, 1}:
+            idxs |= {0, 1}
+        target = sum(hidden[j] for j in idxs) + draw(st.integers(-1, 1))
+        constraints.append((tuple(sorted(idxs)), max(0, target)))
+    return caps, constraints
+
+
 def brute_force_solutions(caps, constraints):
     """Every solution, by trying every value up to each variable's cap or
     the smallest target of its constraints, in ascending order."""
@@ -144,6 +166,32 @@ class TestSearch:
         assert solutions == brute_force_solutions(caps, constraints)[::-1]
         if any(t < 0 for _, t in constraints):
             assert solutions == []
+
+    @given(overlapping_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_overlapping_systems_yield_every_solution(self, system):
+        # dead (variable, remaining targets) states recur here; skipping them
+        # must leave the full enumeration and its order unchanged
+        caps, constraints = system
+        solutions = list(corpus._iter_solutions(caps, constraints))
+        assert solutions == brute_force_solutions(caps, constraints)[::-1]
+
+    @given(overlapping_systems())
+    @settings(max_examples=100, deadline=None)
+    def test_calls_share_no_state(self, system):
+        caps, constraints = system
+        expected = brute_force_solutions(caps, constraints)[::-1]
+        first = corpus._iter_solutions(caps, constraints)
+        head = next(first, None)
+        assert list(corpus._iter_solutions(caps, constraints)) == expected
+        assert list(corpus._iter_solutions(caps, constraints)) == expected
+        # a generator left open after its first solution still yields the rest
+        assert ([] if head is None else [head, *first]) == expected
+        # one closed after its first solution leaves the next call whole
+        closed = corpus._iter_solutions(caps, constraints)
+        next(closed, None)
+        closed.close()
+        assert list(corpus._iter_solutions(caps, constraints)) == expected
 
     @given(small_systems())
     @settings(max_examples=50, deadline=None)

@@ -119,6 +119,24 @@ class TestDeriveRules:
                 masks, n_demo, n_fac, config
             )
 
+    def test_mining_depth_stops_at_the_demographic_attribute_count(self, fixture_db, monkeypatch):
+        # an antecedent holds at most one item per demographic attribute, so a
+        # larger cap only mines facility-only itemsets that yield no rule
+        sizes = []
+
+        def spy(db, min_count, max_size=None):
+            sizes.append(max_size)
+            return []
+
+        monkeypatch.setattr("siterules.rules.mine_frequent", spy)
+        n_demographic = sum(
+            a.item_class is ItemClass.DEMOGRAPHIC for a in fixture_db.catalog.attributes
+        )
+        derive_rules(fixture_db, MiningConfig(max_antecedent_size=50))
+        derive_rules(fixture_db, MiningConfig(max_antecedent_size=2))
+        assert sizes[0] <= n_demographic + 1
+        assert sizes[1] == 3
+
     def test_raising_min_confidence_shrinks_rule_set(self, fixture_db):
         loose = derive_rules(fixture_db, MiningConfig(min_confidence=Percent(90, 100)))
         tight = derive_rules(fixture_db, MiningConfig(min_confidence=Percent(95, 100)))
