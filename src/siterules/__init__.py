@@ -6,7 +6,7 @@ ships a reconstructed study corpus to validate the whole pipeline against a
 published 68-rule reference list.
 """
 
-from .classify import ClassifiedRule, classify_confidence, classify_rules, partition_rules
+from .classify import ClassifiedRule, classify_confidence, classify_rules
 from .datamodel import (
     AttributeDef,
     AttributeKind,
@@ -30,8 +30,8 @@ from .ingest import (
     parse_transactions,
     render_transactions_csv,
 )
-from .report import format_percent, frequency_csv, group_by_consequent, render_rules, stats_table
-from .rules import RuleSet, canonical_sort, derive_rules
+from .report import format_percent, frequency_csv, render_rules, stats_table
+from .rules import canonical_sort, derive_rules
 
 __version__ = "0.1.0"
 
@@ -49,7 +49,6 @@ __all__ = [
     "Percent",
     "Rule",
     "RuleClass",
-    "RuleSet",
     "Schema",
     "Transaction",
     "TransactionDatabase",
@@ -62,12 +61,10 @@ __all__ = [
     "format_percent",
     "frequency_csv",
     "generate_candidates",
-    "group_by_consequent",
     "mine_frequent",
     "parse_golden_rules",
     "parse_schema",
     "parse_transactions",
-    "partition_rules",
     "render_rules",
     "render_transactions_csv",
     "stats_table",

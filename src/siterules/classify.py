@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .datamodel import Percent, Rule, RuleClass
-from .rules import RuleSet
 
 MUST_HAVE_FLOOR = Percent(95, 100)
 SHOULD_HAVE_FLOOR = Percent(90, 100)
@@ -32,27 +31,6 @@ def classify_confidence(confidence: Percent) -> RuleClass:
     return RuleClass.REJECTED
 
 
-def classify_rule(rule: Rule) -> ClassifiedRule:
-    return ClassifiedRule(rule, classify_confidence(rule.confidence))
-
-
-def classify_rules(ruleset: RuleSet) -> tuple[ClassifiedRule, ...]:
-    """Classify every rule, preserving the rule set's order."""
-    return tuple(classify_rule(r) for r in ruleset)
-
-
-def partition_rules(
-    classified: Iterable[ClassifiedRule],
-) -> tuple[list[ClassifiedRule], list[ClassifiedRule], list[ClassifiedRule]]:
-    """Stable split into (must-have, should-have, rejected)."""
-    must: list[ClassifiedRule] = []
-    should: list[ClassifiedRule] = []
-    rejected: list[ClassifiedRule] = []
-    buckets = {
-        RuleClass.MUST_HAVE: must,
-        RuleClass.SHOULD_HAVE: should,
-        RuleClass.REJECTED: rejected,
-    }
-    for entry in classified:
-        buckets[entry.rule_class].append(entry)
-    return must, should, rejected
+def classify_rules(rules: Iterable[Rule]) -> tuple[ClassifiedRule, ...]:
+    """Classify every rule, preserving the input order."""
+    return tuple(ClassifiedRule(r, classify_confidence(r.confidence)) for r in rules)

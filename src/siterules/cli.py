@@ -58,7 +58,10 @@ def _confidence_from_flag(raw: str) -> Percent:
 
 
 def _positive_int(raw: str) -> int:
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value

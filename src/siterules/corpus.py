@@ -29,10 +29,17 @@ from fractions import Fraction
 from importlib.resources import files
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .classify import ClassifiedRule, classify_rule
-from .datamodel import ItemCatalog, ItemClass, Percent, Rule, TransactionDatabase
+from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase
 from .engine import count_support
-from .ingest import GoldenRule, Schema, csv_rows, parse_golden_rules, parse_pct_bp, parse_schema
+from .ingest import (
+    GoldenRule,
+    Schema,
+    _parse_item_text,
+    csv_rows,
+    parse_golden_rules,
+    parse_pct_bp,
+    parse_schema,
+)
 from .report import RULES_HEADER, format_percent
 
 
@@ -151,12 +158,6 @@ class StudyCounts:
     facility_counts: dict
     group_sizes: dict
 
-    def item_count(self, attribute: str, value: str) -> int:
-        return self.single_counts[(attribute, value)]
-
-    def pair_count(self, first: tuple[str, str], second: tuple[str, str]) -> Optional[int]:
-        return self.pair_counts.get(frozenset({first, second}))
-
 
 def study_group_counts() -> StudyCounts:
     """Counts recovered from the packaged figures, re-verified on every call.
@@ -238,19 +239,6 @@ def arithmetic_consistency_check(
         consistent = deviation <= Fraction(1, 100)
         entries.append(ArithmeticCheckEntry(g.rule_id, n_antecedent, joint, deviation, consistent))
     return ArithmeticReport(tuple(entries))
-
-
-def golden_as_rules(
-    catalog: ItemCatalog, golden: Sequence[GoldenRule], m: int = M_ACCESSIBLE
-) -> list[ClassifiedRule]:
-    """Reconstruct classified rule objects from the transcribed figures."""
-    out = []
-    for g in golden:
-        antecedent = tuple(sorted(catalog.resolve_pair(p) for p in g.antecedent_items))
-        consequent = (catalog.resolve_pair(g.consequent_item),)
-        n_antecedent, joint, _ = _rule_counts(g, m)
-        out.append(classify_rule(Rule(antecedent, consequent, n_antecedent, joint, m)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +692,19 @@ class MinedRuleRow:
     support_bp: int
     class_label: str
 
+    @property
+    def key(self) -> tuple[frozenset, tuple[str, str]]:
+        return (frozenset(self.antecedent_items), self.consequent_item)
+
+
+def _rule_text(rule: Union[GoldenRule, MinedRuleRow]) -> str:
+    antecedent = " AND ".join(f"{a}={v}" for a, v in rule.antecedent_items)
+    attr, value = rule.consequent_item
+    return f"{antecedent} => {attr}={value}"
+
 
 def parse_rules_csv(text: str) -> list[MinedRuleRow]:
+    """Re-read a rendered rules CSV; a malformed or repeated rule names its row."""
     reader = csv_rows(text, ValueError)
     try:
         header = next(reader)
@@ -714,65 +713,44 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
     if header != RULES_HEADER:
         raise ValueError(f"expected header {','.join(RULES_HEADER)}")
     rows = []
+    seen: set[tuple[frozenset, tuple[str, str]]] = set()
     for rowno, row in enumerate(reader, start=2):
         if len(row) != len(RULES_HEADER):
             raise ValueError(f"row {rowno}: expected {len(RULES_HEADER)} cells")
         try:
-            antecedent = tuple(
-                _split_pair(part) for part in row[1].split(" AND ")
-            )
-            rows.append(
-                MinedRuleRow(
-                    rule_id=int(row[0]),
-                    antecedent_items=antecedent,
-                    consequent_item=_split_pair(row[2]),
-                    confidence_bp=parse_pct_bp(row[3]),
-                    coverage_bp=parse_pct_bp(row[4]),
-                    support_bp=parse_pct_bp(row[5]),
-                    class_label=row[6],
-                )
+            mined = MinedRuleRow(
+                rule_id=int(row[0]),
+                antecedent_items=tuple(_parse_item_text(part) for part in row[1].split(" AND ")),
+                consequent_item=_parse_item_text(row[2]),
+                confidence_bp=parse_pct_bp(row[3]),
+                coverage_bp=parse_pct_bp(row[4]),
+                support_bp=parse_pct_bp(row[5]),
+                class_label=row[6],
             )
         except ValueError as exc:
             raise ValueError(f"row {rowno}: {exc}") from None
+        if len(set(mined.antecedent_items)) != len(mined.antecedent_items):
+            raise ValueError(f"row {rowno}: malformed antecedent (repeated item)")
+        if mined.key in seen:
+            raise ValueError(f"row {rowno}: duplicate rule {_rule_text(mined)}")
+        seen.add(mined.key)
+        rows.append(mined)
     return rows
-
-
-def _split_pair(text: str) -> tuple[str, str]:
-    attr, sep, value = text.partition("=")
-    if not sep or not attr or not value:
-        raise ValueError(f"malformed item {text!r}")
-    return (attr, value)
-
-
-@dataclass(frozen=True)
-class RuleView:
-    antecedent_items: tuple[tuple[str, str], ...]
-    consequent_item: tuple[str, str]
-    confidence_pct: Fraction
-    coverage_pct: Fraction
-
-    @property
-    def key(self):
-        return (frozenset(self.antecedent_items), self.consequent_item)
-
-    def describe(self) -> str:
-        antecedent = " AND ".join(f"{a}={v}" for a, v in self.antecedent_items)
-        return f"{antecedent} => {self.consequent_item[0]}={self.consequent_item[1]}"
 
 
 @dataclass(frozen=True)
 class MetricMismatch:
     golden: GoldenRule
-    mined: RuleView
+    mined: MinedRuleRow
     confidence_delta_pp: Fraction
     coverage_delta_pp: Fraction
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    matched: tuple[tuple[GoldenRule, RuleView], ...]
+    matched: tuple[tuple[GoldenRule, MinedRuleRow], ...]
     missing: tuple[GoldenRule, ...]
-    extra: tuple[RuleView, ...]
+    extra: tuple[MinedRuleRow, ...]
     metric_mismatches: tuple[MetricMismatch, ...]
     tolerance_pp: Fraction
 
@@ -788,103 +766,56 @@ class ValidationReport:
         if self.missing:
             lines.append("missing reference rules:")
             lines += [
-                f"  #{g.rule_id} "
-                + " AND ".join(f"{a}={v}" for a, v in g.antecedent_items)
-                + f" => {g.consequent_item[0]}={g.consequent_item[1]}"
+                f"  #{g.rule_id} {_rule_text(g)}"
                 for g in self.missing
             ]
         if self.metric_mismatches:
             lines.append(f"metric mismatches (tolerance {float(self.tolerance_pp)} pp):")
             for mm in self.metric_mismatches:
                 lines.append(
-                    f"  #{mm.golden.rule_id} {mm.mined.describe()}: "
+                    f"  #{mm.golden.rule_id} {_rule_text(mm.mined)}: "
                     f"confidence off by {float(mm.confidence_delta_pp):.4f} pp, "
                     f"coverage off by {float(mm.coverage_delta_pp):.4f} pp"
                 )
         if self.extra:
             lines.append("extra mined rules (allowed, not published):")
             lines += [
-                f"  {v.describe()} (confidence {float(v.confidence_pct):.2f}, "
-                f"coverage {float(v.coverage_pct):.2f})"
-                for v in self.extra
+                f"  {_rule_text(r)} (confidence {r.confidence_bp / 100:.2f}, "
+                f"coverage {r.coverage_bp / 100:.2f})"
+                for r in self.extra
             ]
         return "\n".join(lines) + "\n"
-
-
-DEFAULT_TOLERANCE_PP = Fraction(11, 1000)
-
-
-def _match(
-    views: Iterable[RuleView],
-    golden: Sequence[GoldenRule],
-    tolerance_pp: Fraction,
-) -> ValidationReport:
-    by_key: dict = {}
-    for view in views:
-        if view.key in by_key:
-            raise ValueError(f"duplicate mined rule {view.describe()}")
-        by_key[view.key] = view
-    matched = []
-    missing = []
-    mismatches = []
-    for g in golden:
-        view = by_key.pop(g.key, None)
-        if view is None:
-            missing.append(g)
-            continue
-        matched.append((g, view))
-        confidence_delta = abs(view.confidence_pct - g.confidence_pct())
-        coverage_delta = abs(view.coverage_pct - g.support_pct())
-        if confidence_delta > tolerance_pp or coverage_delta > tolerance_pp:
-            mismatches.append(MetricMismatch(g, view, confidence_delta, coverage_delta))
-    return ValidationReport(
-        tuple(matched), tuple(missing), tuple(by_key.values()), tuple(mismatches), tolerance_pp
-    )
-
-
-def validate_against_golden(
-    catalog: ItemCatalog,
-    classified: Iterable[ClassifiedRule],
-    golden: Sequence[GoldenRule],
-    tolerance_pp: Fraction = DEFAULT_TOLERANCE_PP,
-) -> ValidationReport:
-    """Match mined rules against the reference list by item sets.
-
-    A reference rule is matched when a mined rule has the same antecedent
-    set and consequent; the match is clean when the mined exact confidence
-    and coverage sit within ``tolerance_pp`` percentage points of the
-    published two-decimal figures. Surplus mined rules are listed, never
-    failed: the reference list only covers what its authors printed.
-    """
-    if tolerance_pp < 0:
-        raise ValueError("tolerance must be non-negative")
-    views = [
-        RuleView(
-            antecedent_items=tuple(catalog.item_pair(i) for i in entry.rule.antecedent),
-            consequent_item=catalog.item_pair(entry.rule.consequent[0]),
-            confidence_pct=entry.rule.confidence.pct_fraction(),
-            coverage_pct=entry.rule.coverage.pct_fraction(),
-        )
-        for entry in classified
-    ]
-    return _match(views, golden, tolerance_pp)
 
 
 def validate_rows_against_golden(
     rows: Iterable[MinedRuleRow],
     golden: Sequence[GoldenRule],
-    tolerance_pp: Fraction = DEFAULT_TOLERANCE_PP,
+    tolerance_pp: Fraction,
 ) -> ValidationReport:
-    """File-level variant of :func:`validate_against_golden` for rendered CSVs."""
+    """Match the rows of a rendered rules CSV against the reference list.
+
+    A reference rule is matched when a row has the same antecedent set and
+    consequent; the match is clean when the row's two-decimal confidence and
+    coverage sit within ``tolerance_pp`` percentage points of the published
+    figures. Surplus mined rules are listed, never failed: the reference
+    list only covers what its authors printed.
+    """
     if tolerance_pp < 0:
         raise ValueError("tolerance must be non-negative")
-    views = [
-        RuleView(
-            antecedent_items=row.antecedent_items,
-            consequent_item=row.consequent_item,
-            confidence_pct=Fraction(row.confidence_bp, 100),
-            coverage_pct=Fraction(row.coverage_bp, 100),
-        )
-        for row in rows
-    ]
-    return _match(views, golden, tolerance_pp)
+    by_key = {row.key: row for row in rows}
+    matched = []
+    missing = []
+    mismatches = []
+    for g in golden:
+        row = by_key.pop(g.key, None)
+        if row is None:
+            missing.append(g)
+            continue
+        matched.append((g, row))
+        confidence_delta = Fraction(abs(row.confidence_bp - g.confidence_bp), 100)
+        coverage_delta = Fraction(abs(row.coverage_bp - g.support_bp), 100)
+        if confidence_delta > tolerance_pp or coverage_delta > tolerance_pp:
+            mismatches.append(MetricMismatch(g, row, confidence_delta, coverage_delta))
+    return ValidationReport(
+        tuple(matched), tuple(missing), tuple(by_key.values()), tuple(mismatches), tolerance_pp
+    )

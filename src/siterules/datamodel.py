@@ -326,10 +326,6 @@ class Percent:
     def as_fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
 
-    def pct_fraction(self) -> Fraction:
-        """The value scaled to percent, still exact."""
-        return Fraction(100 * self.numerator, self.denominator)
-
 
 @dataclass(frozen=True)
 class Rule:

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .datamodel import TransactionDatabase, build_vertical_index
+from .datamodel import TransactionDatabase
 
 __all__ = [
     "CountedItemset",
     "FrequentLevel",
-    "build_vertical_index",
     "count_support",
     "generate_candidates",
     "mine_frequent",

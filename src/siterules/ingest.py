@@ -23,7 +23,6 @@ import io
 import itertools
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .datamodel import (
@@ -365,12 +364,6 @@ class GoldenRule:
     @property
     def key(self) -> tuple[frozenset, tuple[str, str]]:
         return (frozenset(self.antecedent_items), self.consequent_item)
-
-    def confidence_pct(self) -> Fraction:
-        return Fraction(self.confidence_bp, 100)
-
-    def support_pct(self) -> Fraction:
-        return Fraction(self.support_bp, 100)
 
 
 def _parse_item_text(text: str) -> tuple[str, str]:

@@ -162,39 +162,3 @@ def render_rules(
     out += [line(row) for row in rows]
     return "\n".join(out) + "\n"
 
-
-@dataclass(frozen=True)
-class ConsequentGroup:
-    consequent_label: str
-    entries: tuple[ClassifiedRule, ...]
-
-
-def group_by_consequent(
-    catalog: ItemCatalog, classified: Iterable[ClassifiedRule]
-) -> tuple[ConsequentGroup, ...]:
-    """Group rules by consequent, largest group first (ties by label).
-
-    Entries keep their input order, so feeding canonically sorted rules
-    yields canonically sorted groups.
-    """
-    groups: dict[str, list[ClassifiedRule]] = {}
-    for entry in classified:
-        label = catalog.item_label(entry.rule.consequent[0])
-        groups.setdefault(label, []).append(entry)
-    ordered = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return tuple(ConsequentGroup(label, tuple(entries)) for label, entries in ordered)
-
-
-def render_consequent_groups(
-    catalog: ItemCatalog, groups: Sequence[ConsequentGroup]
-) -> str:
-    """Readable listing of consequent groups and their antecedent profiles."""
-    lines = []
-    for group in groups:
-        lines.append(f"{group.consequent_label} ({len(group.entries)} rules)")
-        for k, entry in enumerate(group.entries, start=1):
-            antecedent = " AND ".join(
-                catalog.item_label(i) for i in entry.rule.antecedent
-            )
-            lines.append(f"  {k}. {antecedent} [{entry.rule_class.label}]")
-    return "\n".join(lines) + "\n"

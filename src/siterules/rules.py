@@ -9,29 +9,16 @@ taken from the mined itemset counts, so every metric derives from integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable
 
 from .datamodel import ItemClass, MiningConfig, Percent, Rule, TransactionDatabase
 from .engine import mine_frequent
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    rules: tuple[Rule, ...]
-    config: MiningConfig
-    db_size: int
-
-    def __len__(self) -> int:
-        return len(self.rules)
-
-    def __iter__(self):
-        return iter(self.rules)
-
-
 def derive_rules(
     db: TransactionDatabase,
     config: MiningConfig = MiningConfig(),
-) -> RuleSet:
+) -> tuple[Rule, ...]:
     """Mine all demographic => facility rules reaching the configured thresholds.
 
     Frequent itemsets are mined over the whole catalog with the configured
@@ -69,14 +56,14 @@ def derive_rules(
             if Percent(ci.count, n_antecedent) < config.min_confidence:
                 continue
             rules.append(Rule(antecedent, (tail[0],), n_antecedent, ci.count, db.size))
-    return RuleSet(tuple(rules), config, db.size)
+    return tuple(rules)
 
 
-def canonical_sort(ruleset: RuleSet) -> RuleSet:
+def canonical_sort(rules: Iterable[Rule]) -> tuple[Rule, ...]:
     """Order rules by confidence (descending, exact), then antecedent size,
     then antecedent item ids, then consequent item ids. Total and stable."""
     ordered = sorted(
-        ruleset.rules,
+        rules,
         key=lambda r: (
             -r.confidence.as_fraction(),
             len(r.antecedent),
@@ -84,4 +71,4 @@ def canonical_sort(ruleset: RuleSet) -> RuleSet:
             r.consequent,
         ),
     )
-    return RuleSet(tuple(ordered), ruleset.config, ruleset.db_size)
+    return tuple(ordered)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from siterules import corpus
-from siterules.classify import classify_rules, partition_rules
+from siterules.classify import classify_confidence, classify_rules
 from siterules.datamodel import (
     AttributeDef,
     AttributeKind,
@@ -19,6 +19,7 @@ from siterules.datamodel import (
     ItemClass,
     MiningConfig,
     Percent,
+    RuleClass,
     Transaction,
     TransactionDatabase,
 )
@@ -63,12 +64,13 @@ def test_criterion_2_single_antecedent_reproduction(announce, fixture_db, catalo
         elapsed = time.perf_counter() - start
         subset = [g for g in golden if len(g.antecedent_items) == 1]
         assert len(subset) == 27
-        report = corpus.validate_against_golden(catalog, classified, subset, TOLERANCE_PP)
+        rows = corpus.parse_rules_csv(render_rules(catalog, classified))
+        report = corpus.validate_rows_against_golden(rows, subset, TOLERANCE_PP)
         assert report.missing == ()
         assert report.metric_mismatches == ()
-        for g, view in report.matched:
-            assert abs(view.confidence_pct - g.confidence_pct()) <= TOLERANCE_PP
-            assert abs(view.coverage_pct - g.support_pct()) <= TOLERANCE_PP
+        for g, row in report.matched:
+            assert abs(Fraction(row.confidence_bp - g.confidence_bp, 100)) <= TOLERANCE_PP
+            assert abs(Fraction(row.coverage_bp - g.support_bp, 100)) <= TOLERANCE_PP
         assert elapsed < 1.0
 
 
@@ -78,20 +80,21 @@ def test_criterion_3_full_set_reproduction(announce, fixture_result, catalog, go
         # cell may involve a reference-rule target (only frequency groups)
         assert fixture_result.report.mandatory_rule_targets == 68
         classified = classify_rules(canonical_sort(derive_rules(fixture_result.database)))
-        report = corpus.validate_against_golden(catalog, classified, golden, TOLERANCE_PP)
+        rows = corpus.parse_rules_csv(render_rules(catalog, classified))
+        report = corpus.validate_rows_against_golden(rows, golden, TOLERANCE_PP)
         assert len(report.matched) == 68
         assert report.missing == ()
         assert report.metric_mismatches == ()
 
 
-def test_criterion_4_tier_counts(announce, catalog, golden):
+def test_criterion_4_tier_counts(announce, golden):
     with announce(4, "tier-counts"):
-        must, should, rejected = partition_rules(corpus.golden_as_rules(catalog, golden))
+        tiers = [classify_confidence(Percent.from_basis_points(g.confidence_bp)) for g in golden]
         # the source prose claims 34 top-tier rules, but its printed list
         # holds 33 at >= 95%; the count derived from the list is asserted
-        assert len(must) == 33
-        assert len(should) == 35
-        assert len(rejected) == 0
+        assert tiers.count(RuleClass.MUST_HAVE) == 33
+        assert tiers.count(RuleClass.SHOULD_HAVE) == 35
+        assert tiers.count(RuleClass.REJECTED) == 0
 
 
 def flat_catalog(n_demo, n_fac):

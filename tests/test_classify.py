@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siterules.classify import classify_confidence, classify_rules, partition_rules
-from siterules.datamodel import MiningConfig, Percent, Rule, RuleClass
-from siterules.rules import RuleSet
+from siterules.classify import classify_confidence
+from siterules.datamodel import Percent, RuleClass
 
 
 class TestClassifyConfidence:
@@ -38,34 +37,8 @@ class TestClassifyConfidence:
         assert classify_confidence(Percent(a, b)) is classify_confidence(Percent(k * a, k * b))
 
 
-def classified_set(rules):
-    return classify_rules(RuleSet(tuple(rules), MiningConfig(), 91))
-
-
 class TestPartition:
-    def test_golden_set_tiers(self, catalog, golden):
-        from siterules.corpus import golden_as_rules
-
-        must, should, rejected = partition_rules(golden_as_rules(catalog, golden))
-        assert (len(must), len(should), len(rejected)) == (33, 35, 0)
-
-    def test_empty(self):
-        assert partition_rules([]) == ([], [], [])
-
-    def test_all_full_confidence(self):
-        entries = classified_set(
-            [Rule((i,), (9,), 5, 5, 91) for i in range(4)]
-        )
-        must, should, rejected = partition_rules(entries)
-        assert len(must) == 4 and not should and not rejected
-
-    def test_partition_is_exhaustive_and_stable(self, mined_classified):
-        must, should, rejected = partition_rules(mined_classified)
-        assert len(must) + len(should) + len(rejected) == len(mined_classified)
-        reassembled = sorted(
-            must + should + rejected, key=lambda e: mined_classified.index(e)
-        )
-        assert reassembled == list(mined_classified)
-        for tier in (must, should, rejected):
-            positions = [mined_classified.index(e) for e in tier]
-            assert positions == sorted(positions)
+    def test_golden_set_tiers(self, golden):
+        tiers = [classify_confidence(Percent.from_basis_points(g.confidence_bp)) for g in golden]
+        tier_order = (RuleClass.MUST_HAVE, RuleClass.SHOULD_HAVE, RuleClass.REJECTED)
+        assert [tiers.count(c) for c in tier_order] == [33, 35, 0]

@@ -107,6 +107,17 @@ class TestMineCommand:
         assert code == 2
         assert "confidence must be in [0,100]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, raw", [("--max-antecedent", "abc"), ("--min-support-count", "1.5")]
+    )
+    def test_non_integer_count_names_the_flag(self, fixture_dir, tmp_path, capsys, flag, raw):
+        with pytest.raises(SystemExit) as exc:
+            run_mine(fixture_dir, tmp_path / "x.csv", flag, raw)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: not an integer: {raw!r}" in err
+        assert "_positive_int" not in err
+
     def test_consequent_attribute_schema_is_usage_error(self, tmp_path, capsys):
         schema = tmp_path / "schema.txt"
         schema.write_text(
@@ -207,6 +218,30 @@ class TestValidateCommand:
         code = main(["validate", "--mined", str(mined_csv), "--golden", str(golden_csv)])
         assert code == 0
         assert capsys.readouterr().out.startswith("matched: 68  missing: 0")
+
+    def test_zero_tolerance_reproduces_published_figures(self, mined_csv, golden_csv, capsys):
+        code = main([
+            "validate", "--mined", str(mined_csv), "--golden", str(golden_csv),
+            "--tolerance", "0",
+        ])
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.startswith("matched: 68  missing: 0")
+        assert summary.endswith("metric mismatches: 0")
+
+    def test_repeated_mined_rule_names_its_row(self, golden_csv, tmp_path, capsys):
+        from siterules.report import RULES_HEADER
+
+        figures = "facility=contact_us,90.00,21.97,19.78,should_have"
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text(
+            ",".join(RULES_HEADER) + "\n"
+            f"1,age=11-29 AND industry=services,{figures}\n"
+            f"2,industry=services AND age=11-29,{figures}\n"
+        )
+        code = main(["validate", "--mined", str(repeated), "--golden", str(golden_csv)])
+        assert code == 2
+        assert "row 3: duplicate rule" in capsys.readouterr().err
 
     def test_single_antecedent_subset(self, mined_csv, golden_csv, capsys):
         code = main([

@@ -10,27 +10,26 @@ from siterules import corpus
 from siterules.datamodel import ItemClass
 from siterules.engine import count_support
 from siterules.ingest import GoldenRule, parse_transactions, render_transactions_csv
-from siterules.report import format_percent, render_rules, stats_table
+from siterules.report import RULES_HEADER, format_percent, render_rules, stats_table
 
 
 class TestPaperCounts:
     def test_published_group_counts(self, counts):
         assert counts.m == 91
-        assert counts.item_count("ownership", "governmental") == 49
-        assert counts.item_count("age", "below10") == 11
-        assert counts.item_count("age", "11-29") == 35
-        assert counts.item_count("age", "above30") == 45
-        assert counts.item_count("industry", "products") == 44
-        assert counts.pair_count(("age", "11-29"), ("ownership", "governmental")) == 20
-        assert counts.pair_count(("age", "below10"), ("ownership", "governmental")) is None
+        singles, pairs = counts.single_counts, counts.pair_counts
+        assert singles[("ownership", "governmental")] == 49
+        assert singles[("age", "below10")] == 11
+        assert singles[("age", "11-29")] == 35
+        assert singles[("age", "above30")] == 45
+        assert singles[("industry", "products")] == 44
+        assert pairs[frozenset({("age", "11-29"), ("ownership", "governmental")})] == 20
+        assert frozenset({("age", "below10"), ("ownership", "governmental")}) not in pairs
 
     def test_families_partition_the_population(self, counts):
-        assert sum(counts.item_count("age", v) for v in ("below10", "11-29", "above30")) == 91
-        assert (
-            sum(counts.item_count("ownership", v) for v in ("governmental", "private", "semiprivate"))
-            == 91
-        )
-        assert sum(counts.item_count("industry", v) for v in ("products", "services")) == 91
+        singles = counts.single_counts
+        assert sum(singles[("age", v)] for v in ("below10", "11-29", "above30")) == 91
+        assert sum(singles[("ownership", v)] for v in ("governmental", "private", "semiprivate")) == 91
+        assert sum(singles[("industry", v)] for v in ("products", "services")) == 91
 
     def test_facility_totals(self, counts):
         assert counts.facility_counts["about_us"]["total"] == 87
@@ -96,11 +95,10 @@ class TestArithmeticConsistency:
 
 class TestGoldenAsRules:
     def test_counts_recovered(self, catalog, golden):
-        rules = corpus.golden_as_rules(catalog, golden)
-        by_id = dict(zip((g.rule_id for g in golden), rules))
-        r21 = by_id[21].rule
-        assert (r21.antecedent_count, r21.joint_count, r21.db_size) == (49, 48, 91)
-        assert r21.consequent == (catalog.item_id("about_us", "yes"),)
+        (r21,) = [g for g in golden if g.rule_id == 21]
+        antecedent_count, joint_count, _ = corpus._rule_counts(r21, corpus.M_ACCESSIBLE)
+        assert (antecedent_count, joint_count, corpus.M_ACCESSIBLE) == (49, 48, 91)
+        assert catalog.resolve_pair(r21.consequent_item) == catalog.item_id("about_us", "yes")
 
 
 @st.composite
@@ -326,9 +324,24 @@ class TestBuildFixture:
         assert "134 of 140 satisfied" in text
 
 
+TOLERANCE_PP = Fraction(11, 1000)
+
+
+@pytest.fixture(scope="module")
+def mined_rows(catalog, mined_classified):
+    return corpus.parse_rules_csv(render_rules(catalog, mined_classified))
+
+
+def rule_21_at(golden, confidence_bp):
+    """Reference rule 21 (ownership=governmental => about_us, published 97.95)
+    with its confidence edited."""
+    (g,) = [g for g in golden if g.rule_id == 21]
+    return [dataclasses.replace(g, confidence_bp=confidence_bp)]
+
+
 class TestValidation:
-    def test_fixture_mined_rules_match_all_68(self, catalog, mined_classified, golden):
-        report = corpus.validate_against_golden(catalog, mined_classified, golden)
+    def test_fixture_mined_rules_match_all_68(self, mined_rows, golden):
+        report = corpus.validate_rows_against_golden(mined_rows, golden, TOLERANCE_PP)
         assert report.ok
         assert len(report.matched) == 68
         assert report.missing == ()
@@ -336,38 +349,39 @@ class TestValidation:
         assert len(report.extra) > 0  # unpublished combinations are allowed
 
     def test_empty_mined_set_misses_everything(self, catalog, golden):
-        report = corpus.validate_against_golden(catalog, [], golden)
+        rows = corpus.parse_rules_csv(render_rules(catalog, []))
+        report = corpus.validate_rows_against_golden(rows, golden, TOLERANCE_PP)
         assert not report.ok
         assert len(report.missing) == 68
         assert report.matched == ()
 
-    def test_tolerance_absorbs_truncation(self, catalog, golden, mined_classified):
-        # published 97.95 vs exact 48/49 = 97.9591...: inside 0.011 pp
-        gov_about = [g for g in golden if g.rule_id == 21]
-        report = corpus.validate_against_golden(catalog, mined_classified, gov_about)
+    def test_tolerance_absorbs_truncation(self, golden, mined_rows):
+        # the file reads 97.95; a published 97.94 is 0.01 pp off, inside 0.011 pp
+        report = corpus.validate_rows_against_golden(
+            mined_rows, rule_21_at(golden, 9794), TOLERANCE_PP
+        )
         assert report.ok
-        ((g, view),) = report.matched
-        assert abs(view.confidence_pct - g.confidence_pct()) <= Fraction(11, 1000)
+        ((g, row),) = report.matched
+        assert abs(Fraction(row.confidence_bp - g.confidence_bp, 100)) <= Fraction(11, 1000)
 
-    def test_zero_tolerance_flags_truncated_figures(self, catalog, golden, mined_classified):
-        gov_about = [g for g in golden if g.rule_id == 21]
-        report = corpus.validate_against_golden(
-            catalog, mined_classified, gov_about, tolerance_pp=Fraction(0)
+    def test_zero_tolerance_flags_truncated_figures(self, golden, mined_rows):
+        report = corpus.validate_rows_against_golden(
+            mined_rows, rule_21_at(golden, 9794), Fraction(0)
         )
         assert not report.ok
         assert len(report.metric_mismatches) == 1
         # the rule is still item-matched: matched + missing covers all golden
         assert len(report.matched) == 1 and not report.missing
 
-    def test_negative_tolerance_rejected(self, catalog, golden):
+    def test_negative_tolerance_rejected(self, golden):
         with pytest.raises(ValueError):
-            corpus.validate_against_golden(catalog, [], golden, tolerance_pp=Fraction(-1))
+            corpus.validate_rows_against_golden([], golden, Fraction(-1))
 
     def test_rows_roundtrip_through_rendered_csv(self, catalog, mined_classified, golden):
         doc = render_rules(catalog, mined_classified)
         rows = corpus.parse_rules_csv(doc)
         assert len(rows) == len(mined_classified)
-        report = corpus.validate_rows_against_golden(rows, golden)
+        report = corpus.validate_rows_against_golden(rows, golden, TOLERANCE_PP)
         assert report.ok
 
     def test_overlong_field_in_rules_csv_names_its_line(self, catalog, mined_classified):
@@ -376,8 +390,16 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"line {line}: field larger than field limit"):
             corpus.parse_rules_csv(doc)
 
-    def test_render_summary_line(self, catalog, mined_classified, golden):
-        report = corpus.validate_against_golden(catalog, mined_classified, golden)
+    def test_repeated_antecedent_item_names_its_row(self):
+        doc = (
+            ",".join(RULES_HEADER) + "\n"
+            + "1,age=below10 AND age=below10,facility=about_us,100.00,12.08,12.08,must_have\n"
+        )
+        with pytest.raises(ValueError, match=r"row 2: malformed antecedent \(repeated item\)"):
+            corpus.parse_rules_csv(doc)
+
+    def test_render_summary_line(self, mined_rows, golden):
+        report = corpus.validate_rows_against_golden(mined_rows, golden, TOLERANCE_PP)
         first = report.render().splitlines()[0]
         assert first.startswith("matched: 68  missing: 0")
 

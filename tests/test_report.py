@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siterules.classify import classify_rule
-from siterules.corpus import golden_as_rules, study_aggregate_groups
+from siterules.classify import classify_rules
+from siterules.corpus import study_aggregate_groups
 from siterules.datamodel import (
     AttributeDef,
     AttributeKind,
@@ -17,8 +17,6 @@ from siterules.datamodel import (
 from siterules.report import (
     format_percent,
     frequency_csv,
-    group_by_consequent,
-    render_consequent_groups,
     render_rules,
     stats_table,
 )
@@ -121,29 +119,6 @@ class TestStatsTable:
             stats_table(db)
 
 
-class TestGroupByConsequent:
-    def test_golden_grouping(self, catalog, golden):
-        groups = group_by_consequent(catalog, golden_as_rules(catalog, golden))
-        by_label = {g.consequent_label: g for g in groups}
-        assert len(by_label["facility=contact_us"].entries) == 16
-        assert len(by_label["facility=about_us"].entries) == 14
-        assert len(by_label["facility=research_department"].entries) == 1
-        only = by_label["facility=research_department"].entries[0]
-        semi = catalog.item_id("ownership", "semiprivate")
-        assert only.rule.antecedent == (semi,)
-        # largest group first
-        assert groups[0].consequent_label == "facility=contact_us"
-
-    def test_empty(self, catalog):
-        assert group_by_consequent(catalog, []) == ()
-
-    def test_render_listing(self, catalog, golden):
-        groups = group_by_consequent(catalog, golden_as_rules(catalog, golden))
-        text = render_consequent_groups(catalog, groups)
-        assert text.splitlines()[0] == "facility=contact_us (16 rules)"
-        assert "[must_have]" in text
-
-
 class TestRenderRules:
     def test_published_first_rule_line(self, catalog):
         rule = Rule(
@@ -151,7 +126,7 @@ class TestRenderRules:
             (catalog.item_id("about_us", "yes"),),
             11, 11, 91,
         )
-        doc = render_rules(catalog, [classify_rule(rule)])
+        doc = render_rules(catalog, classify_rules([rule]))
         assert doc.splitlines() == [
             "rule_id,antecedent,consequent,confidence_pct,coverage_pct,support_pct,class",
             "1,age=below10,facility=about_us,100.00,12.08,12.08,must_have",
@@ -163,7 +138,7 @@ class TestRenderRules:
             (catalog.item_id("contact_us", "yes"),),
             20, 18, 91,
         )
-        line = render_rules(catalog, [classify_rule(rule)]).splitlines()[1]
+        line = render_rules(catalog, classify_rules([rule])).splitlines()[1]
         assert line == (
             "1,age=11-29 AND industry=services,facility=contact_us,90.00,21.97,19.78,should_have"
         )

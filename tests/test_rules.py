@@ -16,7 +16,7 @@ from siterules.datamodel import (
     TransactionDatabase,
 )
 from siterules.report import render_rules
-from siterules.rules import RuleSet, canonical_sort, derive_rules
+from siterules.rules import canonical_sort, derive_rules
 
 
 def tiny_catalog(n_demo, n_fac):
@@ -197,8 +197,7 @@ class TestCanonicalSort:
             Rule((1,), (9,), 49, 48, 91),   # 97.95%
             Rule((2,), (9,), 11, 11, 91),   # 100%
         )
-        ruleset = RuleSet(rules, MiningConfig(), 91)
-        got = canonical_sort(ruleset)
+        got = canonical_sort(rules)
         assert [r.confidence for r in got] == [
             Percent(11, 11), Percent(48, 49), Percent(18, 20),
         ]
@@ -210,15 +209,14 @@ class TestCanonicalSort:
             Rule((0, 2), (9,), 10, 10, 91),
             Rule((0,), (8,), 10, 10, 91),
         )
-        got = canonical_sort(RuleSet(rules, MiningConfig(), 91))
+        got = canonical_sort(rules)
         assert [(r.antecedent, r.consequent) for r in got] == [
             ((0,), (8,)), ((0,), (9,)), ((0, 2), (9,)), ((1, 2), (9,)),
         ]
 
     def test_permutation_invariance(self, fixture_db):
-        ruleset = derive_rules(fixture_db)
+        rules = derive_rules(fixture_db)
         rng = random.Random(5)
-        shuffled = list(ruleset.rules)
+        shuffled = list(rules)
         rng.shuffle(shuffled)
-        assert canonical_sort(RuleSet(tuple(shuffled), ruleset.config, 91)).rules == \
-            canonical_sort(ruleset).rules
+        assert canonical_sort(shuffled) == canonical_sort(rules)
