@@ -11,6 +11,8 @@ formatted for display.
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
@@ -165,9 +167,6 @@ class Transaction:
     members: int
 
 
-_BLOCK_ROWS = 8192
-
-
 def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> tuple[int, ...]:
     """Transpose row bitmasks into one transaction bitset per item (see :func:`_transpose`)."""
     return _transpose(n_items, [txn.members for txn in transactions])
@@ -176,20 +175,46 @@ def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> t
 def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     """Bit j of item i's vector is set iff ``masks[j]`` has bit i set.
 
-    Each block of rows is written as one string of ``n_items``-wide binary
-    rows (masks must lie in ``[0, 2**n_items)`` to keep that width), so item
-    i's bits in that block are every ``n_items``-th character from position
-    ``n_items - 1 - i``; ``int(..., 2)`` reads the reversed column.
+    The masks (which must lie in ``[0, 2**n_items)``) are packed into one int,
+    row j as ``words`` little-endian 64-bit words, with zero rows appended up
+    to a multiple of 64. Every 64 x 64 bit block (64 rows of one word column)
+    is then transposed in place by six word-parallel stages (Warren, Hacker's
+    Delight, 7-3): stage k swaps the top-right and bottom-left k x k
+    quadrants of every 2k x 2k sub-block, bits ``k * (row_bits - 1)`` apart.
+    Afterwards word w of row 64r + c holds rows 64r .. 64r + 63 of item
+    64w + c, so item i's vector is every ``64 * words``-th word from there.
     """
     if min(masks, default=0) < 0 or max(masks, default=0).bit_length() > n_items:
         raise ValueError("a membership mask is negative or wider than the catalog")
-    spec = f"0{n_items}b"
-    pieces: list[list[str]] = [[] for _ in range(n_items)]
-    for start in range(0, len(masks), _BLOCK_ROWS):
-        text = "".join([format(mask, spec) for mask in masks[start : start + _BLOCK_ROWS]])
-        for i, column in enumerate(pieces):
-            column.append(text[n_items - 1 - i :: n_items])
-    return tuple(int("".join(column)[::-1] or "0", 2) for column in pieces)
+    if not n_items:
+        return ()
+    words = -(-n_items // 64)
+    row_bytes = 8 * words
+    n_rows = -(-len(masks) // 64) * 64
+    if words == 1:
+        packed = array("Q", masks)
+        if sys.byteorder == "big":
+            packed.byteswap()
+        rows = packed.tobytes()
+    else:
+        rows = b"".join([mask.to_bytes(row_bytes, "little") for mask in masks])
+    rows += bytes(row_bytes * (n_rows - len(masks)))
+    bits = int.from_bytes(rows, "little")
+    k = 32
+    while k:
+        # columns whose bit k is set, in rows whose bit k is clear
+        column = sum(((1 << k) - 1) << start for start in range(k, 64, 2 * k))
+        row = column.to_bytes(8, "little") * words
+        mask = int.from_bytes((row * k + bytes(row_bytes * k)) * (n_rows // (2 * k)), "little")
+        shift = k * (64 * words - 1)
+        swap = (bits ^ bits >> shift) & mask
+        bits ^= swap ^ swap << shift
+        k >>= 1
+    column_words = memoryview(bits.to_bytes(len(rows), "little")).cast("Q")
+    return tuple(
+        int.from_bytes(column_words[(i % 64) * words + i // 64 :: 64 * words], "little")
+        for i in range(n_items)
+    )
 
 
 def _overlapping(index: Sequence[int], item_ids: Sequence[int]) -> bool:

@@ -58,17 +58,23 @@ def count_support(db: TransactionDatabase, items: Iterable[int]) -> int:
     return vec.bit_count()
 
 
-def generate_candidates(level: FrequentLevel) -> list[tuple[int, ...]]:
+def generate_candidates(
+    level: FrequentLevel, *, leaf_from: Optional[int] = None
+) -> list[tuple[int, ...]]:
     """Join frequent k-itemsets sharing their first k-1 items, then prune.
 
     A join result survives only if every size-k subset is itself frequent.
-    Input must be sorted lexicographically; output is sorted and duplicate
-    free by construction.
+    With ``leaf_from`` set, an itemset whose last item id is at least
+    ``leaf_from`` is never the left side of a join, so no candidate holds two
+    such items. Input must be sorted lexicographically; output is sorted and
+    duplicate free by construction.
     """
     sets = [ci.items for ci in level.itemsets]
     frequent = set(sets)
     out: list[tuple[int, ...]] = []
     for i, left in enumerate(sets):
+        if leaf_from is not None and left[-1] >= leaf_from:
+            continue
         prefix = left[:-1]
         for j in range(i + 1, len(sets)):
             right = sets[j]
@@ -86,6 +92,8 @@ def mine_frequent(
     db: TransactionDatabase,
     min_count: int,
     max_size: Optional[int] = None,
+    *,
+    leaf_from: Optional[int] = None,
 ) -> list[FrequentLevel]:
     """All frequent itemsets, level by level, up to ``max_size`` if given.
 
@@ -93,6 +101,11 @@ def mine_frequent(
     each further level is generated by join+prune and counted against the
     previous level's cached vectors. Returns only the non-empty levels.
     Output is deterministic regardless of transaction order.
+
+    With ``leaf_from`` set, only itemsets holding at most one item id of at
+    least ``leaf_from`` (necessarily their last) are mined; these are exactly
+    the frequent itemsets of that shape. The shape is anti-monotone: every
+    subset of such an itemset has it too, so the subset prune stays exact.
     """
     if db.size == 0:
         raise ValueError("cannot mine an empty database")
@@ -114,7 +127,7 @@ def mine_frequent(
             break
         kept = []
         next_vectors = {}
-        for cand in generate_candidates(current):
+        for cand in generate_candidates(current, leaf_from=leaf_from):
             vec = vectors[cand[:-1]] & index[cand[-1]]
             count = vec.bit_count()
             if count >= min_count:

@@ -21,19 +21,23 @@ def derive_rules(
 ) -> tuple[Rule, ...]:
     """Mine all demographic => facility rules reaching the configured thresholds.
 
-    Frequent itemsets are mined over the whole catalog with the configured
-    support count as the frequency floor, so a rule is emitted iff its joint
-    itemset occurs at least ``min_support_count`` times and its confidence
-    reaches ``min_confidence``.
+    Frequent itemsets are mined with the configured support count as the
+    frequency floor, so a rule is emitted iff its joint itemset occurs at
+    least ``min_support_count`` times and its confidence reaches
+    ``min_confidence``. The catalog lays facility items out last, so mining
+    is bounded at the first facility id: only all-demographic itemsets (the
+    antecedents) and those with one facility item, last (the joint itemsets),
+    are counted.
     """
     if db.size == 0:
         raise ValueError("cannot derive rules from an empty database")
     catalog = db.catalog
     if not catalog.ids_of_class(ItemClass.DEMOGRAPHIC):
         raise ValueError("catalog has no demographic items")
-    facility_ids = set(catalog.ids_of_class(ItemClass.FACILITY))
+    facility_ids = catalog.ids_of_class(ItemClass.FACILITY)
     if not facility_ids:
         raise ValueError("catalog has no facility items")
+    first_facility = facility_ids[0]
 
     # a transaction holds at most one item of each demographic attribute, so
     # no antecedent is longer than the number of those attributes
@@ -42,20 +46,21 @@ def derive_rules(
         db,
         config.min_support_count,
         max_size=min(config.max_antecedent_size, n_demographic) + 1,
+        leaf_from=first_facility,
     )
     counts = {ci.items: ci.count for level in levels for ci in level}
 
     rules: list[Rule] = []
     for level in levels[1:]:
         for ci in level:
-            tail = [i for i in ci.items if i in facility_ids]
-            if len(tail) != 1:
+            consequent = ci.items[-1]
+            if consequent < first_facility:
                 continue
-            antecedent = tuple(i for i in ci.items if i != tail[0])
+            antecedent = ci.items[:-1]
             n_antecedent = counts[antecedent]
             if Percent(ci.count, n_antecedent) < config.min_confidence:
                 continue
-            rules.append(Rule(antecedent, (tail[0],), n_antecedent, ci.count, db.size))
+            rules.append(Rule(antecedent, (consequent,), n_antecedent, ci.count, db.size))
     return tuple(rules)
 
 

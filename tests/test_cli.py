@@ -81,17 +81,34 @@ class TestMineCommand:
     ):
         mine_frequent = rules.mine_frequent
 
-        def bounded(db, min_count, max_size=None):
+        def bounded(db, min_count, max_size=None, *, leaf_from=None):
             # an uncapped depth mines facility-only itemsets until memory runs
             # out; fail at once instead (three demographic attributes + 1)
             assert max_size is not None and max_size <= 4
-            return mine_frequent(db, min_count, max_size=max_size)
+            return mine_frequent(db, min_count, max_size=max_size, leaf_from=leaf_from)
 
         monkeypatch.setattr(rules, "mine_frequent", bounded)
         three, thirty = tmp_path / "three.csv", tmp_path / "thirty.csv"
         assert run_mine(fixture_dir, three, "--max-antecedent", "3") == 0
         assert run_mine(fixture_dir, thirty, "--max-antecedent", "30") == 0
         assert three.read_bytes() == thirty.read_bytes()
+
+    @pytest.mark.parametrize(
+        "max_antecedent, fmt, digest",
+        [
+            ("1", "csv", "eacd3958aa27d2ee823de14011ccaf3d504dbe8e9c2f3cdfcb0e31c9046762e6"),
+            ("1", "text", "1826c95ccd3d36bd844bfb3084b3327ba17afbca1ad0b74244ab97b27842bd0c"),
+            ("2", "csv", "4d29a63de68228fe485e632f5efe36d6c99a293db56c42cdd7fffa8dad6265a2"),
+            ("2", "text", "c52f128af141a1ea1bd1d038938c997dd96d6971d995fcdaff645529ded38656"),
+            ("3", "csv", "64a7ca05346b715c8e08c14150396da8fd5da3da40f65e39b232925d00eb4bc1"),
+            ("3", "text", "1debeb13d44edf73b7a94add2c4afc23240eb4c0f9f8b600148c8a1291d70ee1"),
+        ],
+    )
+    def test_mine_bytes_are_pinned(self, fixture_dir, tmp_path, max_antecedent, fmt, digest):
+        # a change to the index build or to the mining it feeds must keep these
+        out = tmp_path / f"rules.{fmt}"
+        assert run_mine(fixture_dir, out, "--max-antecedent", max_antecedent, "--format", fmt) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_higher_threshold_keeps_only_must_haves(self, fixture_dir, tmp_path):
         loose, tight = tmp_path / "loose.csv", tmp_path / "tight.csv"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siterules.datamodel import (
-    _BLOCK_ROWS,
     AttributeDef,
     AttributeKind,
     ItemCatalog,
@@ -162,8 +161,8 @@ class TestDatabase:
         with pytest.raises(ValueError):
             build_vertical_index(0, [Transaction("a", 1)])
 
-    @pytest.mark.parametrize("n_items", [0, 1, 28, 64, 65])
-    @pytest.mark.parametrize("n_rows", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("n_items", [0, 1, 28, 63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 8191, 8192, 8193])
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=2, deadline=None)
     def test_transpose_matches_per_bit_reference(self, n_items, n_rows, seed):

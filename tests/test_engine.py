@@ -129,6 +129,18 @@ class TestGenerateCandidates:
                     for drop in range(len(cand)):
                         assert cand[:drop] + cand[drop + 1:] in set(frequent)
 
+    def test_bounded_candidates_are_unbounded_ones_with_one_leaf(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            n = rng.randint(2, 9)
+            masks = [rng.getrandbits(n) for _ in range(rng.randint(1, 30))]
+            leaf_from = rng.randint(0, n)
+            for _, frequent in brute_force_levels(masks, n, rng.randint(1, 5)):
+                level = level_of(frequent)
+                bounded = generate_candidates(level, leaf_from=leaf_from)
+                assert set(bounded) <= set(generate_candidates(level))
+                assert all(sum(i >= leaf_from for i in cand) <= 1 for cand in bounded)
+
 
 class TestMineFrequent:
     def test_worked_example(self):
@@ -172,3 +184,26 @@ class TestMineFrequent:
         a = as_plain(mine_frequent(db_from_masks(masks, 8), 3))
         b = as_plain(mine_frequent(db_from_masks(shuffled, 8), 3))
         assert a == b
+
+    @given(
+        st.integers(1, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.integers(0, 2**n - 1), min_size=1, max_size=30),
+                st.integers(1, 4),
+                st.integers(1, 5),
+                st.integers(0, n),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounded_mining_matches_filtered_brute_force(self, case):
+        n, masks, min_count, max_size, leaf_from = case
+        expected = []
+        for k, level in brute_force_levels(masks, n, min_count)[:max_size]:
+            level = [(s, c) for s, c in level if sum(i >= leaf_from for i in s) <= 1]
+            if not level:
+                break
+            expected.append((k, level))
+        got = mine_frequent(db_from_masks(masks, n), min_count, max_size, leaf_from=leaf_from)
+        assert as_plain(got) == expected

@@ -124,7 +124,7 @@ class TestDeriveRules:
         # larger cap only mines facility-only itemsets that yield no rule
         sizes = []
 
-        def spy(db, min_count, max_size=None):
+        def spy(db, min_count, max_size=None, *, leaf_from=None):
             sizes.append(max_size)
             return []
 
