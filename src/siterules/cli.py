@@ -37,7 +37,10 @@ EXIT_ERROR = 2
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+    # newline="": the parsers see line ends as written, so a quoted "\r" in a
+    # record id is kept and CRLF text reaches the parser unchanged.
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        return f.read()
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -278,6 +278,16 @@ class TransactionDatabase:
         no two items of one non-binary attribute share a transaction. Only when one fails
         are the rows scanned, to name the first offending record.
         """
+        distinct = len(set(record_ids)) == len(record_ids)
+        return cls._index_columns(catalog, record_ids, masks, excluded_count, distinct)
+
+    @classmethod
+    def _index_columns(
+        cls, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
+        excluded_count: int, distinct_ids: bool,
+    ) -> "TransactionDatabase":
+        """:meth:`from_columns` for a caller that has already hashed the ids;
+        ``distinct_ids`` says whether they are distinct."""
         exclusive = [
             catalog.ids_of_attribute(attr.name)
             for attr in catalog.attributes
@@ -289,7 +299,7 @@ class TransactionDatabase:
             index = None
         if (
             index is None
-            or len(set(record_ids)) != len(record_ids)
+            or not distinct_ids
             or any(_overlapping(index, ids) for ids in exclusive)
         ):
             _raise_first_invalid(catalog.n_items, exclusive, record_ids, masks)

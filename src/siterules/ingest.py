@@ -14,6 +14,15 @@ has a ``record_id`` first column, then one column per attribute
 an integer, facility cells a yes/no token or nothing.
 A row whose facility cells are all empty is excluded from the database and
 only counted; a partially empty facility row is an error.
+
+The transaction CSV is read from one of two row sources. Text with no
+``"``, no NUL, no ``\\r`` outside ``\\r\\n`` and no line over
+``csv.field_size_limit()`` is split into lines and each line at its first
+comma; ``csv.reader`` would read it the same way, and skipping the reader
+also skips the ``io.StringIO`` it reads from, a second copy of the text at
+four bytes per character. Any other text goes through ``csv.reader``. Both
+sources feed one row loop, which encodes each distinct row tail (the cells
+after the record id) once and looks it up for every later row.
 """
 
 from __future__ import annotations
@@ -23,7 +32,7 @@ import io
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .datamodel import (
     AttributeDef,
@@ -218,22 +227,101 @@ def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -
     return 1 << catalog.item_id(attr.name, label)
 
 
+def _plain_lines(text: str) -> Optional[list[str]]:
+    """The lines of ``text`` when ``csv.reader`` would read each one as the
+    line split on ``","`` (a blank line as no cells), else ``None``.
+
+    That holds when the text has no ``"`` (no quoted field hides a comma or
+    spans lines), no NUL (Python 3.10's reader rejects one), no ``\\r`` but
+    in ``\\r\\n`` (which ends a record as ``\\n`` does, so it is normalised
+    away), and no line longer than ``csv.field_size_limit()``.
+    """
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the last line's terminator; the reader yields no row after it
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
 def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
     """Materialize a transaction database from CSV contents.
 
-    Rows go straight to a record-id column and a bitmask column, which
-    :meth:`TransactionDatabase.from_columns` checks and indexes. Each CSV
-    column keeps a table from raw cell to item bit, filled by
-    :func:`_cell_bit` the first time a cell is seen, so a row whose cells
-    have all been seen costs one lookup per cell. Empty cells never enter a
-    table: a row holding one takes the checked path.
+    Rows come from one of two sources. Plain text (see :func:`_plain_lines`)
+    is split on ``\\n`` and each line partitioned at its first comma
+    (:func:`_parse_lines`); no ``csv.reader`` is run, and so no
+    ``io.StringIO`` copy of the text is made, which holds four bytes per
+    character. Any other text goes through ``csv.reader``
+    (:func:`_parse_csv`). Both give each row as its id cell and a tail (the
+    rest of the row), which :func:`_read_rows` turns into the database.
     """
-    catalog = schema.catalog
-    rows = csv_rows(text, DataError)
-    try:
-        header = next(rows)
-    except StopIteration:
-        raise DataError("missing header row") from None
+    lines = _plain_lines(text)
+    if lines is None:
+        return _parse_csv(schema.catalog, text)
+    return _parse_lines(schema.catalog, lines)
+
+
+def _parse_lines(catalog: ItemCatalog, lines: list[str]) -> TransactionDatabase:
+    """The database of plain ``lines``; a line's tail is the text after its
+    first comma, ``None`` for a line without one."""
+    header = (lines[0].split(",") if lines[0] else []) if lines else None
+    parts = map(str.partition, itertools.islice(lines, 1, None), itertools.repeat(","))
+    rows = ((cell, tail if sep else None) for cell, sep, tail in parts)
+    return _read_rows(catalog, header, rows, lambda tail: tail.split(","))
+
+
+def _parse_csv(catalog: ItemCatalog, text: str) -> TransactionDatabase:
+    """The database of the CSV records of ``text``; a record's tail is the
+    tuple of its cells after the id, ``None`` for a record of no cells."""
+    records = csv_rows(text, DataError)
+    header = next(records, None)
+    rows = ((row[0], tuple(row[1:])) if row else ("", None) for row in records)
+    return _read_rows(catalog, header, rows, list)
+
+
+_UNSEEN = object()
+
+
+def _duplicate_id(record_ids: Sequence[str]) -> Optional[DataError]:
+    """The error for the first row (rows count from 2) whose id repeats an
+    earlier one, if any does."""
+    seen: set[str] = set()
+    for rowno, record_id in enumerate(record_ids, start=2):
+        if record_id in seen:
+            return DataError(f"row {rowno}: duplicate record_id {record_id!r}")
+        seen.add(record_id)
+    return None
+
+
+def _read_rows(
+    catalog: ItemCatalog,
+    header: Optional[list[str]],
+    rows: Iterable[tuple[str, Optional[Hashable]]],
+    split_tail: Callable[[Any], list[str]],
+) -> TransactionDatabase:
+    """Check ``header`` and turn (id cell, tail) ``rows`` into a database.
+
+    A tail is everything after a row's id cell, ``None`` when the row has
+    no cell after it, and ``split_tail`` gives its cells. Rows with equal
+    tails have equal masks, so each distinct tail is checked and encoded
+    once, with the number of the row it first appears on, and its mask (or
+    ``None`` for an excluded row) kept in a dict; a checklist table has few
+    distinct tails, so most rows cost one lookup. Within that check each
+    column keeps a table from raw cell to item bit, filled by
+    :func:`_cell_bit` the first time a cell is seen; empty cells never
+    enter a table, so a row holding one takes the checked path. Record ids,
+    those of excluded rows included, are hashed once as a whole column;
+    only when that finds a repeat, or a row is rejected, are they scanned
+    in order, so the first failing row is named.
+    """
+    if header is None:
+        raise DataError("missing header row")
     if not header or header[0] != "record_id":
         raise DataError("first column must be 'record_id'")
     declared = {a.name for a in catalog.attributes}
@@ -250,40 +338,55 @@ def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
     tables: list[dict[str, int]] = [{} for _ in attr_by_col]
     lookup = dict.__getitem__
 
-    record_ids: list[str] = []
-    masks: list[int] = []
-    seen_ids: set[str] = set()
-    excluded = 0
-    for rowno, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise DataError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
-        record_id = row[0].strip()
-        if not record_id:
-            raise DataError(f"row {rowno}: empty record_id")
-        if record_id in seen_ids:
-            raise DataError(f"row {rowno}: duplicate record_id {record_id!r}")
-        seen_ids.add(record_id)
-
-        cells = row[1:]
+    def tail_mask(cells: list[str], rowno: int) -> Optional[int]:
         try:
             # Each column is a different attribute, so the bits are disjoint
             # and their sum is their union.
-            members = sum(map(lookup, tables, cells))
+            return sum(map(lookup, tables, cells))
         except KeyError:
-            empties = [not cells[k].strip() for k in facility_cols]
-            if facility_cols and all(empties):
-                excluded += 1
-                continue
-            if any(empties):
-                raise DataError(f"row {rowno}: facility cells must be all present or all empty")
-            members = 0
-            for table, cell, attr in zip(tables, cells, attr_by_col):
-                table[cell] = bit = _cell_bit(catalog, attr, cell, rowno)
-                members |= bit
-        record_ids.append(record_id)
-        masks.append(members)
+            pass
+        empties = [not cells[k].strip() for k in facility_cols]
+        if facility_cols and all(empties):
+            return None
+        if any(empties):
+            raise DataError(f"row {rowno}: facility cells must be all present or all empty")
+        members = 0
+        for table, cell, attr in zip(tables, cells, attr_by_col):
+            table[cell] = bit = _cell_bit(catalog, attr, cell, rowno)
+            members |= bit
+        return members
+
+    width = len(header)
+    memo: dict[Any, Optional[int]] = {}
+    record_ids: list[str] = []
+    masks: list[Optional[int]] = []
     try:
-        return TransactionDatabase.from_columns(catalog, record_ids, masks, excluded)
+        for raw_id, tail in rows:
+            members = memo.get(tail, _UNSEEN)
+            if members is _UNSEEN:
+                cells = [] if tail is None else split_tail(tail)
+                # only a row of no cells has neither an id cell nor a tail
+                n_cells = 1 + len(cells) if raw_id or tail is not None else 0
+                if n_cells != width:
+                    rowno = len(record_ids) + 2
+                    raise DataError(f"row {rowno}: expected {width} cells, got {n_cells}")
+            record_id = raw_id.strip()
+            if not record_id:
+                raise DataError(f"row {len(record_ids) + 2}: empty record_id")
+            record_ids.append(record_id)
+            if members is _UNSEEN:
+                members = memo[tail] = tail_mask(cells, len(record_ids) + 1)
+            masks.append(members)
+    except DataError as exc:
+        raise _duplicate_id(record_ids) or exc from None
+    if len(set(record_ids)) != len(record_ids):
+        raise _duplicate_id(record_ids) from None
+    excluded = masks.count(None)
+    if excluded:
+        record_ids = [rid for rid, mask in zip(record_ids, masks) if mask is not None]
+        masks = [mask for mask in masks if mask is not None]
+    try:
+        return TransactionDatabase._index_columns(catalog, record_ids, masks, excluded, True)
     except ValueError as exc:
         raise DataError(str(exc)) from None
 

@@ -197,14 +197,52 @@ class TestMineCommand:
         assert "error:" in capsys.readouterr().err
 
 
+def run_stats(fixture_dir):
+    return main([
+        "stats",
+        "--schema", str(fixture_dir / "schema_appendix_a.txt"),
+        "--data", str(fixture_dir / "fixture_data.csv"),
+    ])
+
+
 class TestStatsCommand:
+    def test_stats_bytes_are_pinned(self, fixture_dir, capsys):
+        assert run_stats(fixture_dir) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+        assert digest == "17f5117db9fe26688b9d4cbf3b1e8ac78cc44d9da601bec9d82580442770ef49"
+
+    def test_crlf_data_gives_the_same_bytes(self, fixture_dir, tmp_path, capsys):
+        # CRLF text takes the parser's plain route after normalisation; LF
+        # and CRLF copies must mine and count identically.
+        crlf_dir = tmp_path / "crlf"
+        crlf_dir.mkdir()
+        (crlf_dir / "schema_appendix_a.txt").write_bytes(
+            (fixture_dir / "schema_appendix_a.txt").read_bytes()
+        )
+        lf_bytes = (fixture_dir / "fixture_data.csv").read_bytes()
+        (crlf_dir / "fixture_data.csv").write_bytes(lf_bytes.replace(b"\n", b"\r\n"))
+        lf_rules, crlf_rules = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        assert run_mine(fixture_dir, lf_rules) == 0
+        assert run_mine(crlf_dir, crlf_rules) == 0
+        assert crlf_rules.read_bytes() == lf_rules.read_bytes()
+        capsys.readouterr()
+        assert run_stats(fixture_dir) == 0
+        lf_stats = capsys.readouterr().out
+        assert run_stats(crlf_dir) == 0
+        assert capsys.readouterr().out == lf_stats
+
+    def test_quoted_carriage_return_keeps_ids_apart(self, tmp_path, capsys):
+        # read with newline translation, "p\rq" became "p\nq", a duplicate
+        schema = tmp_path / "schema.txt"
+        schema.write_text('attribute ownership categorical antecedent values: private\n'
+                          'facility about_us "About Us page"\n')
+        data = tmp_path / "data.csv"
+        data.write_bytes(b'record_id,ownership,about_us\n"p\rq",private,Y\n"p\nq",private,N\n')
+        assert main(["stats", "--schema", str(schema), "--data", str(data)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "about_us,50.00,50.00"
+
     def test_published_cells(self, fixture_dir, capsys):
-        code = main([
-            "stats",
-            "--schema", str(fixture_dir / "schema_appendix_a.txt"),
-            "--data", str(fixture_dir / "fixture_data.csv"),
-        ])
-        assert code == 0
+        assert run_stats(fixture_dir) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
         header = lines[0].split(",")

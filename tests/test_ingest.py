@@ -1,13 +1,20 @@
+import csv
 import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siterules.datamodel import ItemClass, NumericBin, TransactionDatabase
+from siterules.datamodel import AttributeKind, ItemClass, NumericBin, TransactionDatabase
 from siterules.engine import count_support
 from siterules.ingest import (
     DataError,
+    _cell_bit,
+    _parse_csv,
+    _parse_lines,
+    _plain_lines,
+    _read_rows,
+    csv_rows,
     GoldenFileError,
     SchemaError,
     bin_numeric,
@@ -178,10 +185,40 @@ class TestParseTransactions:
             parse_transactions(small_schema, text)
 
     def test_duplicate_record_id(self, small_schema):
-        with pytest.raises(DataError, match="duplicate record_id"):
+        with pytest.raises(DataError, match=r"^row 3: duplicate record_id 'c1'$"):
             parse_transactions(
                 small_schema, rows_to_csv(["c1,private,5,Y,N", "c1,private,6,Y,N"])
             )
+
+    @pytest.mark.parametrize(
+        "rows", [["c1,private,5,Y,N", "c1,,,,"], ["c1,,,,", "c1,private,5,Y,N"], ["c1,,,,", "c1,,,,"]]
+    )
+    def test_excluded_row_ids_count_as_duplicates(self, small_schema, rows):
+        with pytest.raises(DataError, match=r"^row 3: duplicate record_id 'c1'$"):
+            parse_transactions(small_schema, rows_to_csv(rows))
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            # the earlier row's error wins, whichever kind it is
+            (["c1,private,5,Y,N", "c1,private,5,Y,N", "c2,communal,5,Y,N"],
+             "row 3: duplicate record_id 'c1'"),
+            (["c1,private,5,Y,N", "c2,communal,5,Y,N", "c1,private,5,Y,N"],
+             "row 3, column 'ownership': value 'communal' not in schema"),
+            (["c1,private,5,Y,N", "c1,private,5,Y", "c2,private,5,Y,N"],
+             "row 3: expected 5 cells, got 4"),
+            (["c1,private,5,Y,N", "c2,private,5,Y", "c1,private,5,Y,N"],
+             "row 3: expected 5 cells, got 4"),
+            # within a row, the duplicate id is found before the cells are read
+            (["c1,private,5,Y,N", "c1,communal,5,Y,N"], "row 3: duplicate record_id 'c1'"),
+            (["c1,private,5,Y,N", " ,private,5,Y,N", "c1,private,5,Y,N"], "row 3: empty record_id"),
+            (["c1,private,5,Y,N", "c2,private,5,Y,N", "c1,private,5,Y,N", "c3"],
+             "row 4: duplicate record_id 'c1'"),
+        ],
+    )
+    def test_first_failing_row_is_named(self, small_schema, rows, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            parse_transactions(small_schema, rows_to_csv(rows))
 
     def test_quoted_newline_kept_in_record_id(self, small_schema):
         text = rows_to_csv(['"a\nb",private,5,Y,N', "ab,private,6,Y,N"])
@@ -303,6 +340,168 @@ class TestRoundTrip:
         alone = [parse_transactions(schema, rows_to_csv([row])) for row in rows]
         assert db.transactions == tuple(t for one in alone for t in one.transactions)
         assert db.excluded_count == sum(one.excluded_count for one in alone)
+
+
+def reference_rows(schema, text):
+    """The row loop before the plain route, as a test oracle: ``csv.reader``,
+    then per row the cell count, the id, the duplicate check and every cell
+    through ``_cell_bit``. The header checks are borrowed from the parser."""
+    catalog = schema.catalog
+    records = csv_rows(text, DataError)
+    header = next(records, None)
+    _read_rows(catalog, header, iter(()), list)
+    attrs = [catalog.attribute(col) for col in header[1:]]
+    facility = [k for k, attr in enumerate(attrs) if attr.kind is AttributeKind.BINARY]
+    record_ids, masks, seen, excluded = [], [], set(), 0
+    for rowno, row in enumerate(records, start=2):
+        if len(row) != len(header):
+            raise DataError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
+        record_id = row[0].strip()
+        if not record_id:
+            raise DataError(f"row {rowno}: empty record_id")
+        if record_id in seen:
+            raise DataError(f"row {rowno}: duplicate record_id {record_id!r}")
+        seen.add(record_id)
+        empties = [not row[1 + k].strip() for k in facility]
+        if facility and all(empties):
+            excluded += 1
+            continue
+        if any(empties):
+            raise DataError(f"row {rowno}: facility cells must be all present or all empty")
+        record_ids.append(record_id)
+        masks.append(sum(_cell_bit(catalog, a, cell, rowno) for a, cell in zip(attrs, row[1:])))
+    return record_ids, masks, excluded
+
+
+def outcome(parse):
+    """The columns a parse gives, or the message of the ``DataError`` it raises."""
+    try:
+        got = parse()
+    except DataError as exc:
+        return str(exc)
+    if isinstance(got, TransactionDatabase):
+        return list(got.record_ids), list(got.masks), got.excluded_count
+    return got
+
+
+HEADER = "record_id,ownership,age,about_us,search"
+ODD_IDS = [" c3", "c1 ", "", "\u0661", '"c1"', '"a,b"', '"x\ny"', 'q"x', "c\0"]
+# per column: cells the schema accepts, then cells it rejects or that need the reader
+COLUMN_CELLS = [
+    (["private", " governmental", "semiprivate "], ["communal", "", '"private"', "pri\0vate"]),
+    (["5", " 25", "+40", "011"], ["\u0661\u0660", "1_0", "", "x", "-4", '"2,5"']),
+    (["Y", "n ", "yes", "0"], ["", " ", "maybe", '"Y"', "\r"]),
+    (["N", " y", "no", "1"], ["", " ", "maybe", '"n"', "\r"]),
+]
+SOUP = [",", '"', "\r", "\n", "\r\n", "\0", " ", "\u0661", "private", "25", "Y", "c1"]
+
+
+@st.composite
+def row_texts(draw):
+    """Transaction CSV texts made of the header and lines of schema values,
+    ids, spaces, non-ASCII digits, quotes, NULs and bare carriage returns.
+    Most lines are rows the schema accepts, some with a repeated id or all
+    facility cells empty; some are rejected cells, lines short or long by a
+    cell, blank lines or a soup of those characters. Lines end in ``\\n``,
+    ``\\r\\n`` or ``\\r``, the last one possibly in nothing. About half the
+    texts draw no quote, NUL or bare ``\\r``, so both row sources read them."""
+    plain = draw(st.booleans())
+
+    def allowed(options):
+        return [o for o in options if not plain or not set(o) & set('"\0\r')]
+
+    def pick(options):
+        return draw(st.sampled_from(allowed(options)))
+
+    lines = [HEADER]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 20 + ["excluded"] * 3 + ["short", "long", "blank", "soup"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "soup":
+            lines.append("".join(draw(st.lists(st.sampled_from(allowed(SOUP))))))
+        else:
+            odd = draw(st.integers(0, 9)) == 0
+            record_id = pick(ODD_IDS) if odd else f"c{draw(st.integers(0, 30))}"
+            cells = [record_id] + [
+                pick(bad) if draw(st.integers(0, 29)) == 0 else pick(good) for good, bad in COLUMN_CELLS
+            ]
+            if kind == "excluded":
+                cells[3:] = ["", " "]
+            cells = cells[:-1] if kind == "short" else cells + ["Y"] * (kind == "long")
+            lines.append(",".join(cells))
+    ends = [pick(["\n", "\r\n", "\r"]) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestRowSources:
+    """The plain route (split lines) and the ``csv.reader`` route must give
+    the same columns or the same error, and both the oracle's."""
+
+    @given(row_texts())
+    @example(HEADER + "\nc1,private,5,Y,N\n\nc2,private,5,Y,N\n")  # blank line in the middle
+    @example(HEADER + "\nc1,private,5,Y,N\n\n\n")  # two trailing blank lines
+    @example(HEADER + "\nc1,private,5,Y,N\nc2,private,25,N,Y")  # no final newline
+    @example(HEADER + "\r\nc1,private,5,Y,N\r\nc2,,,,\r\n")  # CRLF
+    @example(HEADER + "\nc1,private,5,Y,N\rc2,private,25,N,Y\n")  # a bare \r
+    @example(HEADER + "\nc1,private,5,Y,N\nc\0,private,5,Y,N\n")  # NUL: 3.10 rejects it
+    @example(HEADER + "\nc1,private,5,Y,N\nc1,,,,\nc2,communal,5,Y,N\n")
+    @example("")
+    @example("\n")
+    @example(HEADER + "\n\u0661,private,\u0661,Y,N\n")
+    @settings(max_examples=300, deadline=None)
+    def test_both_routes_match_the_oracle(self, text):
+        schema = parse_schema(SMALL_SCHEMA)
+        catalog = schema.catalog
+        expected = outcome(lambda: reference_rows(schema, text))
+        assert outcome(lambda: _parse_csv(catalog, text)) == expected
+        lines = _plain_lines(text)
+        if lines is not None:
+            assert outcome(lambda: _parse_lines(catalog, lines)) == expected
+        assert outcome(lambda: parse_transactions(schema, text)) == expected
+
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            (HEADER + "\nc1,private,5,Y,N\n", True),
+            (HEADER + "\r\nc1,private,5,Y,N\r\n", True),
+            (HEADER + "\nc1,private,5,Y,N\n\n\n", True),
+            (HEADER + "\nc1,private,5,Y,N", True),
+            ("", True),
+            (HEADER + "\nc1,private,5,Y,N\r", False),
+            (HEADER + "\r\r\nc1,private,5,Y,N\n", False),
+            (HEADER + '\n"c1",private,5,Y,N\n', False),
+            (HEADER + "\nc\0,private,5,Y,N\n", False),
+        ],
+    )
+    def test_plain_route_is_taken_only_for_plain_text(self, text, plain):
+        assert (_plain_lines(text) is not None) is plain
+
+    @pytest.mark.parametrize(
+        "id_length, plain, error",
+        [
+            (36, True, None),  # the row line is 50 characters, the limit
+            (37, False, None),  # one over: the reader reads it, every field fits
+            (50, False, None),  # the id field is at the limit
+            (51, False, "line 3: field larger than field limit (50)"),
+        ],
+    )
+    def test_line_over_the_field_size_limit_takes_the_reader(self, id_length, plain, error):
+        schema = parse_schema(SMALL_SCHEMA)
+        text = rows_to_csv(["c1,private,5,Y,N", "c" * id_length + ",private,5,Y,N"])
+        old_limit = csv.field_size_limit(50)
+        try:
+            assert (_plain_lines(text) is not None) is plain
+            got = outcome(lambda: parse_transactions(schema, text))
+            assert got == outcome(lambda: reference_rows(schema, text))
+            if error:
+                assert got == error
+            else:
+                assert got[0] == ["c1", "c" * id_length]
+        finally:
+            csv.field_size_limit(old_limit)
 
 
 GOLDEN_HEADER = "rule_id,antecedent,consequent,confidence_pct,support_pct"
