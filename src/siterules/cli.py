@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import codecs
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -37,10 +38,22 @@ EXIT_ERROR = 2
 
 
 def _read(path: str) -> str:
-    # newline="": the parsers see line ends as written, so a quoted "\r" in a
-    # record id is kept and CRLF text reaches the parser unchanged.
-    with open(path, encoding="utf-8-sig", newline="") as f:
-        return f.read()
+    # Decoding the bytes translates no line ends: the parsers see them as
+    # written, so a quoted "\r" in a record id is kept and CRLF text reaches
+    # the parser unchanged. A leading BOM is dropped first, as "utf-8-sig"
+    # would, so that an error's offset counts from the file's first byte.
+    data = Path(path).read_bytes()
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    try:
+        return data[bom:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end as the parsers' rows do: at "\n", "\r\n" or a lone "\r"
+        at = bom + exc.start
+        ends = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
+        line = ends + 1
+        raise ValueError(
+            f"{path}: line {line}: byte 0x{data[at]:02x} is not UTF-8 ({exc.reason})"
+        ) from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:

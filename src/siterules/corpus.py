@@ -244,15 +244,47 @@ def arithmetic_consistency_check(
 # ---------------------------------------------------------------------------
 # deterministic integer feasibility search
 
+def _implied_differences(
+    constraints: Sequence[tuple[tuple[int, ...], int]],
+) -> list[tuple[tuple[int, ...], int]]:
+    """``(B - A, t_B - t_A)`` for every pair of constraints whose index set A
+    is a proper subset of B, unless B - A is already the index set of a
+    constraint or of an earlier difference. One round: differences of
+    differences are not added."""
+    masks = []
+    for idxs, _ in constraints:
+        mask = 0
+        for j in idxs:
+            mask |= 1 << j
+        masks.append(mask)
+    known = set(masks)
+    implied = []
+    for a, (_, t_a) in zip(masks, constraints):
+        for b, (idxs_b, t_b) in zip(masks, constraints):
+            if a & b == a and a != b and b ^ a not in known:
+                known.add(b ^ a)
+                implied.append((tuple(j for j in idxs_b if not a >> j & 1), t_b - t_a))
+    return implied
+
+
 def _iter_solutions(
     caps: Sequence[Optional[int]],
     constraints: Sequence[tuple[tuple[int, ...], int]],
+    start: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield all non-negative integer assignments meeting every constraint.
 
-    Each constraint is (variable indices, exact target sum). Variables are
+    Each constraint is (variable index set, exact target sum). Variables are
     assigned in index order, candidate values highest-first, so solutions
-    arrive in lexicographically descending order.
+    arrive in lexicographically descending order. With ``start``, only the
+    solutions lexicographically at or below it are yielded.
+
+    Before the search, each pair of constraints whose index set A is a
+    proper subset of B adds the implied difference (B - A, t_B - t_A),
+    unless B - A is already a constraint (redundant constraints). Every
+    solution of the given constraints meets it, so the solutions are
+    unchanged, but it tightens bounds and slack from the first variable on:
+    a negative difference admits no solution at all.
 
     A variable's bound is its cap tightened by the targets of its
     constraints. ``slack[ci]`` is the sum of those bounds over constraint
@@ -264,74 +296,112 @@ def _iter_solutions(
     and a node costs O(constraints of i). A constraint whose target is
     negative or above its slack before any assignment admits no solution.
 
+    The search runs in this one loop, with an explicit state per depth:
+    ``key[i]`` is None until depth i is entered, and the value in
+    ``assignment[i]`` steps down to ``low[i]`` before the depth is left.
+
     The solutions below variable i depend only on i and the remaining
     targets: bounds are fixed and the slack is a function of which variables
     are unassigned. So once a subtree has been searched to the end without
     a solution, its ``(i, remaining)`` key goes into ``dead`` and the search
-    returns at once when the key comes up again (nogood recording). Only
-    subtrees holding no solution are pruned, so the order of the solutions
-    is unchanged. ``dead`` is local to one call: a subtree left early by a
+    skips it when the key comes up again (nogood recording). Only subtrees
+    holding no solution are pruned, so the order of the solutions is
+    unchanged. ``dead`` is local to one call: a subtree left early by a
     closed generator records nothing.
+
+    The start bound is exact too. While the prefix assigned so far equals
+    ``start``'s (depths up to ``edge``), variable i is capped at
+    ``start[i]``; a smaller value leaves every later variable free, since
+    the solution is then below ``start`` whatever follows. A capped node
+    has searched only part of its subtree, so it never goes into ``dead``;
+    it may still be skipped by a key that an uncapped node put there.
     """
     n = len(caps)
+    constraints = [*constraints, *_implied_differences(constraints)]
     by_var: list[list[int]] = [[] for _ in range(n)]
     for ci, (idxs, _) in enumerate(constraints):
         for j in idxs:
             by_var[j].append(ci)
+    remaining = [t for _, t in constraints]
     bound = []
-    for j in range(n):
-        targets = [constraints[ci][1] for ci in by_var[j]]
-        if caps[j] is not None:
-            targets.append(caps[j])
+    for j, cap in enumerate(caps):
+        targets = [remaining[ci] for ci in by_var[j]]
+        if cap is not None:
+            targets.append(cap)
         if not targets:
             raise ValueError(f"variable {j} is unbounded")
         bound.append(min(targets))
-    remaining = [t for _, t in constraints]
-    slack = [sum(bound[j] for j in idxs) for idxs, _ in constraints]
+    slack = [sum(map(bound.__getitem__, idxs)) for idxs, _ in constraints]
     if any(r < 0 or r > s for r, s in zip(remaining, slack)):
         return
     assignment = [0] * n
+    low = [0] * n
+    key: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * n
+    found_before = [0] * n
     dead: set[tuple[int, tuple[int, ...]]] = set()
-    found = [0]
-
-    def dfs(i: int) -> Iterator[tuple[int, ...]]:
+    found = 0
+    edge = -1 if start is None else 0
+    i = 0
+    while i >= 0:
         if i == n:
-            found[0] += 1
+            found += 1
             yield tuple(assignment)
-            return
-        key = (i, tuple(remaining))
-        if key in dead:
-            return
-        found_before = found[0]
+            i -= 1
+            continue
         own = by_var[i]
         b = bound[i]
-        hi = b
-        lo = 0
-        for ci in own:
-            slack[ci] -= b
-            rem = remaining[ci]
-            if rem < hi:
-                hi = rem
-            if rem - slack[ci] > lo:
-                lo = rem - slack[ci]
-        for value in range(hi, lo - 1, -1):
-            assignment[i] = value
+        if key[i] is None:
+            # enter depth i
+            here = (i, tuple(remaining))
+            if here in dead:
+                i -= 1
+                continue
+            found_before[i] = found
+            hi = b if i != edge or start[i] > b else start[i]
+            lo = 0
             for ci in own:
-                remaining[ci] -= value
-            yield from dfs(i + 1)
-            for ci in own:
-                remaining[ci] += value
-        assignment[i] = 0
+                slack[ci] -= b
+                rem = remaining[ci]
+                if rem < hi:
+                    hi = rem
+                if rem - slack[ci] > lo:
+                    lo = rem - slack[ci]
+            if hi >= lo:
+                key[i] = here
+                low[i] = lo
+                assignment[i] = hi
+                for ci in own:
+                    remaining[ci] -= hi
+                if i == edge and hi == start[i]:
+                    edge = i + 1
+                i += 1
+                continue
+            value = 0  # no value fits: leave depth i at once
+        else:
+            value = assignment[i]
+            if value > low[i]:
+                # step down; a value below start[i] leaves later depths uncapped
+                assignment[i] = value - 1
+                for ci in own:
+                    remaining[ci] += 1
+                if edge > i:
+                    edge = i
+                i += 1
+                continue
+            here = key[i]
+            key[i] = None
+            assignment[i] = 0
+        # leave depth i
         for ci in own:
             slack[ci] += b
-        if found[0] == found_before:
-            dead.add(key)
+            remaining[ci] += value
+        if i > edge and found == found_before[i]:
+            dead.add(here)
+        i -= 1
 
-    yield from dfs(0)
 
-
-def _first_solution(caps, constraints) -> Optional[tuple[int, ...]]:
-    return next(_iter_solutions(caps, constraints), None)
+def _first_solution(caps, constraints, start=None) -> Optional[tuple[int, ...]]:
+    return next(_iter_solutions(caps, constraints, start), None)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +590,9 @@ def _facility_assignment(
     ``first`` is the first solution of the mandatory set. Solutions arrive
     in descending order, so when the current first solution already meets a
     column's target it is also the first solution of the larger set, and
-    only a column it misses needs a search.
+    only a column it misses needs a search. That search starts at
+    ``current``: every solution of the larger set is one of the smaller set,
+    so none lies above it.
     """
     targets = counts.facility_counts[facility]
     accepted = list(mandatory)
@@ -542,7 +614,7 @@ def _facility_assignment(
         idxs, target = column_idxs[column], targets[column]
         reason: Optional[UnmetReason] = family_conflict(column)
         if reason is None and sum(current[ci] for ci in idxs) != target:
-            solution = _first_solution(sizes, accepted + [(idxs, target)])
+            solution = _first_solution(sizes, accepted + [(idxs, target)], current)
             if solution is None:
                 reason = SearchInfeasible(tuple(accepted))
             else:

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import subprocess
 import sys
@@ -345,6 +346,67 @@ class TestValidateCommand:
             ])
         assert exc.value.code == 2
         assert f"argument --tolerance: {message}" in capsys.readouterr().err
+
+
+def _bad_byte_on_line_3(src: Path, dst: Path, prefix: bytes, newline: bytes) -> Path:
+    lines = src.read_bytes().split(b"\n")
+    lines[2] = lines[2][:1] + b"\xe9" + lines[2][1:]
+    dst.write_bytes(prefix + newline.join(lines))
+    return dst
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize(
+        "prefix, newline",
+        [(b"", b"\n"), (codecs.BOM_UTF8, b"\n"), (b"", b"\r\n"), (b"", b"\r")],
+        ids=["lf", "bom", "crlf", "cr"],
+    )
+    @pytest.mark.parametrize(
+        "command, flag", [("mine", "--data"), ("mine", "--schema"), ("validate", "--mined")]
+    )
+    def test_names_file_and_line(
+        self, fixture_dir, mined_csv, golden_csv, tmp_path, capsys, command, flag, prefix, newline
+    ):
+        files = {
+            "--schema": fixture_dir / "schema_appendix_a.txt",
+            "--data": fixture_dir / "fixture_data.csv",
+            "--mined": mined_csv,
+            "--golden": golden_csv,
+        }
+        bad = files[flag] = _bad_byte_on_line_3(files[flag], tmp_path / "bad", prefix, newline)
+        flags = ("--schema", "--data") if command == "mine" else ("--mined", "--golden")
+        assert main([command, *(arg for f in flags for arg in (f, str(files[f])))]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 3: byte 0xe9 is not UTF-8 (invalid continuation byte)\n"
+        )
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # string hashing differs per seed, so any output that followed set or
+    # frozenset iteration order would differ between the two runs
+    outputs = []
+    for seed in ("0", "1"):
+        env = {
+            "PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed,
+        }
+
+        def run(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "siterules", *argv],
+                capture_output=True, check=True, cwd=REPO_ROOT, env=env,
+            ).stdout
+
+        out = tmp_path / seed
+        run("fixture", "--out-dir", str(out))
+        files = {name: (out / name).read_bytes() for name in (
+            "schema_appendix_a.txt", "fixture_data.csv", "construction_report.txt"
+        )}
+        inputs = (
+            "--schema", str(out / "schema_appendix_a.txt"), "--data", str(out / "fixture_data.csv"),
+        )
+        outputs.append((files, run("mine", *inputs), run("stats", *inputs)))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].startswith(b"rule_id,")
 
 
 def test_module_entry_point(tmp_path):

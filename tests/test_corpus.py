@@ -191,6 +191,47 @@ class TestSearch:
         closed.close()
         assert list(corpus._iter_solutions(caps, constraints)) == expected
 
+    @given(small_systems() | overlapping_systems(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_start_bound_yields_the_solutions_at_or_below_it(self, system, data):
+        # a start on a solution keeps the capped path alive down to a leaf,
+        # one a step off a solution lets it die deep; a drawn one anywhere
+        caps, constraints = system
+        solutions = brute_force_solutions(caps, constraints)[::-1]
+        drawn = st.tuples(*[st.integers(0, 5)] * len(caps))
+        start = list(data.draw(st.sampled_from(solutions) | drawn if solutions else drawn))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, len(caps) - 1))
+            start[k] = max(0, start[k] + data.draw(st.sampled_from((-1, 1))))
+        start = tuple(start)
+        expected = [s for s in solutions if s <= start]
+        assert list(corpus._iter_solutions(caps, constraints, start)) == expected
+        # capped nodes record no nogood that an uncapped search would trust
+        assert list(corpus._iter_solutions(caps, constraints)) == solutions
+
+    def test_capped_dead_end_is_not_a_nogood(self):
+        # under start (1, 0, 1) the capped path x0=1, x1=0 finds no x2, but
+        # x0=0, x1=0 reaches the same (depth, remaining) key with x2 free
+        caps, constraints = [1, 2, 2], [((1, 2), 2)]
+        assert list(corpus._iter_solutions(caps, constraints, (1, 0, 1))) == [
+            (0, 2, 0), (0, 1, 1), (0, 0, 2),
+        ]
+
+    @given(small_systems(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_inner_target_above_outer_yields_nothing(self, system, data):
+        # A < B with t_A > t_B: the implied difference B - A has a negative target
+        caps, constraints = system
+        outer = data.draw(st.lists(st.integers(0, len(caps) - 1), min_size=1, unique=True))
+        inner = data.draw(st.lists(st.sampled_from(outer), unique=True, max_size=len(outer) - 1))
+        target = data.draw(st.integers(0, 6))
+        system = constraints + [
+            (tuple(sorted(outer)), target),
+            (tuple(sorted(inner)), target + data.draw(st.integers(1, 3))),
+        ]
+        assert list(corpus._iter_solutions(caps, system)) == []
+        assert brute_force_solutions(caps, system) == []
+
     @given(small_systems())
     @settings(max_examples=50, deadline=None)
     def test_unbounded_variable_rejected(self, system):
