@@ -66,10 +66,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _confidence_from_flag(raw: str) -> Percent:
     try:
         bp = parse_pct_bp(raw)
-    except ValueError:
-        raise ValueError("confidence must be in [0,100]") from None
+    except ValueError as exc:
+        raise ValueError(f"--min-conf: {exc}") from None
     if bp > 10_000:
-        raise ValueError("confidence must be in [0,100]")
+        raise ValueError("--min-conf: confidence must be in [0,100]")
     return Percent.from_basis_points(bp)
 
 
@@ -96,13 +96,14 @@ def _tolerance(raw: str) -> Fraction:
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    schema = parse_schema(_read(args.schema))
-    db = parse_transactions(schema, _read(args.data))
+    # the flags are checked before any input is read
     config = MiningConfig(
         min_confidence=_confidence_from_flag(args.min_conf),
         min_support_count=args.min_support_count,
         max_antecedent_size=args.max_antecedent,
     )
+    schema = parse_schema(_read(args.schema))
+    db = parse_transactions(schema, _read(args.data))
     ruleset = canonical_sort(derive_rules(db, config))
     document = render_rules(schema.catalog, classify_rules(ruleset), args.format)
     _emit(document, args.out)

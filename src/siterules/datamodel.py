@@ -172,27 +172,38 @@ def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> t
     return _transpose(n_items, [txn.members for txn in transactions])
 
 
+# an array typecode for each unsigned word size in bytes
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+
+
 def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     """Bit j of item i's vector is set iff ``masks[j]`` has bit i set.
 
     The masks (which must lie in ``[0, 2**n_items)``) are packed into one int,
-    row j as ``words`` little-endian 64-bit words, with zero rows appended up
-    to a multiple of 64. Every 64 x 64 bit block (64 rows of one word column)
-    is then transposed in place by six word-parallel stages (Warren, Hacker's
-    Delight, 7-3): stage k swaps the top-right and bottom-left k x k
-    quadrants of every 2k x 2k sub-block, bits ``k * (row_bits - 1)`` apart.
-    Afterwards word w of row 64r + c holds rows 64r .. 64r + 63 of item
-    64w + c, so item i's vector is every ``64 * words``-th word from there.
+    row j as ``words`` little-endian ``width``-bit words, with zero rows
+    appended up to a multiple of ``width``. The width is the smallest of 8,
+    16, 32 and 64 bits that holds a mask; a catalog of more than 64 items
+    takes 64-bit words. Every ``width`` x ``width`` bit block (``width``
+    rows of one word column) is then transposed in place by log2(width)
+    word-parallel stages (Warren, Hacker's Delight, 7-3): stage k swaps the
+    top-right and bottom-left k x k quadrants of every 2k x 2k sub-block,
+    bits ``k * (row_bits - 1)`` apart. Afterwards word w of row
+    ``width * r + c`` holds rows ``width * r`` .. ``width * r + width - 1``
+    of item ``width * w + c``, so item i's vector is every
+    ``width * words``-th word from there.
     """
     if min(masks, default=0) < 0 or max(masks, default=0).bit_length() > n_items:
         raise ValueError("a membership mask is negative or wider than the catalog")
     if not n_items:
         return ()
-    words = -(-n_items // 64)
-    row_bytes = 8 * words
-    n_rows = -(-len(masks) // 64) * 64
+    width = next((w for w in (8, 16, 32) if n_items <= w), 64)
+    words = -(-n_items // width)
+    word_bytes = width // 8
+    typecode = _TYPECODES[word_bytes]
+    row_bytes = word_bytes * words
+    n_rows = -(-len(masks) // width) * width
     if words == 1:
-        packed = array("Q", masks)
+        packed = array(typecode, masks)
         if sys.byteorder == "big":
             packed.byteswap()
         rows = packed.tobytes()
@@ -200,19 +211,19 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
         rows = b"".join([mask.to_bytes(row_bytes, "little") for mask in masks])
     rows += bytes(row_bytes * (n_rows - len(masks)))
     bits = int.from_bytes(rows, "little")
-    k = 32
+    k = width // 2
     while k:
         # columns whose bit k is set, in rows whose bit k is clear
-        column = sum(((1 << k) - 1) << start for start in range(k, 64, 2 * k))
-        row = column.to_bytes(8, "little") * words
+        column = sum(((1 << k) - 1) << start for start in range(k, width, 2 * k))
+        row = column.to_bytes(word_bytes, "little") * words
         mask = int.from_bytes((row * k + bytes(row_bytes * k)) * (n_rows // (2 * k)), "little")
-        shift = k * (64 * words - 1)
+        shift = k * (width * words - 1)
         swap = (bits ^ bits >> shift) & mask
         bits ^= swap ^ swap << shift
         k >>= 1
-    column_words = memoryview(bits.to_bytes(len(rows), "little")).cast("Q")
+    column_words = memoryview(bits.to_bytes(len(rows), "little")).cast(typecode)
     return tuple(
-        int.from_bytes(column_words[(i % 64) * words + i // 64 :: 64 * words], "little")
+        int.from_bytes(column_words[(i % width) * words + i // width :: width * words], "little")
         for i in range(n_items)
     )
 

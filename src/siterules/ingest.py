@@ -21,8 +21,10 @@ The transaction CSV is read from one of two row sources. Text with no
 comma; ``csv.reader`` would read it the same way, and skipping the reader
 also skips the ``io.StringIO`` it reads from, a second copy of the text at
 four bytes per character. Any other text goes through ``csv.reader``. Both
-sources feed one row loop, which encodes each distinct row tail (the cells
-after the record id) once and looks it up for every later row.
+sources give each row as (id cell, separator, row tail), the plain one as
+``str.partition`` returns it, and feed one row loop, which encodes each
+distinct row tail (the cells after the record id) once and looks it up for
+every later row.
 """
 
 from __future__ import annotations
@@ -258,8 +260,9 @@ def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
     (:func:`_parse_lines`); no ``csv.reader`` is run, and so no
     ``io.StringIO`` copy of the text is made, which holds four bytes per
     character. Any other text goes through ``csv.reader``
-    (:func:`_parse_csv`). Both give each row as its id cell and a tail (the
-    rest of the row), which :func:`_read_rows` turns into the database.
+    (:func:`_parse_csv`). Both give each row as its id cell, a separator
+    and a tail (the rest of the row), which :func:`_read_rows` turns into
+    the database.
     """
     lines = _plain_lines(text)
     if lines is None:
@@ -268,20 +271,20 @@ def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
 
 
 def _parse_lines(catalog: ItemCatalog, lines: list[str]) -> TransactionDatabase:
-    """The database of plain ``lines``; a line's tail is the text after its
-    first comma, ``None`` for a line without one."""
+    """The database of plain ``lines``, each partitioned at its first comma;
+    a line without one has the separator ``""``."""
     header = (lines[0].split(",") if lines[0] else []) if lines else None
-    parts = map(str.partition, itertools.islice(lines, 1, None), itertools.repeat(","))
-    rows = ((cell, tail if sep else None) for cell, sep, tail in parts)
+    rows = map(str.partition, itertools.islice(lines, 1, None), itertools.repeat(","))
     return _read_rows(catalog, header, rows, lambda tail: tail.split(","))
 
 
 def _parse_csv(catalog: ItemCatalog, text: str) -> TransactionDatabase:
     """The database of the CSV records of ``text``; a record's tail is the
-    tuple of its cells after the id, ``None`` for a record of no cells."""
+    tuple of its cells after the id, and a record of no cells has the
+    separator ``""``."""
     records = csv_rows(text, DataError)
     header = next(records, None)
-    rows = ((row[0], tuple(row[1:])) if row else ("", None) for row in records)
+    rows = ((row[0], ",", tuple(row[1:])) if row else ("", "", None) for row in records)
     return _read_rows(catalog, header, rows, list)
 
 
@@ -302,18 +305,21 @@ def _duplicate_id(record_ids: Sequence[str]) -> Optional[DataError]:
 def _read_rows(
     catalog: ItemCatalog,
     header: Optional[list[str]],
-    rows: Iterable[tuple[str, Optional[Hashable]]],
+    rows: Iterable[tuple[str, str, Optional[Hashable]]],
     split_tail: Callable[[Any], list[str]],
 ) -> TransactionDatabase:
-    """Check ``header`` and turn (id cell, tail) ``rows`` into a database.
+    """Check ``header`` and turn (id cell, separator, tail) ``rows`` into a
+    database.
 
-    A tail is everything after a row's id cell, ``None`` when the row has
-    no cell after it, and ``split_tail`` gives its cells. Rows with equal
-    tails have equal masks, so each distinct tail is checked and encoded
-    once, with the number of the row it first appears on, and its mask (or
-    ``None`` for an excluded row) kept in a dict; a checklist table has few
-    distinct tails, so most rows cost one lookup. Within that check each
-    column keeps a table from raw cell to item bit, filled by
+    A tail is everything after a row's id cell and ``split_tail`` gives its
+    cells; a row with no cell after its id has the separator ``""``. Rows
+    with equal tails have equal masks, so each distinct tail is checked and
+    encoded once, with the number of the row it first appears on, and its
+    mask (or ``None`` for an excluded row) kept in a dict. A checklist table
+    has few distinct tails, so the loop tests the common row first: a tail
+    already kept and a non-empty id cost one lookup, one strip and two
+    appends, and every other row takes the checks in order. Within that
+    check each column keeps a table from raw cell to item bit, filled by
     :func:`_cell_bit` the first time a cell is seen; empty cells never
     enter a table, so a row holding one takes the checked path. Record ids,
     those of excluded rows included, are hashed once as a whole column;
@@ -360,23 +366,32 @@ def _read_rows(
     memo: dict[Any, Optional[int]] = {}
     record_ids: list[str] = []
     masks: list[Optional[int]] = []
+    append_id, append_mask = record_ids.append, masks.append
     try:
-        for raw_id, tail in rows:
+        for raw_id, sep, tail in rows:
             members = memo.get(tail, _UNSEEN)
-            if members is _UNSEEN:
-                cells = [] if tail is None else split_tail(tail)
-                # only a row of no cells has neither an id cell nor a tail
-                n_cells = 1 + len(cells) if raw_id or tail is not None else 0
-                if n_cells != width:
-                    rowno = len(record_ids) + 2
-                    raise DataError(f"row {rowno}: expected {width} cells, got {n_cells}")
             record_id = raw_id.strip()
-            if not record_id:
-                raise DataError(f"row {len(record_ids) + 2}: empty record_id")
-            record_ids.append(record_id)
+            if members is not _UNSEEN and record_id:
+                append_id(record_id)
+                append_mask(members)
+                continue
+            rowno = len(record_ids) + 2
             if members is _UNSEEN:
-                members = memo[tail] = tail_mask(cells, len(record_ids) + 1)
-            masks.append(members)
+                cells = split_tail(tail) if sep else []
+                # only a row of no cells has neither an id cell nor a separator
+                n_cells = 1 + len(cells) if raw_id or sep else 0
+                if n_cells != width:
+                    raise DataError(f"row {rowno}: expected {width} cells, got {n_cells}")
+            if not record_id:
+                raise DataError(f"row {rowno}: empty record_id")
+            append_id(record_id)
+            if members is _UNSEEN:
+                members = tail_mask(cells, rowno)
+                # a line without a comma has the tail "" too, so that tail
+                # is never kept: such a line must reach the cell count check
+                if tail:
+                    memo[tail] = members
+            append_mask(members)
     except DataError as exc:
         raise _duplicate_id(record_ids) or exc from None
     if len(set(record_ids)) != len(record_ids):

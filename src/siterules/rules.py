@@ -9,6 +9,7 @@ taken from the mined itemset counts, so every metric derives from integers.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterable
 
 from .datamodel import ItemClass, MiningConfig, Percent, Rule, TransactionDatabase
@@ -66,14 +67,11 @@ def derive_rules(
 
 def canonical_sort(rules: Iterable[Rule]) -> tuple[Rule, ...]:
     """Order rules by confidence (descending, exact), then antecedent size,
-    then antecedent item ids, then consequent item ids. Total and stable."""
-    ordered = sorted(
-        rules,
-        key=lambda r: (
-            -r.confidence.as_fraction(),
-            len(r.antecedent),
-            r.antecedent,
-            r.consequent,
-        ),
-    )
+    then antecedent item ids, then consequent item ids. Total and stable.
+
+    Two stable sorts give that order: the tie-breaks first, then the exact
+    confidence; a sort with ``reverse=True`` keeps equal items in order.
+    """
+    ordered = sorted(rules, key=lambda r: (len(r.antecedent), r.antecedent, r.consequent))
+    ordered.sort(key=attrgetter("confidence"), reverse=True)
     return tuple(ordered)

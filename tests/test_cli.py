@@ -126,6 +126,20 @@ class TestMineCommand:
         assert "confidence must be in [0,100]" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("abc", "--min-conf: invalid percentage 'abc'"),
+            ("90.125", "--min-conf: invalid percentage '90.125'"),
+            ("100.01", "--min-conf: confidence must be in [0,100]"),
+        ],
+    )
+    def test_bad_confidence_is_named_before_input_is_read(self, tmp_path, capsys, raw, message):
+        missing = tmp_path / "absent"
+        argv = ["mine", "--schema", str(missing / "s.txt"), "--data", str(missing / "d.csv")]
+        assert main([*argv, "--min-conf", raw]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "flag, raw", [("--max-antecedent", "abc"), ("--min-support-count", "1.5")]
     )
     def test_non_integer_count_names_the_flag(self, fixture_dir, tmp_path, capsys, flag, raw):

@@ -161,8 +161,20 @@ class TestDatabase:
         with pytest.raises(ValueError):
             build_vertical_index(0, [Transaction("a", 1)])
 
-    @pytest.mark.parametrize("n_items", [0, 1, 28, 63, 64, 65, 128, 129])
-    @pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 65, 8191, 8192, 8193])
+    @pytest.mark.parametrize("n_items", [1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128])
+    def test_mask_one_bit_wider_than_the_catalog_rejected_at_each_width(self, n_items):
+        # a 28-item catalog packs 32-bit words, which would hold bit 28
+        full = Transaction("a", (1 << n_items) - 1)
+        assert build_vertical_index(n_items, [full])[n_items - 1] == 1
+        with pytest.raises(ValueError):
+            build_vertical_index(n_items, [full, Transaction("b", 1 << n_items)])
+
+    @pytest.mark.parametrize(
+        "n_items", [0, 1, 7, 8, 9, 15, 16, 17, 28, 31, 32, 33, 63, 64, 65, 128, 129]
+    )
+    @pytest.mark.parametrize(
+        "n_rows", [0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 8191, 8192, 8193]
+    )
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=2, deadline=None)
     def test_transpose_matches_per_bit_reference(self, n_items, n_rows, seed):

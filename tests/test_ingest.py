@@ -462,6 +462,14 @@ class TestRowSources:
             assert outcome(lambda: _parse_lines(catalog, lines)) == expected
         assert outcome(lambda: parse_transactions(schema, text)) == expected
 
+    def test_a_line_without_a_comma_after_an_empty_tail_is_rejected(self):
+        # with one attribute, "r1," has the tail "" and so does "r2"
+        schema = parse_schema('facility a "x"\n')
+        text = "record_id,a\nr1,\nr2\n"
+        message = "row 3: expected 2 cells, got 1"
+        assert outcome(lambda: reference_rows(schema, text)) == message
+        assert outcome(lambda: parse_transactions(schema, text)) == message
+
     @pytest.mark.parametrize(
         "text, plain",
         [

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from siterules.classify import classify_rules
 from siterules.datamodel import (
@@ -220,3 +222,32 @@ class TestCanonicalSort:
         shuffled = list(rules)
         rng.shuffle(shuffled)
         assert canonical_sort(shuffled) == canonical_sort(rules)
+
+    @given(
+        specs=st.lists(
+            st.tuples(
+                st.sets(st.integers(0, 4), min_size=1, max_size=3),
+                st.integers(5, 7),
+                st.integers(1, 6),
+                st.integers(0, 6),
+            ),
+            max_size=40,
+        ),
+        rng=st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=200)
+    def test_matches_the_single_key_sort(self, specs, rng):
+        # denominators up to 6 tie many confidences (1/2 = 2/4 = 3/6), and
+        # equal rules may repeat, so the order of ties is checked too
+        rules = [
+            Rule(tuple(sorted(ante)), (cons,), n_ante, min(joint, n_ante), 10)
+            for ante, cons, n_ante, joint in specs
+        ]
+        rng.shuffle(rules)
+        reference = sorted(
+            rules,
+            key=lambda r: (
+                -r.confidence.as_fraction(), len(r.antecedent), r.antecedent, r.consequent,
+            ),
+        )
+        assert canonical_sort(rules) == tuple(reference)
