@@ -169,7 +169,10 @@ class Transaction:
 
 def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> tuple[int, ...]:
     """Transpose row bitmasks into one transaction bitset per item (see :func:`_transpose`)."""
-    return _transpose(n_items, [txn.members for txn in transactions])
+    masks = [txn.members for txn in transactions]
+    if min(masks, default=0) < 0 or max(masks, default=0).bit_length() > n_items:
+        raise ValueError("a membership mask is negative or wider than the catalog")
+    return _transpose(n_items, masks)
 
 
 # an array typecode for each unsigned word size in bytes
@@ -179,7 +182,8 @@ _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     """Bit j of item i's vector is set iff ``masks[j]`` has bit i set.
 
-    The masks (which must lie in ``[0, 2**n_items)``) are packed into one int,
+    The masks must lie in ``[0, 2**n_items)``; the callers check that. They
+    are packed into one int,
     row j as ``words`` little-endian ``width``-bit words, with zero rows
     appended up to a multiple of ``width``. The width is the smallest of 8,
     16, 32 and 64 bits that holds a mask; a catalog of more than 64 items
@@ -192,8 +196,6 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     of item ``width * w + c``, so item i's vector is every
     ``width * words``-th word from there.
     """
-    if min(masks, default=0) < 0 or max(masks, default=0).bit_length() > n_items:
-        raise ValueError("a membership mask is negative or wider than the catalog")
     if not n_items:
         return ()
     width = next((w for w in (8, 16, 32) if n_items <= w), 64)
@@ -285,34 +287,33 @@ class TransactionDatabase:
     ) -> "TransactionDatabase":
         """Validate rows given as an id column and a mask column, and index them.
 
-        The checks run on whole columns: record ids are distinct, the masks transpose, and
-        no two items of one non-binary attribute share a transaction. Only when one fails
-        are the rows scanned, to name the first offending record.
+        The checks run on whole columns: record ids are distinct, every mask lies in
+        ``[0, 2**n_items)``, and no two items of one non-binary attribute share a
+        transaction. Only when one fails are the rows scanned, to name the first
+        offending record.
         """
-        distinct = len(set(record_ids)) == len(record_ids)
-        return cls._index_columns(catalog, record_ids, masks, excluded_count, distinct)
+        screened = (
+            len(set(record_ids)) == len(record_ids)
+            and min(masks, default=0) >= 0
+            and max(masks, default=0).bit_length() <= catalog.n_items
+        )
+        return cls._index_columns(catalog, record_ids, masks, excluded_count, screened)
 
     @classmethod
     def _index_columns(
         cls, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
-        excluded_count: int, distinct_ids: bool,
+        excluded_count: int, screened: bool,
     ) -> "TransactionDatabase":
-        """:meth:`from_columns` for a caller that has already hashed the ids;
-        ``distinct_ids`` says whether they are distinct."""
+        """:meth:`from_columns` for a caller that has already checked the ids and
+        the mask range; ``screened`` says whether the ids are distinct and every
+        mask is in range."""
         exclusive = [
             catalog.ids_of_attribute(attr.name)
             for attr in catalog.attributes
             if attr.kind is not AttributeKind.BINARY
         ]
-        try:
-            index = _transpose(catalog.n_items, masks)
-        except ValueError:
-            index = None
-        if (
-            index is None
-            or not distinct_ids
-            or any(_overlapping(index, ids) for ids in exclusive)
-        ):
+        index = _transpose(catalog.n_items, masks) if screened else None
+        if index is None or any(_overlapping(index, ids) for ids in exclusive):
             _raise_first_invalid(catalog.n_items, exclusive, record_ids, masks)
         return cls(catalog, tuple(record_ids), tuple(masks), excluded_count, index)
 

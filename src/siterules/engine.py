@@ -2,8 +2,12 @@
 
 Raw transactions are touched once, when the database's vertical index is
 built; all counting afterwards is word-level intersection plus popcount on
-per-item transaction bitsets. A candidate at level k+1 is counted by
-intersecting the cached bitset of its size-k prefix with one item vector.
+per-item transaction bitsets. Candidates come grouped by their size-k
+prefix; each group's prefix bitset is built once, from a stack of partial
+intersections shared with the previous group, and each candidate is counted
+by intersecting it with one item vector. No bitset outlives its level's
+count, so working memory holds at most k + 1 bitsets, whatever the number
+of frequent itemsets.
 """
 
 from __future__ import annotations
@@ -98,9 +102,14 @@ def mine_frequent(
     """All frequent itemsets, level by level, up to ``max_size`` if given.
 
     Level 1 holds every item whose vector popcount reaches ``min_count``;
-    each further level is generated by join+prune and counted against the
-    previous level's cached vectors. Returns only the non-empty levels.
-    Output is deterministic regardless of transaction order.
+    each further level is generated by join+prune and counted by
+    intersection with the item vectors. Candidates sharing a prefix (their
+    first k items) arrive together, and the prefix's bitset is kept as a
+    stack of partial intersections (entry d holds the first d + 1 items'),
+    so a new prefix recomputes only the entries past the one it shares with
+    the previous prefix, and nothing of a level is stored but its counts.
+    Returns only the non-empty levels. Output is deterministic regardless of
+    transaction order.
 
     With ``leaf_from`` set, only itemsets holding at most one item id of at
     least ``leaf_from`` (necessarily their last) are mined; these are exactly
@@ -119,20 +128,26 @@ def mine_frequent(
     ]
     levels: list[FrequentLevel] = []
     current = FrequentLevel(1, tuple(singles))
-    vectors = {ci.items: index[ci.items[0]] for ci in singles}
 
     while current.itemsets:
         levels.append(current)
         if max_size is not None and current.k >= max_size:
             break
         kept = []
-        next_vectors = {}
+        prefix: tuple[int, ...] = ()
+        stack: list[int] = []
         for cand in generate_candidates(current, leaf_from=leaf_from):
-            vec = vectors[cand[:-1]] & index[cand[-1]]
-            count = vec.bit_count()
+            left = cand[:-1]
+            if left != prefix:
+                shared = 0
+                while shared < len(prefix) and prefix[shared] == left[shared]:
+                    shared += 1
+                del stack[shared:]
+                for i in left[shared:]:
+                    stack.append(stack[-1] & index[i] if stack else index[i])
+                prefix = left
+            count = (stack[-1] & index[cand[-1]]).bit_count()
             if count >= min_count:
                 kept.append(CountedItemset(cand, count))
-                next_vectors[cand] = vec
-        vectors = next_vectors
         current = FrequentLevel(current.k + 1, tuple(kept))
     return levels

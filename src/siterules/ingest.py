@@ -17,10 +17,12 @@ only counted; a partially empty facility row is an error.
 
 The transaction CSV is read from one of two row sources. Text with no
 ``"``, no NUL, no ``\\r`` outside ``\\r\\n`` and no line over
-``csv.field_size_limit()`` is split into lines and each line at its first
-comma; ``csv.reader`` would read it the same way, and skipping the reader
-also skips the ``io.StringIO`` it reads from, a second copy of the text at
-four bytes per character. Any other text goes through ``csv.reader``. Both
+``csv.field_size_limit()`` is split into lines, one piece of about 64 KiB
+at a time, and each line at its first comma; ``csv.reader`` would read it
+the same way, and skipping the reader also skips the ``io.StringIO`` it
+reads from, a second copy of the text at four bytes per character. Working
+memory then holds the rows' columns and one piece's lines, not a list of
+every line. Any other text goes through ``csv.reader``. Both
 sources give each row as (id cell, separator, row tail), the plain one as
 ``str.partition`` returns it, and feed one row loop, which encodes each
 distinct row tail (the cells after the record id) once and looks it up for
@@ -229,14 +231,21 @@ def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -
     return 1 << catalog.item_id(attr.name, label)
 
 
-def _plain_lines(text: str) -> Optional[list[str]]:
-    """The lines of ``text`` when ``csv.reader`` would read each one as the
-    line split on ``","`` (a blank line as no cells), else ``None``.
+_PIECE = 1 << 16  # characters of plain text split into lines at a time
+
+
+def _plain_text(text: str) -> Optional[str]:
+    """``text`` with each ``\\r\\n`` as ``\\n`` when ``csv.reader`` would read
+    each of its lines as the line split on ``","`` (a blank line as no
+    cells), else ``None``.
 
     That holds when the text has no ``"`` (no quoted field hides a comma or
     spans lines), no NUL (Python 3.10's reader rejects one), no ``\\r`` but
     in ``\\r\\n`` (which ends a record as ``\\n`` does, so it is normalised
-    away), and no line longer than ``csv.field_size_limit()``.
+    away), and no line longer than ``csv.field_size_limit()``. The last
+    check steps from line start to line start: when no ``\\n`` lies within
+    ``limit`` characters of one, its line is too long; else every line up
+    to the last such ``\\n`` fits, and the next step starts after it.
     """
     if '"' in text or "\0" in text:
         return None
@@ -244,37 +253,57 @@ def _plain_lines(text: str) -> Optional[list[str]]:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the last line's terminator; the reader yields no row after it
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    return lines
+    limit = csv.field_size_limit()
+    end = len(text) - text.endswith("\n")  # the last line's terminator ends no line
+    start = 0
+    while end - start > limit:
+        start = text.rfind("\n", start, start + limit + 1) + 1
+        if not start:
+            return None
+    return text
 
 
 def parse_transactions(schema: Schema, text: str) -> TransactionDatabase:
     """Materialize a transaction database from CSV contents.
 
-    Rows come from one of two sources. Plain text (see :func:`_plain_lines`)
-    is split on ``\\n`` and each line partitioned at its first comma
-    (:func:`_parse_lines`); no ``csv.reader`` is run, and so no
+    Rows come from one of two sources. Plain text (see :func:`_plain_text`)
+    is split on ``\\n`` one piece of about 64 KiB at a time and each line
+    partitioned at its first comma (:func:`_parse_plain`), so only one
+    piece's lines are held at once; no ``csv.reader`` is run, and so no
     ``io.StringIO`` copy of the text is made, which holds four bytes per
     character. Any other text goes through ``csv.reader``
     (:func:`_parse_csv`). Both give each row as its id cell, a separator
     and a tail (the rest of the row), which :func:`_read_rows` turns into
     the database.
     """
-    lines = _plain_lines(text)
-    if lines is None:
+    plain = _plain_text(text)
+    if plain is None:
         return _parse_csv(schema.catalog, text)
-    return _parse_lines(schema.catalog, lines)
+    return _parse_plain(schema.catalog, plain)
 
 
-def _parse_lines(catalog: ItemCatalog, lines: list[str]) -> TransactionDatabase:
-    """The database of plain ``lines``, each partitioned at its first comma;
-    a line without one has the separator ``""``."""
-    header = (lines[0].split(",") if lines[0] else []) if lines else None
-    rows = map(str.partition, itertools.islice(lines, 1, None), itertools.repeat(","))
+def _pieces(text: str, end: int) -> Iterator[str]:
+    """``text[:end]`` cut at a ``\\n`` (which neither side keeps) after
+    every ``_PIECE`` characters or more."""
+    start = 0
+    while True:
+        stop = text.find("\n", start + _PIECE, end)
+        if stop < 0:
+            yield text[start:end]
+            return
+        yield text[start:stop]
+        start = stop + 1
+
+
+def _parse_plain(catalog: ItemCatalog, text: str) -> TransactionDatabase:
+    """The database of plain ``text``, each line partitioned at its first
+    comma; a line without one has the separator ``""``. A final ``\\n``
+    ends the last line and starts no row."""
+    pieces = _pieces(text, len(text) - text.endswith("\n")) if text else ()
+    lines = itertools.chain.from_iterable(piece.split("\n") for piece in pieces)
+    first = next(lines, None)
+    header = None if first is None else first.split(",") if first else []
+    rows = map(str.partition, lines, itertools.repeat(","))
     return _read_rows(catalog, header, rows, lambda tail: tail.split(","))
 
 
@@ -343,8 +372,10 @@ def _read_rows(
     facility_cols = [k for k, a in enumerate(attr_by_col) if a.kind is AttributeKind.BINARY]
     tables: list[dict[str, int]] = [{} for _ in attr_by_col]
     lookup = dict.__getitem__
+    any_excluded = False
 
     def tail_mask(cells: list[str], rowno: int) -> Optional[int]:
+        nonlocal any_excluded
         try:
             # Each column is a different attribute, so the bits are disjoint
             # and their sum is their union.
@@ -353,12 +384,17 @@ def _read_rows(
             pass
         empties = [not cells[k].strip() for k in facility_cols]
         if facility_cols and all(empties):
+            any_excluded = True
             return None
         if any(empties):
             raise DataError(f"row {rowno}: facility cells must be all present or all empty")
         members = 0
         for table, cell, attr in zip(tables, cells, attr_by_col):
-            table[cell] = bit = _cell_bit(catalog, attr, cell, rowno)
+            bit = table.get(cell)
+            if bit is None:
+                # a cell in a table passed this check before, so the first
+                # cell rejected is the one a check of every cell would name
+                table[cell] = bit = _cell_bit(catalog, attr, cell, rowno)
             members |= bit
         return members
 
@@ -396,11 +432,12 @@ def _read_rows(
         raise _duplicate_id(record_ids) or exc from None
     if len(set(record_ids)) != len(record_ids):
         raise _duplicate_id(record_ids) from None
-    excluded = masks.count(None)
+    excluded = masks.count(None) if any_excluded else 0
     if excluded:
         record_ids = [rid for rid, mask in zip(record_ids, masks) if mask is not None]
         masks = [mask for mask in masks if mask is not None]
     try:
+        # the ids are distinct, and every mask is a sum of catalog bits
         return TransactionDatabase._index_columns(catalog, record_ids, masks, excluded, True)
     except ValueError as exc:
         raise DataError(str(exc)) from None

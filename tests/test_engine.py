@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from siterules.datamodel import (
@@ -207,3 +207,35 @@ class TestMineFrequent:
             expected.append((k, level))
         got = mine_frequent(db_from_masks(masks, n), min_count, max_size, leaf_from=leaf_from)
         assert as_plain(got) == expected
+
+    @given(
+        st.integers(6, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                # the union of three random masks sets each bit with odds 7/8
+                st.lists(
+                    st.tuples(*[st.integers(0, 2**n - 1)] * 3).map(lambda t: t[0] | t[1] | t[2]),
+                    min_size=8,
+                    max_size=24,
+                ),
+                st.integers(1, 4),
+                st.integers(5, n),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_deep_lattices_match_brute_force(self, case):
+        # With six or more levels, consecutive candidate prefixes differ at
+        # every position, so each depth of the prefix stack is rebuilt.
+        n, masks, min_count, leaf_from = case
+        expected = brute_force_levels(masks, n, min_count)
+        assume(len(expected) >= 6)
+        db = db_from_masks(masks, n)
+        assert as_plain(mine_frequent(db, min_count)) == expected
+        bounded = []
+        for k, level in expected:
+            level = [(s, c) for s, c in level if sum(i >= leaf_from for i in s) <= 1]
+            if not level:
+                break
+            bounded.append((k, level))
+        assert as_plain(mine_frequent(db, min_count, leaf_from=leaf_from)) == bounded

@@ -1,5 +1,7 @@
 import csv
+import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,12 +9,15 @@ from hypothesis import strategies as st
 
 from siterules.datamodel import AttributeKind, ItemClass, NumericBin, TransactionDatabase
 from siterules.engine import count_support
+from siterules import ingest
 from siterules.ingest import (
+    _PIECE,
     DataError,
     _cell_bit,
     _parse_csv,
-    _parse_lines,
-    _plain_lines,
+    _parse_plain,
+    _pieces,
+    _plain_text,
     _read_rows,
     csv_rows,
     GoldenFileError,
@@ -214,6 +219,11 @@ class TestParseTransactions:
             (["c1,private,5,Y,N", " ,private,5,Y,N", "c1,private,5,Y,N"], "row 3: empty record_id"),
             (["c1,private,5,Y,N", "c2,private,5,Y,N", "c1,private,5,Y,N", "c3"],
              "row 4: duplicate record_id 'c1'"),
+            # within a row's cells, some already seen, the first bad one is named
+            (["c1,private,5,Y,N", "c2,private,x,Y,maybe"], "row 3, column 'age': unparseable integer 'x'"),
+            (["c1,private,5,Y,N", "c2,communal,x,Y,N"],
+             "row 3, column 'ownership': value 'communal' not in schema"),
+            (["c1,private,5,Y,N", "c2,private,x,Y,"], "row 3: facility cells must be all present or all empty"),
         ],
     )
     def test_first_failing_row_is_named(self, small_schema, rows, message):
@@ -457,9 +467,9 @@ class TestRowSources:
         catalog = schema.catalog
         expected = outcome(lambda: reference_rows(schema, text))
         assert outcome(lambda: _parse_csv(catalog, text)) == expected
-        lines = _plain_lines(text)
-        if lines is not None:
-            assert outcome(lambda: _parse_lines(catalog, lines)) == expected
+        plain = _plain_text(text)
+        if plain is not None:
+            assert outcome(lambda: _parse_plain(catalog, plain)) == expected
         assert outcome(lambda: parse_transactions(schema, text)) == expected
 
     def test_a_line_without_a_comma_after_an_empty_tail_is_rejected(self):
@@ -485,7 +495,7 @@ class TestRowSources:
         ],
     )
     def test_plain_route_is_taken_only_for_plain_text(self, text, plain):
-        assert (_plain_lines(text) is not None) is plain
+        assert (_plain_text(text) is not None) is plain
 
     @pytest.mark.parametrize(
         "id_length, plain, error",
@@ -501,7 +511,7 @@ class TestRowSources:
         text = rows_to_csv(["c1,private,5,Y,N", "c" * id_length + ",private,5,Y,N"])
         old_limit = csv.field_size_limit(50)
         try:
-            assert (_plain_lines(text) is not None) is plain
+            assert (_plain_text(text) is not None) is plain
             got = outcome(lambda: parse_transactions(schema, text))
             assert got == outcome(lambda: reference_rows(schema, text))
             if error:
@@ -510,6 +520,136 @@ class TestRowSources:
                 assert got[0] == ["c1", "c" * id_length]
         finally:
             csv.field_size_limit(old_limit)
+
+    @given(
+        st.lists(st.sampled_from(["a", ",", " ", "\n", "\r\n"]), max_size=40).map("".join),
+        st.integers(0, 8),
+    )
+    @example("aaa\n", 3)  # the final terminator is no part of a line
+    @example("aaa\n\n", 3)
+    @example("aaaa\n", 3)
+    @example("", 0)
+    @example("\n", 0)
+    @settings(max_examples=300, deadline=None)
+    def test_long_line_check_steps_line_to_line(self, text, limit):
+        lines = text.replace("\r\n", "\n").split("\n")
+        if not lines[-1]:
+            lines.pop()
+        old_limit = csv.field_size_limit(limit)
+        try:
+            plain = _plain_text(text)
+        finally:
+            csv.field_size_limit(old_limit)
+        assert (plain is None) is (max(map(len, lines), default=0) > limit)
+        if plain is not None:
+            assert plain == text.replace("\r\n", "\n")
+
+
+class TestCellTables:
+    @pytest.mark.parametrize("parse", [parse_transactions, lambda schema, text: _parse_csv(schema.catalog, text)])
+    def test_each_distinct_cell_is_encoded_once(self, monkeypatch, parse):
+        rows = [
+            "c1,private,5,Y,N",
+            "c2,private,25,Y,N",  # one new cell: only the age is encoded
+            "c3,governmental,25,N,N",
+            "c4,private,5,N,N",  # a new tail of cells already seen
+            "c5,private,26,Y,N",
+            "c6,private,27,Y,N",
+            "c7,,,,",  # excluded: no cell is encoded
+            "c8,private,5,Y,N",
+        ]
+        calls = Counter()
+
+        def counted(catalog, attr, cell, rowno):
+            calls[attr.name, cell] += 1
+            return _cell_bit(catalog, attr, cell, rowno)
+
+        monkeypatch.setattr(ingest, "_cell_bit", counted)
+        schema = parse_schema(SMALL_SCHEMA)
+        text = rows_to_csv(rows)
+        got = outcome(lambda: parse(schema, text))
+        columns = HEADER.split(",")[1:]
+        encoded = [row.split(",")[1:] for row in rows if row != "c7,,,,"]
+        distinct = {(col, cell) for cells in encoded for col, cell in zip(columns, cells)}
+        assert calls == Counter(dict.fromkeys(distinct, 1))
+        assert got == outcome(lambda: reference_rows(schema, text))
+
+
+def padded(rows, size):
+    """The leading ``rows`` whose lines, each with its ``\\n``, fill
+    ``size`` characters, the last one's id padded with ``x`` to fill them
+    exactly, and the rows left over."""
+    taken, total = [], 0
+    for row in rows:
+        if total + len(row) + 1 > size:
+            break
+        taken.append(row)
+        total += len(row) + 1
+    taken[-1] = "x" * (size - total) + taken[-1]
+    return taken, rows[len(taken):]
+
+
+class TestStreamedRoute:
+    """Plain text of more than one piece: the study fixture's rows repeated
+    with fresh ids, with a blank line, a line with no comma or nothing odd
+    inside the first piece, as its last line or as the next piece's first,
+    and the text ending there or going on, with a final newline or not."""
+
+    @pytest.fixture(scope="class")
+    def study(self, study_schema, fixture_db):
+        header, *rows = render_transactions_csv(fixture_db).splitlines()
+        copies = -(-3 * _PIECE // sum(len(row) + 1 for row in rows))
+        fresh = [f"r{copy}_{row}" for copy in range(copies) for row in rows]
+        return study_schema, header, fresh
+
+    @pytest.mark.parametrize(
+        "odd, where, rest, final_newline",
+        [
+            pytest.param(odd, where, rest, final_newline, id=f"{odd_id}-{where}-{rest_id}-{end_id}")
+            for (odd, odd_id), where, (rest, rest_id), (final_newline, end_id) in itertools.product(
+                [(None, "none"), ("", "blank"), ("C999private", "no-comma")],
+                ["inside", "last-of-piece", "first-of-next"],
+                [(True, "rows-follow"), (False, "text-ends")],
+                [(True, "final-newline"), (False, "no-final-newline")],
+            )
+            # a blank last line with no newline after it is no line, and the
+            # text is the one without it that ends in a newline
+            if not (odd == "" and where != "inside" and not rest and not final_newline)
+        ],
+    )
+    def test_matches_the_reader_and_the_oracle(self, study, odd, where, rest, final_newline):
+        schema, header, rows = study
+        odd_lines = [] if odd is None else [odd]
+        next_lines = []
+        if where == "inside":
+            block, after = rows[:500] + odd_lines + rows[500:1000], rows[1000:]
+        elif where == "last-of-piece":
+            block, after = padded(rows, _PIECE - len(header) - sum(len(line) + 1 for line in odd_lines))
+            block += odd_lines
+        else:
+            block, after = padded(rows, _PIECE - len(header))
+            next_lines = odd_lines
+        lines = [header, *block, *next_lines, *(after if rest else [])]
+        text = "\n".join(lines) + "\n" * final_newline
+        assert _plain_text(text) == text
+        pieces = list(_pieces(text, len(text) - final_newline))
+        if where != "inside":
+            # the first piece ends at the terminator of the line that reaches
+            # _PIECE characters, which the padding put on the block's last line
+            assert len(pieces[0]) + 1 == sum(len(line) + 1 for line in [header, *block])
+            if odd is not None:
+                edge = pieces[0].split("\n")[-1] if where == "last-of-piece" else pieces[1].split("\n")[0]
+                assert edge == odd
+        assert "\n".join(pieces) == text[:len(text) - final_newline]
+        expected = outcome(lambda: reference_rows(schema, text))
+        if odd is None:
+            record_ids, _, excluded = expected
+            assert len(record_ids) + excluded == len(lines) - 1
+        else:
+            assert expected == f"row {lines.index(odd) + 1}: expected 24 cells, got {1 if odd else 0}"
+        assert outcome(lambda: _parse_csv(schema.catalog, text)) == expected
+        assert outcome(lambda: _parse_plain(schema.catalog, text)) == expected
+        assert outcome(lambda: parse_transactions(schema, text)) == expected
 
 
 GOLDEN_HEADER = "rule_id,antecedent,consequent,confidence_pct,support_pct"
