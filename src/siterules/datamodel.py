@@ -170,9 +170,14 @@ class Transaction:
 def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> tuple[int, ...]:
     """Transpose row bitmasks into one transaction bitset per item (see :func:`_transpose`)."""
     masks = [txn.members for txn in transactions]
-    if min(masks, default=0) < 0 or max(masks, default=0).bit_length() > n_items:
+    if not _masks_in_range(n_items, masks):
         raise ValueError("a membership mask is negative or wider than the catalog")
     return _transpose(n_items, masks)
+
+
+def _masks_in_range(n_items: int, masks: Sequence[int]) -> bool:
+    """Whether every mask lies in ``[0, 2**n_items)``."""
+    return min(masks, default=0) >= 0 and max(masks, default=0).bit_length() <= n_items
 
 
 # an array typecode for each unsigned word size in bytes
@@ -292,10 +297,8 @@ class TransactionDatabase:
         transaction. Only when one fails are the rows scanned, to name the first
         offending record.
         """
-        screened = (
-            len(set(record_ids)) == len(record_ids)
-            and min(masks, default=0) >= 0
-            and max(masks, default=0).bit_length() <= catalog.n_items
+        screened = len(set(record_ids)) == len(record_ids) and _masks_in_range(
+            catalog.n_items, masks
         )
         return cls._index_columns(catalog, record_ids, masks, excluded_count, screened)
 

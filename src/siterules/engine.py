@@ -3,11 +3,10 @@
 Raw transactions are touched once, when the database's vertical index is
 built; all counting afterwards is word-level intersection plus popcount on
 per-item transaction bitsets. Candidates come grouped by their size-k
-prefix; each group's prefix bitset is built once, from a stack of partial
-intersections shared with the previous group, and each candidate is counted
-by intersecting it with one item vector. No bitset outlives its level's
-count, so working memory holds at most k + 1 bitsets, whatever the number
-of frequent itemsets.
+prefix; each group's prefix bitset is built once, as the intersection of
+its items' vectors, and each candidate is counted by intersecting it with
+one item vector. No bitset outlives its prefix group, so working memory
+holds a couple of bitsets, whatever the number of frequent itemsets.
 """
 
 from __future__ import annotations
@@ -104,10 +103,9 @@ def mine_frequent(
     Level 1 holds every item whose vector popcount reaches ``min_count``;
     each further level is generated by join+prune and counted by
     intersection with the item vectors. Candidates sharing a prefix (their
-    first k items) arrive together, and the prefix's bitset is kept as a
-    stack of partial intersections (entry d holds the first d + 1 items'),
-    so a new prefix recomputes only the entries past the one it shares with
-    the previous prefix, and nothing of a level is stored but its counts.
+    first k items) arrive together, so each prefix's bitset is built once
+    per group from the item vectors, and nothing of a level is stored but
+    its counts.
     Returns only the non-empty levels. Output is deterministic regardless of
     transaction order.
 
@@ -135,18 +133,15 @@ def mine_frequent(
             break
         kept = []
         prefix: tuple[int, ...] = ()
-        stack: list[int] = []
+        vec = 0
         for cand in generate_candidates(current, leaf_from=leaf_from):
             left = cand[:-1]
             if left != prefix:
-                shared = 0
-                while shared < len(prefix) and prefix[shared] == left[shared]:
-                    shared += 1
-                del stack[shared:]
-                for i in left[shared:]:
-                    stack.append(stack[-1] & index[i] if stack else index[i])
+                vec = index[left[0]]
+                for i in left[1:]:
+                    vec &= index[i]
                 prefix = left
-            count = (stack[-1] & index[cand[-1]]).bit_count()
+            count = (vec & index[cand[-1]]).bit_count()
             if count >= min_count:
                 kept.append(CountedItemset(cand, count))
         current = FrequentLevel(current.k + 1, tuple(kept))

@@ -372,10 +372,8 @@ def _read_rows(
     facility_cols = [k for k, a in enumerate(attr_by_col) if a.kind is AttributeKind.BINARY]
     tables: list[dict[str, int]] = [{} for _ in attr_by_col]
     lookup = dict.__getitem__
-    any_excluded = False
 
     def tail_mask(cells: list[str], rowno: int) -> Optional[int]:
-        nonlocal any_excluded
         try:
             # Each column is a different attribute, so the bits are disjoint
             # and their sum is their union.
@@ -384,7 +382,6 @@ def _read_rows(
             pass
         empties = [not cells[k].strip() for k in facility_cols]
         if facility_cols and all(empties):
-            any_excluded = True
             return None
         if any(empties):
             raise DataError(f"row {rowno}: facility cells must be all present or all empty")
@@ -432,7 +429,7 @@ def _read_rows(
         raise _duplicate_id(record_ids) or exc from None
     if len(set(record_ids)) != len(record_ids):
         raise _duplicate_id(record_ids) from None
-    excluded = masks.count(None) if any_excluded else 0
+    excluded = masks.count(None)
     if excluded:
         record_ids = [rid for rid, mask in zip(record_ids, masks) if mask is not None]
         masks = [mask for mask in masks if mask is not None]

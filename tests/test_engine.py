@@ -226,7 +226,7 @@ class TestMineFrequent:
     @settings(max_examples=100, deadline=None)
     def test_deep_lattices_match_brute_force(self, case):
         # With six or more levels, consecutive candidate prefixes differ at
-        # every position, so each depth of the prefix stack is rebuilt.
+        # every position, so prefixes of every length are built.
         n, masks, min_count, leaf_from = case
         expected = brute_force_levels(masks, n, min_count)
         assume(len(expected) >= 6)
