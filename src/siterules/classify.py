@@ -7,17 +7,16 @@ at the top so the two accepted tiers partition [90%, 100%] with no gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
-from .datamodel import Percent, Rule, RuleClass
+from .datamodel import Percent, Rule, RuleClass, record
 
 MUST_HAVE_FLOOR = Percent(95, 100)
 SHOULD_HAVE_FLOOR = Percent(90, 100)
 
 
-@dataclass(frozen=True)
-class ClassifiedRule:
+@record
+class ClassifiedRule(NamedTuple):
     rule: Rule
     rule_class: RuleClass
 

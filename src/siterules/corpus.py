@@ -24,12 +24,11 @@ and candidate values highest-first, so repeated builds are byte-identical.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib.resources import files
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase
+from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase, record
 from .engine import count_support
 from .ingest import (
     GoldenRule,
@@ -148,8 +147,8 @@ def _demographic_families() -> list[tuple[str, tuple[str, ...]]]:
     ]
 
 
-@dataclass(frozen=True)
-class StudyCounts:
+@record
+class StudyCounts(NamedTuple):
     """Integer counts recovered from the published percentages."""
 
     m: int
@@ -201,8 +200,8 @@ def study_group_counts() -> StudyCounts:
 # arithmetic consistency of the transcribed rules
 
 
-@dataclass(frozen=True)
-class ArithmeticCheckEntry:
+@record
+class ArithmeticCheckEntry(NamedTuple):
     rule_id: int
     antecedent_count: int
     joint_count: int
@@ -210,8 +209,8 @@ class ArithmeticCheckEntry:
     consistent: bool
 
 
-@dataclass(frozen=True)
-class ArithmeticReport:
+@record
+class ArithmeticReport(NamedTuple):
     entries: tuple[ArithmeticCheckEntry, ...]
 
     @property
@@ -408,8 +407,8 @@ def _first_solution(caps, constraints, start=None) -> Optional[tuple[int, ...]]:
 # fixture construction
 
 
-@dataclass(frozen=True)
-class FamilySumConflict:
+@record
+class FamilySumConflict(NamedTuple):
     """The cell completes its attribute's group columns, and the family's
     published column counts do not sum to the facility total."""
 
@@ -418,8 +417,8 @@ class FamilySumConflict:
     total: int
 
 
-@dataclass(frozen=True)
-class SearchInfeasible:
+@record
+class SearchInfeasible(NamedTuple):
     """No assignment meets the accepted constraints, each (cell indices,
     target), together with the cell's target."""
 
@@ -429,8 +428,8 @@ class SearchInfeasible:
 UnmetReason = Union[FamilySumConflict, SearchInfeasible]
 
 
-@dataclass(frozen=True)
-class UnmetCell:
+@record
+class UnmetCell(NamedTuple):
     facility: str
     column: str
     target: int
@@ -438,8 +437,8 @@ class UnmetCell:
     reason: UnmetReason
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+@record
+class ConstructionReport(NamedTuple):
     m: int
     cell_sizes: tuple[tuple[str, int], ...]
     mandatory_rule_targets: int
@@ -470,8 +469,8 @@ class ConstructionReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FixtureResult:
+@record
+class FixtureResult(NamedTuple):
     database: TransactionDatabase
     report: ConstructionReport
 
@@ -752,8 +751,8 @@ def study_aggregate_groups(catalog: ItemCatalog) -> list[tuple[str, tuple[int, .
 # validation against the reference rules
 
 
-@dataclass(frozen=True)
-class MinedRuleRow:
+@record
+class MinedRuleRow(NamedTuple):
     """One row of a rendered rules CSV, as re-read for validation."""
 
     rule_id: int
@@ -810,16 +809,16 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class MetricMismatch:
+@record
+class MetricMismatch(NamedTuple):
     golden: GoldenRule
     mined: MinedRuleRow
     confidence_delta_pp: Fraction
     coverage_delta_pp: Fraction
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+@record
+class ValidationReport(NamedTuple):
     matched: tuple[tuple[GoldenRule, MinedRuleRow], ...]
     missing: tuple[GoldenRule, ...]
     extra: tuple[MinedRuleRow, ...]

@@ -1,8 +1,11 @@
 """Core domain types: items, catalogs, transactions, databases, rules.
 
-Every type here is immutable after construction. A database keeps its rows as
-an id column and a bitmask column; ``Transaction`` is only the row input type
-of ``TransactionDatabase.build``. Metric values are stored as integer count
+Every type here is immutable after construction. Plain records are
+``NamedTuple`` classes equal only to records of their own class (see
+:func:`record`); the types that validate or compute fields are slotted
+:class:`Frozen` classes. A database keeps its rows as an id column and a
+bitmask column; ``Transaction`` is only the row input type of
+``TransactionDatabase.build``. Metric values are stored as integer count
 pairs (`Percent`) and compared by cross-multiplication, so threshold and tie
 decisions never touch floating point; floats appear only when a value is
 formatted for display.
@@ -13,10 +16,68 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import total_ordering
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
+
+_set = object.__setattr__
+
+
+def record(cls):
+    """Class decorator for a ``NamedTuple`` record: it equals only records of
+    its own class with equal fields, never a plain tuple or another record
+    type, as a frozen dataclass does. Its hash stays the hash of its fields."""
+    cls.__eq__ = _record_eq
+    cls.__ne__ = _record_ne
+    return cls
+
+
+def _record_eq(self, other):
+    if other.__class__ is self.__class__:
+        return tuple.__eq__(self, other)
+    return False if isinstance(other, tuple) else NotImplemented
+
+
+def _record_ne(self, other):
+    equal = _record_eq(self, other)
+    return equal if equal is NotImplemented else not equal
+
+
+class Frozen:
+    """Base of the slotted value types that validate or compute fields.
+
+    A subclass sets its slots in ``__init__`` with ``object.__setattr__``;
+    afterwards assigning or deleting an attribute raises ``AttributeError``.
+    Repr, equality, hashing and pickling go by the constructor fields named
+    in ``_fields``, in order, as a frozen dataclass's do.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return (type(self), self._values())
 
 
 class ItemClass(enum.Enum):
@@ -32,8 +93,8 @@ class AttributeKind(enum.Enum):
     BINARY = "binary"
 
 
-@dataclass(frozen=True)
-class NumericBin:
+@record
+class NumericBin(NamedTuple):
     """One labelled value range; ``hi=None`` means the range is open above."""
 
     lo: int
@@ -41,72 +102,79 @@ class NumericBin:
     label: str
 
 
-@dataclass(frozen=True)
-class AttributeDef:
+class AttributeDef(Frozen):
     """A declared attribute; expands to one item per value (or bin label)."""
 
+    __slots__ = _fields = ("name", "kind", "item_class", "values", "bins", "description")
     name: str
     kind: AttributeKind
     item_class: ItemClass
     values: tuple[str, ...]
-    bins: tuple[NumericBin, ...] = ()
-    description: str = ""
+    bins: tuple[NumericBin, ...]
+    description: str
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self, name: str, kind: AttributeKind, item_class: ItemClass, values: tuple[str, ...],
+        bins: tuple[NumericBin, ...] = (), description: str = "",
+    ) -> None:
+        if not name:
             raise ValueError("attribute name must be non-empty")
-        if not self.values:
-            raise ValueError(f"attribute {self.name!r} declares no values")
-        if len(set(self.values)) != len(self.values):
-            raise ValueError(f"attribute {self.name!r} has duplicate values")
-        if self.kind is AttributeKind.NUMERIC:
-            if tuple(b.label for b in self.bins) != self.values:
-                raise ValueError(f"attribute {self.name!r}: bin labels must match values")
-        elif self.bins:
-            raise ValueError(f"attribute {self.name!r}: only numeric attributes take bins")
-        if self.kind is AttributeKind.BINARY and len(self.values) != 1:
-            raise ValueError(f"attribute {self.name!r}: binary attributes have exactly one item")
-        if self.item_class is ItemClass.FACILITY and self.kind is not AttributeKind.BINARY:
-            raise ValueError(f"attribute {self.name!r}: facility attributes must be binary")
+        if not values:
+            raise ValueError(f"attribute {name!r} declares no values")
+        if len(set(values)) != len(values):
+            raise ValueError(f"attribute {name!r} has duplicate values")
+        if kind is AttributeKind.NUMERIC:
+            if tuple(b.label for b in bins) != values:
+                raise ValueError(f"attribute {name!r}: bin labels must match values")
+        elif bins:
+            raise ValueError(f"attribute {name!r}: only numeric attributes take bins")
+        if kind is AttributeKind.BINARY and len(values) != 1:
+            raise ValueError(f"attribute {name!r}: binary attributes have exactly one item")
+        if item_class is ItemClass.FACILITY and kind is not AttributeKind.BINARY:
+            raise ValueError(f"attribute {name!r}: facility attributes must be binary")
+        _set(self, "name", name)
+        _set(self, "kind", kind)
+        _set(self, "item_class", item_class)
+        _set(self, "values", values)
+        _set(self, "bins", bins)
+        _set(self, "description", description)
 
 
-@dataclass(frozen=True)
-class ItemDef:
+@record
+class ItemDef(NamedTuple):
     attribute: str
     value: str
     item_class: ItemClass
 
 
-@dataclass(frozen=True, eq=False)
-class ItemCatalog:
+class ItemCatalog(Frozen):
     """The fixed item universe.
 
     Items are laid out demographic-first: every demographic attribute's items
     (in declaration order), then every facility attribute's items. An item's
-    id is its position in that layout and never changes.
+    id is its position in that layout and never changes. Catalogs compare by
+    their attributes and are not hashable.
     """
 
+    __slots__ = ("attributes", "items", "_index")
+    _fields = ("attributes",)
+    __hash__ = None
     attributes: tuple[AttributeDef, ...]
-    items: tuple[ItemDef, ...] = field(init=False, repr=False)
-    _index: dict = field(init=False, repr=False)
+    items: tuple[ItemDef, ...]
 
-    def __post_init__(self) -> None:
-        names = [a.name for a in self.attributes]
+    def __init__(self, attributes: tuple[AttributeDef, ...]) -> None:
+        names = [a.name for a in attributes]
         if len(set(names)) != len(names):
             raise ValueError("duplicate attribute names in catalog")
         items: list[ItemDef] = []
         for wanted in (ItemClass.DEMOGRAPHIC, ItemClass.FACILITY):
-            for attr in self.attributes:
+            for attr in attributes:
                 if attr.item_class is wanted:
                     items.extend(ItemDef(attr.name, v, wanted) for v in attr.values)
         index = {(it.attribute, it.value): iid for iid, it in enumerate(items)}
-        object.__setattr__(self, "items", tuple(items))
-        object.__setattr__(self, "_index", index)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ItemCatalog):
-            return NotImplemented
-        return self.attributes == other.attributes
+        _set(self, "attributes", attributes)
+        _set(self, "items", tuple(items))
+        _set(self, "_index", index)
 
     @property
     def n_items(self) -> int:
@@ -159,8 +227,8 @@ class ItemCatalog:
         return self.item_id(attr, value)
 
 
-@dataclass(frozen=True)
-class Transaction:
+@record
+class Transaction(NamedTuple):
     """One input row: an id plus a bitmask with bit i set iff item i is present."""
 
     record_id: str
@@ -263,8 +331,7 @@ def _raise_first_invalid(
                 raise ValueError(f"record {record_id!r} sets multiple values of one attribute")
 
 
-@dataclass(frozen=True)
-class TransactionDatabase:
+class TransactionDatabase(Frozen):
     """An immutable transaction set (``record_ids[j]`` with bitmask ``masks[j]``)
     plus its per-item vertical index.
 
@@ -273,17 +340,26 @@ class TransactionDatabase:
     count and the database size ``m`` covers included rows only.
     """
 
+    __slots__ = _fields = ("catalog", "record_ids", "masks", "excluded_count", "vertical_index")
     catalog: ItemCatalog
     record_ids: tuple[str, ...]
     masks: tuple[int, ...]
     excluded_count: int
     vertical_index: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.excluded_count < 0:
+    def __init__(
+        self, catalog: ItemCatalog, record_ids: tuple[str, ...], masks: tuple[int, ...],
+        excluded_count: int, vertical_index: tuple[int, ...],
+    ) -> None:
+        if excluded_count < 0:
             raise ValueError("excluded_count must be non-negative")
-        if len(self.vertical_index) != self.catalog.n_items:
+        if len(vertical_index) != catalog.n_items:
             raise ValueError("vertical index must have one vector per item")
+        _set(self, "catalog", catalog)
+        _set(self, "record_ids", record_ids)
+        _set(self, "masks", masks)
+        _set(self, "excluded_count", excluded_count)
+        _set(self, "vertical_index", vertical_index)
 
     @classmethod
     def from_columns(
@@ -340,20 +416,22 @@ class TransactionDatabase:
 
 
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class Percent:
+class Percent(Frozen):
     """An exact ratio of counts in [0, 1], compared by cross-multiplication."""
 
+    __slots__ = _fields = ("numerator", "denominator")
     numerator: int
     denominator: int
 
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
+    def __init__(self, numerator: int, denominator: int) -> None:
+        if denominator <= 0:
             raise ValueError("denominator must be positive")
-        if not 0 <= self.numerator <= self.denominator:
+        if not 0 <= numerator <= denominator:
             raise ValueError(
-                f"numerator must lie in [0, denominator], got {self.numerator}/{self.denominator}"
+                f"numerator must lie in [0, denominator], got {numerator}/{denominator}"
             )
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Percent):
@@ -377,8 +455,7 @@ class Percent:
         return Fraction(self.numerator, self.denominator)
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """An antecedent => consequent implication with its exact counts.
 
     Confidence, coverage and support all derive from the three stored counts,
@@ -386,27 +463,36 @@ class Rule:
     database it came from.
     """
 
+    __slots__ = _fields = ("antecedent", "consequent", "antecedent_count", "joint_count", "db_size")
     antecedent: tuple[int, ...]
     consequent: tuple[int, ...]
     antecedent_count: int
     joint_count: int
     db_size: int
 
-    def __post_init__(self) -> None:
-        for side in (self.antecedent, self.consequent):
+    def __init__(
+        self, antecedent: tuple[int, ...], consequent: tuple[int, ...],
+        antecedent_count: int, joint_count: int, db_size: int,
+    ) -> None:
+        for side in (antecedent, consequent):
             if any(a >= b for a, b in zip(side, side[1:])) or any(i < 0 for i in side):
                 raise ValueError("rule sides must be strictly increasing item id tuples")
-        if not self.consequent:
+        if not consequent:
             raise ValueError("rule consequent must be non-empty")
-        if set(self.antecedent) & set(self.consequent):
+        if set(antecedent) & set(consequent):
             raise ValueError("antecedent and consequent must be disjoint")
-        if not 0 <= self.joint_count <= self.antecedent_count <= self.db_size:
+        if not 0 <= joint_count <= antecedent_count <= db_size:
             raise ValueError(
                 f"counts must satisfy 0 <= joint <= antecedent <= size, got "
-                f"{self.joint_count}/{self.antecedent_count}/{self.db_size}"
+                f"{joint_count}/{antecedent_count}/{db_size}"
             )
-        if self.antecedent_count == 0:
+        if antecedent_count == 0:
             raise ValueError("rules require a non-empty antecedent cover")
+        _set(self, "antecedent", antecedent)
+        _set(self, "consequent", consequent)
+        _set(self, "antecedent_count", antecedent_count)
+        _set(self, "joint_count", joint_count)
+        _set(self, "db_size", db_size)
 
     @property
     def confidence(self) -> Percent:
@@ -435,8 +521,7 @@ class RuleClass(enum.IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class MiningConfig:
+class MiningConfig(Frozen):
     """Thresholds for deriving demographic => single-facility rules.
 
     The defaults reproduce the study setting: antecedents of at most two
@@ -444,12 +529,19 @@ class MiningConfig:
     joint itemset to occur at all.
     """
 
-    min_confidence: Percent = Percent(90, 100)
-    min_support_count: int = 1
-    max_antecedent_size: int = 2
+    __slots__ = _fields = ("min_confidence", "min_support_count", "max_antecedent_size")
+    min_confidence: Percent
+    min_support_count: int
+    max_antecedent_size: int
 
-    def __post_init__(self) -> None:
-        if self.min_support_count < 1:
+    def __init__(
+        self, min_confidence: Percent = Percent(90, 100), min_support_count: int = 1,
+        max_antecedent_size: int = 2,
+    ) -> None:
+        if min_support_count < 1:
             raise ValueError("min_support_count must be at least 1")
-        if self.max_antecedent_size < 1:
+        if max_antecedent_size < 1:
             raise ValueError("max_antecedent_size must be at least 1")
+        _set(self, "min_confidence", min_confidence)
+        _set(self, "min_support_count", min_support_count)
+        _set(self, "max_antecedent_size", max_antecedent_size)

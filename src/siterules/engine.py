@@ -11,10 +11,9 @@ holds a couple of bitsets, whatever the number of frequent itemsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .datamodel import TransactionDatabase
+from .datamodel import Frozen, TransactionDatabase, record
 
 __all__ = [
     "CountedItemset",
@@ -25,18 +24,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CountedItemset:
+@record
+class CountedItemset(NamedTuple):
     items: tuple[int, ...]
     count: int
 
 
-@dataclass(frozen=True)
-class FrequentLevel:
-    """All frequent itemsets of one size, sorted lexicographically by item ids."""
+class FrequentLevel(Frozen):
+    """All frequent itemsets of one size, sorted lexicographically by item ids;
+    iterating a level yields its itemsets."""
 
+    __slots__ = _fields = ("k", "itemsets")
     k: int
     itemsets: tuple[CountedItemset, ...]
+
+    def __init__(self, k: int, itemsets: tuple[CountedItemset, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "itemsets", itemsets)
 
     def __iter__(self):
         return iter(self.itemsets)

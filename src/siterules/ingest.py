@@ -35,8 +35,7 @@ import csv
 import io
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .datamodel import (
     AttributeDef,
@@ -45,6 +44,7 @@ from .datamodel import (
     ItemClass,
     NumericBin,
     TransactionDatabase,
+    record,
 )
 
 YES_TOKENS = frozenset({"y", "yes", "1"})
@@ -54,7 +54,7 @@ _ATTR_RE = re.compile(
     r"^attribute\s+(?P<name>\S+)\s+(?P<kind>\S+)\s+(?P<cls>\S+)\s+(?P<list>values|bins):\s*(?P<body>.+)$"
 )
 _FACILITY_RE = re.compile(r'^facility\s+(?P<name>\S+)\s+"(?P<desc>[^"]*)"$')
-_BIN_RE = re.compile(r"^(?P<lo>\d+)-(?P<hi>\d*)=(?P<label>[^\s,]+)$")
+_BIN_RE = re.compile(r"^(?P<lo>[0-9]+)-(?P<hi>[0-9]*)=(?P<label>[^\s,]+)$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
@@ -70,8 +70,8 @@ class GoldenFileError(ValueError):
     """Reference-rule CSV rejected."""
 
 
-@dataclass(frozen=True)
-class Schema:
+@record
+class Schema(NamedTuple):
     """A parsed schema: the catalog plus the declaration-ordered attributes."""
 
     catalog: ItemCatalog
@@ -486,7 +486,7 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     return out.getvalue()
 
 
-_PCT_RE = re.compile(r"^(?P<whole>\d+)(?:\.(?P<frac>\d{1,2}))?$")
+_PCT_RE = re.compile(r"^(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]{1,2}))?$")
 
 
 def parse_pct_bp(text: str) -> int:
@@ -498,8 +498,8 @@ def parse_pct_bp(text: str) -> int:
     return int(m.group("whole")) * 100 + int(frac)
 
 
-@dataclass(frozen=True)
-class GoldenRule:
+@record
+class GoldenRule(NamedTuple):
     """One transcribed reference rule with its published two-decimal figures.
 
     Percentages are stored in basis points (hundredths of a percent) so

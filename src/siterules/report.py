@@ -8,11 +8,10 @@ and frequency tables to round. All rendering is byte-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .classify import ClassifiedRule
-from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase
+from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase, record
 
 FormatMode = Literal["truncate", "round"]
 
@@ -33,8 +32,8 @@ def format_percent(value: Percent, mode: FormatMode = "truncate") -> str:
     return f"{q // 100}.{q % 100:02d}"
 
 
-@dataclass(frozen=True)
-class GroupColumn:
+@record
+class GroupColumn(NamedTuple):
     """One frequency-table column: a label and the item ids whose union of
     transactions forms the group. Aggregates merge several items."""
 
@@ -42,14 +41,14 @@ class GroupColumn:
     item_ids: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class FrequencyRow:
+@record
+class FrequencyRow(NamedTuple):
     facility: str
     cells: tuple[Optional[Percent], ...]
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
+@record
+class FrequencyTable(NamedTuple):
     columns: tuple[GroupColumn, ...]
     rows: tuple[FrequencyRow, ...]
 

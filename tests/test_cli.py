@@ -131,6 +131,9 @@ class TestMineCommand:
             ("abc", "--min-conf: invalid percentage 'abc'"),
             ("90.125", "--min-conf: invalid percentage '90.125'"),
             ("100.01", "--min-conf: confidence must be in [0,100]"),
+            # digits outside ASCII (Arabic-Indic, fullwidth), which int() accepts
+            ("\u0669\u0665", "--min-conf: invalid percentage '\u0669\u0665'"),
+            ("\uff19\uff10.\uff15", "--min-conf: invalid percentage '\uff19\uff10.\uff15'"),
         ],
     )
     def test_bad_confidence_is_named_before_input_is_read(self, tmp_path, capsys, raw, message):
@@ -181,6 +184,20 @@ class TestMineCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_non_ascii_bin_digits_are_usage_error(self, tmp_path, capsys):
+        schema = tmp_path / "schema.txt"
+        schema.write_text(
+            'facility about_us "About Us page"\n'
+            "attribute age numeric antecedent bins: \u0660-\u0661\u0660=young, 11-=old\n",
+            encoding="utf-8",
+        )
+        data = tmp_path / "data.csv"
+        data.write_text("record_id,about_us,age\nr1,Y,5\n")
+        code = main(["mine", "--schema", str(schema), "--data", str(data)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 2: malformed bin '\u0660-\u0661\u0660=young'\n"
 
     def test_utf8_bom_inputs_mine_identically(self, fixture_dir, tmp_path):
         bom_dir = tmp_path / "bom"
@@ -339,6 +356,24 @@ class TestValidateCommand:
         code = main(["validate", "--mined", str(mined_csv), "--golden", str(bad)])
         assert code == 2
         assert "confidence below 90" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit_golden", [True, False])
+    def test_non_ascii_percentage_digits_name_the_row(
+        self, mined_csv, golden_csv, tmp_path, capsys, edit_golden
+    ):
+        # 97.95 in Arabic-Indic digits as row 2's confidence, in a copy of one file
+        source = golden_csv if edit_golden else mined_csv
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[1].split(",")
+        cells[3] = "\u0669\u0667.\u0669\u0665"
+        lines[1] = ",".join(cells)
+        edited = tmp_path / "edited.csv"
+        edited.write_text("".join(lines), encoding="utf-8")
+        golden, mined = (edited, mined_csv) if edit_golden else (golden_csv, edited)
+        code = main(["validate", "--mined", str(mined), "--golden", str(golden)])
+        assert code == 2
+        message = "row 2: invalid percentage '\u0669\u0667.\u0669\u0665'"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_tolerance(self, mined_csv, golden_csv, capsys):
         with pytest.raises(SystemExit) as exc:

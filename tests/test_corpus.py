@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -316,9 +315,7 @@ class TestBuildFixture:
     def test_unreachable_column_is_search_infeasible(self, counts, golden, catalog, fixture_result):
         # 50 governmental sites with about_us, in a group of 49
         targets = dict(counts.facility_counts["about_us"], governmental=50)
-        edited = dataclasses.replace(
-            counts, facility_counts=dict(counts.facility_counts, about_us=targets)
-        )
+        edited = counts._replace(facility_counts=dict(counts.facility_counts, about_us=targets))
         cells = corpus._demographic_cells(catalog)
         sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
         mandatory = corpus._facility_mandatory("about_us", edited, golden, cells, sizes)
@@ -377,7 +374,7 @@ def rule_21_at(golden, confidence_bp):
     """Reference rule 21 (ownership=governmental => about_us, published 97.95)
     with its confidence edited."""
     (g,) = [g for g in golden if g.rule_id == 21]
-    return [dataclasses.replace(g, confidence_bp=confidence_bp)]
+    return [g._replace(confidence_bp=confidence_bp)]
 
 
 class TestValidation:

@@ -43,6 +43,7 @@ class TestPercent:
         assert Percent(48, 49) == Percent(96, 98)
         assert hash(Percent(48, 49)) == hash(Percent(96, 98))
         assert Percent(1, 3) != Percent(33, 100)
+        assert Percent(1, 2) != (1, 2)
 
     @given(
         st.integers(0, 500), st.integers(1, 500),
@@ -53,7 +54,10 @@ class TestPercent:
         a, c = min(a, b), min(c, d)
         left, right = Percent(a, b), Percent(c, d)
         assert (left < right) == (Fraction(a, b) < Fraction(c, d))
+        assert (left <= right) == (Fraction(a, b) <= Fraction(c, d))
         assert (left == right) == (Fraction(a, b) == Fraction(c, d))
+        assert (left != right) == (Fraction(a, b) != Fraction(c, d))
+        assert (left > right) == (Fraction(a, b) > Fraction(c, d))
         assert (left >= right) == (Fraction(a, b) >= Fraction(c, d))
 
     def test_ordering_rejects_foreign_types(self):
