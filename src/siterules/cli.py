@@ -5,18 +5,23 @@ invocations produce byte-identical outputs. Data goes to stdout or the
 requested file, diagnostics to stderr. Exit codes: 0 success (validation
 passed), 1 validation mismatch or infeasible fixture, 2 usage/IO/parse
 error.
+
+Each command loads only the modules it runs: ``corpus`` (the fixture search
+and the packaged data) is imported inside the ``fixture`` handler,
+``validation`` inside the ``validate`` handler and ``fractions`` where
+``--tolerance`` is read, and files are read and written with ``open``
+rather than ``pathlib``.
 """
 
 from __future__ import annotations
 
 import argparse
 import codecs
+import os
+import re
 import sys
-from fractions import Fraction
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import corpus
 from .classify import classify_rules
 from .datamodel import MiningConfig, Percent
 from .ingest import (
@@ -24,13 +29,17 @@ from .ingest import (
     GoldenFileError,
     SchemaError,
     parse_golden_rules,
+    parse_int,
     parse_pct_bp,
     parse_schema,
     parse_transactions,
     render_transactions_csv,
 )
-from .report import frequency_csv, render_rules, stats_table
+from .report import frequency_csv, render_rules, stats_table, study_aggregate_groups
 from .rules import canonical_sort, derive_rules
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -42,7 +51,8 @@ def _read(path: str) -> str:
     # written, so a quoted "\r" in a record id is kept and CRLF text reaches
     # the parser unchanged. A leading BOM is dropped first, as "utf-8-sig"
     # would, so that an error's offset counts from the file's first byte.
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         return data[bom:].decode("utf-8")
@@ -60,7 +70,8 @@ def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
 
 
 def _confidence_from_flag(raw: str) -> Percent:
@@ -75,7 +86,7 @@ def _confidence_from_flag(raw: str) -> Percent:
 
 def _positive_int(raw: str) -> int:
     try:
-        value = int(raw)
+        value = parse_int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
     if value < 1:
@@ -83,11 +94,21 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+# The numbers Fraction() reads, less the other scripts' digits, "_" and
+# surrounding whitespace that it also takes: n/d, or a decimal with an
+# optional exponent.
+_NUMBER_RE = re.compile(
+    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+)
+
+
 def _tolerance(raw: str) -> Fraction:
+    from fractions import Fraction
+
+    if _NUMBER_RE.fullmatch(raw) is None:
+        raise argparse.ArgumentTypeError(f"not a number: {raw!r}")
     try:
         value = Fraction(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {raw!r}") from None
     except ZeroDivisionError:
         raise argparse.ArgumentTypeError(f"zero denominator: {raw!r}") from None
     if value < 0:
@@ -113,32 +134,36 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 def _cmd_stats(args: argparse.Namespace) -> int:
     schema = parse_schema(_read(args.schema))
     db = parse_transactions(schema, _read(args.data))
-    table = stats_table(db, aggregates=corpus.study_aggregate_groups(schema.catalog))
+    table = stats_table(db, aggregates=study_aggregate_groups(schema.catalog))
     _emit(frequency_csv(table, mode="round"), args.out)
     return EXIT_OK
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .validation import parse_rules_csv, validate_rows_against_golden
+
     golden = parse_golden_rules(_read(args.golden))
-    mined = corpus.parse_rules_csv(_read(args.mined))
+    mined = parse_rules_csv(_read(args.mined))
     if args.subset == "single-antecedent":
         golden = [g for g in golden if len(g.antecedent_items) == 1]
-    report = corpus.validate_rows_against_golden(mined, golden, args.tolerance)
+    report = validate_rows_against_golden(mined, golden, args.tolerance)
     sys.stdout.write(report.render())
     return EXIT_OK if report.ok else EXIT_MISMATCH
 
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
-    counts = corpus.study_group_counts()
-    golden = corpus.load_golden_rules()
-    result = corpus.build_fixture(counts, golden)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "schema_appendix_a.txt").write_text(corpus.schema_text(), encoding="utf-8")
-    (out_dir / "fixture_data.csv").write_text(
-        render_transactions_csv(result.database), encoding="utf-8"
-    )
-    (out_dir / "construction_report.txt").write_text(result.report.render(), encoding="utf-8")
+    from . import corpus
+
+    try:
+        result = corpus.build_fixture(corpus.study_group_counts(), corpus.load_golden_rules())
+    except corpus.InfeasibleFixtureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    out_dir = args.out_dir or os.curdir
+    os.makedirs(out_dir, exist_ok=True)
+    _emit(corpus.schema_text(), os.path.join(out_dir, "schema_appendix_a.txt"))
+    _emit(render_transactions_csv(result.database), os.path.join(out_dir, "fixture_data.csv"))
+    _emit(result.report.render(), os.path.join(out_dir, "construction_report.txt"))
     print(f"wrote fixture files to {out_dir}", file=sys.stderr)
     return EXIT_OK
 
@@ -188,9 +213,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except corpus.InfeasibleFixtureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
     except (SchemaError, DataError, GoldenFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

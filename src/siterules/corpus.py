@@ -7,7 +7,7 @@ column pins antecedent group sizes, and a per-facility frequency table.
 Single and pairwise group sizes are read from that support column and the
 attribute families from the packaged schema (schema_appendix_a.txt); the only
 hand-typed tables are the frequency table (``_FREQUENCY_BP``) and the
-definition of its group columns (``_GROUP_DEFS``).
+definition of its group columns (``report.GROUP_DEFS``).
 
 ``build_fixture`` reconstructs a 91-row database that reproduces every count
 those published figures pin down exactly: single and pairwise demographic
@@ -19,6 +19,9 @@ own total), so the leftovers are reported, not forced.
 
 All searches are deterministic: cells are enumerated smallest-index-first
 and candidate values highest-first, so repeated builds are byte-identical.
+
+Of the CLI commands only ``fixture`` loads this module. Reading a rules CSV
+back and matching it against the reference list is ``siterules.validation``.
 """
 
 from __future__ import annotations
@@ -26,20 +29,16 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from importlib.resources import files
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase, record
 from .engine import count_support
-from .ingest import (
-    GoldenRule,
-    Schema,
-    _parse_item_text,
-    csv_rows,
-    parse_golden_rules,
-    parse_pct_bp,
-    parse_schema,
-)
-from .report import RULES_HEADER, format_percent
+from .ingest import GoldenRule, Schema, parse_golden_rules, parse_pct_bp, parse_schema
+from .report import GROUP_COLUMNS, GROUP_DEFS, format_percent
+
+# kept under these names because perfbench/workloads.py calls them from here
+from .report import study_aggregate_groups  # noqa: F401
+from .validation import parse_rules_csv, validate_rows_against_golden  # noqa: F401
 
 
 class InfeasibleFixtureError(Exception):
@@ -71,20 +70,6 @@ def load_golden_rules() -> list[GoldenRule]:
 # published percentages, in basis points (hundredths of a percent)
 
 M_ACCESSIBLE = 91
-
-# The frequency table's seven demographic group columns. A column's members
-# share one attribute, and an attribute's columns partition the database.
-_GROUP_DEFS: dict[str, tuple[tuple[str, str], ...]] = {
-    "governmental": (("ownership", "governmental"),),
-    "private_semiprivate": (("ownership", "private"), ("ownership", "semiprivate")),
-    "products": (("industry", "products"),),
-    "services": (("industry", "services"),),
-    "below10": (("age", "below10"),),
-    "11-29": (("age", "11-29"),),
-    "above30": (("age", "above30"),),
-}
-
-GROUP_COLUMNS = tuple(_GROUP_DEFS)
 
 # Published per-facility presence shares (rounded to two decimals), one row
 # per facility: total, then the group columns.
@@ -184,7 +169,7 @@ def study_group_counts() -> StudyCounts:
                 raise InfeasibleFixtureError(f"pair count {count} exceeds its marginal {pair}")
 
     group_sizes = {"total": M_ACCESSIBLE}
-    for column, members in _GROUP_DEFS.items():
+    for column, members in GROUP_DEFS.items():
         group_sizes[column] = sum(singles[pair] for pair in members)
 
     facility_counts = {}
@@ -571,7 +556,7 @@ def _column_cells(cells: Sequence[tuple[tuple[str, str], ...]]) -> dict[str, tup
         column: tuple(
             ci for ci, cell in enumerate(cells) if any(pair in cell for pair in members)
         )
-        for column, members in _GROUP_DEFS.items()
+        for column, members in GROUP_DEFS.items()
     }
 
 
@@ -601,8 +586,8 @@ def _facility_assignment(
 
     def family_conflict(candidate: str) -> Optional[FamilySumConflict]:
         # a column that completes its attribute's partition must agree with the total
-        attr = _GROUP_DEFS[candidate][0][0]
-        family = [c for c, members in _GROUP_DEFS.items() if members[0][0] == attr]
+        attr = GROUP_DEFS[candidate][0][0]
+        family = [c for c, members in GROUP_DEFS.items() if members[0][0] == attr]
         if all(c in accepted_columns for c in family if c != candidate):
             published = tuple((c, targets[c]) for c in family)
             if sum(count for _, count in published) != targets["total"]:
@@ -731,162 +716,3 @@ def _verify_fixture(
         _, joint, _ = _rule_counts(g, counts.m)
         if count_support(db, antecedent + [catalog.resolve_pair(g.consequent_item)]) != joint:
             raise InfeasibleFixtureError(f"fixture lost the joint count of rule {g.rule_id}")
-
-
-def study_aggregate_groups(catalog: ItemCatalog) -> list[tuple[str, tuple[int, ...]]]:
-    """The merged ownership column of the published frequency table, when the
-    catalog carries the study's ownership values."""
-    wanted = _GROUP_DEFS["private_semiprivate"]
-    if all(catalog.has_item(a, v) for a, v in wanted):
-        return [
-            (
-                "ownership=private+semiprivate",
-                tuple(catalog.item_id(a, v) for a, v in wanted),
-            )
-        ]
-    return []
-
-
-# ---------------------------------------------------------------------------
-# validation against the reference rules
-
-
-@record
-class MinedRuleRow(NamedTuple):
-    """One row of a rendered rules CSV, as re-read for validation."""
-
-    rule_id: int
-    antecedent_items: tuple[tuple[str, str], ...]
-    consequent_item: tuple[str, str]
-    confidence_bp: int
-    coverage_bp: int
-    support_bp: int
-    class_label: str
-
-    @property
-    def key(self) -> tuple[frozenset, tuple[str, str]]:
-        return (frozenset(self.antecedent_items), self.consequent_item)
-
-
-def _rule_text(rule: Union[GoldenRule, MinedRuleRow]) -> str:
-    antecedent = " AND ".join(f"{a}={v}" for a, v in rule.antecedent_items)
-    attr, value = rule.consequent_item
-    return f"{antecedent} => {attr}={value}"
-
-
-def parse_rules_csv(text: str) -> list[MinedRuleRow]:
-    """Re-read a rendered rules CSV; a malformed or repeated rule names its row."""
-    reader = csv_rows(text, ValueError)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("missing header row") from None
-    if header != RULES_HEADER:
-        raise ValueError(f"expected header {','.join(RULES_HEADER)}")
-    rows = []
-    seen: set[tuple[frozenset, tuple[str, str]]] = set()
-    for rowno, row in enumerate(reader, start=2):
-        if len(row) != len(RULES_HEADER):
-            raise ValueError(f"row {rowno}: expected {len(RULES_HEADER)} cells")
-        try:
-            mined = MinedRuleRow(
-                rule_id=int(row[0]),
-                antecedent_items=tuple(_parse_item_text(part) for part in row[1].split(" AND ")),
-                consequent_item=_parse_item_text(row[2]),
-                confidence_bp=parse_pct_bp(row[3]),
-                coverage_bp=parse_pct_bp(row[4]),
-                support_bp=parse_pct_bp(row[5]),
-                class_label=row[6],
-            )
-        except ValueError as exc:
-            raise ValueError(f"row {rowno}: {exc}") from None
-        if len(set(mined.antecedent_items)) != len(mined.antecedent_items):
-            raise ValueError(f"row {rowno}: malformed antecedent (repeated item)")
-        if mined.key in seen:
-            raise ValueError(f"row {rowno}: duplicate rule {_rule_text(mined)}")
-        seen.add(mined.key)
-        rows.append(mined)
-    return rows
-
-
-@record
-class MetricMismatch(NamedTuple):
-    golden: GoldenRule
-    mined: MinedRuleRow
-    confidence_delta_pp: Fraction
-    coverage_delta_pp: Fraction
-
-
-@record
-class ValidationReport(NamedTuple):
-    matched: tuple[tuple[GoldenRule, MinedRuleRow], ...]
-    missing: tuple[GoldenRule, ...]
-    extra: tuple[MinedRuleRow, ...]
-    metric_mismatches: tuple[MetricMismatch, ...]
-    tolerance_pp: Fraction
-
-    @property
-    def ok(self) -> bool:
-        return not self.missing and not self.metric_mismatches
-
-    def render(self) -> str:
-        lines = [
-            f"matched: {len(self.matched)}  missing: {len(self.missing)}  "
-            f"extra: {len(self.extra)}  metric mismatches: {len(self.metric_mismatches)}"
-        ]
-        if self.missing:
-            lines.append("missing reference rules:")
-            lines += [
-                f"  #{g.rule_id} {_rule_text(g)}"
-                for g in self.missing
-            ]
-        if self.metric_mismatches:
-            lines.append(f"metric mismatches (tolerance {float(self.tolerance_pp)} pp):")
-            for mm in self.metric_mismatches:
-                lines.append(
-                    f"  #{mm.golden.rule_id} {_rule_text(mm.mined)}: "
-                    f"confidence off by {float(mm.confidence_delta_pp):.4f} pp, "
-                    f"coverage off by {float(mm.coverage_delta_pp):.4f} pp"
-                )
-        if self.extra:
-            lines.append("extra mined rules (allowed, not published):")
-            lines += [
-                f"  {_rule_text(r)} (confidence {r.confidence_bp / 100:.2f}, "
-                f"coverage {r.coverage_bp / 100:.2f})"
-                for r in self.extra
-            ]
-        return "\n".join(lines) + "\n"
-
-
-def validate_rows_against_golden(
-    rows: Iterable[MinedRuleRow],
-    golden: Sequence[GoldenRule],
-    tolerance_pp: Fraction,
-) -> ValidationReport:
-    """Match the rows of a rendered rules CSV against the reference list.
-
-    A reference rule is matched when a row has the same antecedent set and
-    consequent; the match is clean when the row's two-decimal confidence and
-    coverage sit within ``tolerance_pp`` percentage points of the published
-    figures. Surplus mined rules are listed, never failed: the reference
-    list only covers what its authors printed.
-    """
-    if tolerance_pp < 0:
-        raise ValueError("tolerance must be non-negative")
-    by_key = {row.key: row for row in rows}
-    matched = []
-    missing = []
-    mismatches = []
-    for g in golden:
-        row = by_key.pop(g.key, None)
-        if row is None:
-            missing.append(g)
-            continue
-        matched.append((g, row))
-        confidence_delta = Fraction(abs(row.confidence_bp - g.confidence_bp), 100)
-        coverage_delta = Fraction(abs(row.coverage_bp - g.support_bp), 100)
-        if confidence_delta > tolerance_pp or coverage_delta > tolerance_pp:
-            mismatches.append(MetricMismatch(g, row, confidence_delta, coverage_delta))
-    return ValidationReport(
-        tuple(matched), tuple(missing), tuple(by_key.values()), tuple(mismatches), tolerance_pp
-    )

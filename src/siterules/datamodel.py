@@ -16,9 +16,11 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from fractions import Fraction
 from functools import total_ordering
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _set = object.__setattr__
 
@@ -444,7 +446,7 @@ class Percent(Frozen):
         return self.numerator * other.denominator < other.numerator * self.denominator
 
     def __hash__(self) -> int:
-        return hash(Fraction(self.numerator, self.denominator))
+        return hash(self.as_fraction())
 
     @classmethod
     def from_basis_points(cls, bp: int) -> "Percent":
@@ -452,6 +454,10 @@ class Percent(Frozen):
         return cls(bp, 10_000)
 
     def as_fraction(self) -> Fraction:
+        # imported here: mining and rendering compare counts, and fractions
+        # (with decimal) is a noticeable share of a command's start-up
+        from fractions import Fraction
+
         return Fraction(self.numerator, self.denominator)
 
 

@@ -498,6 +498,17 @@ def parse_pct_bp(text: str) -> int:
     return int(m.group("whole")) * 100 + int(frac)
 
 
+def parse_int(text: str) -> int:
+    """Parse an integer written in ASCII digits with an optional sign.
+
+    Bare ``int()`` also takes other scripts' digits, ``_`` between digits
+    and surrounding whitespace; this reader takes none of them.
+    """
+    if _INT_RE.fullmatch(text) is None:
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 @record
 class GoldenRule(NamedTuple):
     """One transcribed reference rule with its published two-decimal figures.
@@ -543,7 +554,7 @@ def parse_golden_rules(text: str) -> list[GoldenRule]:
         if len(row) != len(GOLDEN_HEADER):
             raise GoldenFileError(f"row {rowno}: expected {len(GOLDEN_HEADER)} cells")
         try:
-            rule_id = int(row[0])
+            rule_id = parse_int(row[0])
             antecedent = tuple(_parse_item_text(part) for part in row[1].split(" AND "))
             consequent = _parse_item_text(row[2])
             confidence_bp = parse_pct_bp(row[3])

@@ -110,6 +110,36 @@ def frequency_csv(table: FrequencyTable, mode: FormatMode = "round") -> str:
     return "\n".join(lines) + "\n"
 
 
+# The published frequency table's seven demographic group columns. A
+# column's members share one attribute, and an attribute's columns partition
+# the database.
+GROUP_DEFS: dict[str, tuple[tuple[str, str], ...]] = {
+    "governmental": (("ownership", "governmental"),),
+    "private_semiprivate": (("ownership", "private"), ("ownership", "semiprivate")),
+    "products": (("industry", "products"),),
+    "services": (("industry", "services"),),
+    "below10": (("age", "below10"),),
+    "11-29": (("age", "11-29"),),
+    "above30": (("age", "above30"),),
+}
+
+GROUP_COLUMNS = tuple(GROUP_DEFS)
+
+
+def study_aggregate_groups(catalog: ItemCatalog) -> list[tuple[str, tuple[int, ...]]]:
+    """The merged ownership column of the published frequency table, when the
+    catalog carries the study's ownership values."""
+    wanted = GROUP_DEFS["private_semiprivate"]
+    if all(catalog.has_item(a, v) for a, v in wanted):
+        return [
+            (
+                "ownership=private+semiprivate",
+                tuple(catalog.item_id(a, v) for a, v in wanted),
+            )
+        ]
+    return []
+
+
 RULES_HEADER = [
     "rule_id",
     "antecedent",

@@ -26,6 +26,7 @@ from siterules.datamodel import (
 from siterules.engine import mine_frequent
 from siterules.report import format_percent, render_rules, stats_table
 from siterules.rules import canonical_sort, derive_rules
+from siterules.validation import parse_rules_csv, validate_rows_against_golden
 
 TOLERANCE_PP = Fraction(11, 1000)
 
@@ -64,8 +65,8 @@ def test_criterion_2_single_antecedent_reproduction(announce, fixture_db, catalo
         elapsed = time.perf_counter() - start
         subset = [g for g in golden if len(g.antecedent_items) == 1]
         assert len(subset) == 27
-        rows = corpus.parse_rules_csv(render_rules(catalog, classified))
-        report = corpus.validate_rows_against_golden(rows, subset, TOLERANCE_PP)
+        rows = parse_rules_csv(render_rules(catalog, classified))
+        report = validate_rows_against_golden(rows, subset, TOLERANCE_PP)
         assert report.missing == ()
         assert report.metric_mismatches == ()
         for g, row in report.matched:
@@ -80,8 +81,8 @@ def test_criterion_3_full_set_reproduction(announce, fixture_result, catalog, go
         # cell may involve a reference-rule target (only frequency groups)
         assert fixture_result.report.mandatory_rule_targets == 68
         classified = classify_rules(canonical_sort(derive_rules(fixture_result.database)))
-        rows = corpus.parse_rules_csv(render_rules(catalog, classified))
-        report = corpus.validate_rows_against_golden(rows, golden, TOLERANCE_PP)
+        rows = parse_rules_csv(render_rules(catalog, classified))
+        report = validate_rows_against_golden(rows, golden, TOLERANCE_PP)
         assert len(report.matched) == 68
         assert report.missing == ()
         assert report.metric_mismatches == ()

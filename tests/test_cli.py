@@ -2,12 +2,13 @@ import codecs
 import hashlib
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from siterules import rules
-from siterules.cli import main
+from siterules.cli import _positive_int, _tolerance, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,6 +57,25 @@ class TestFixtureCommand:
                 "f67ecd1e7e35b0952d3add829666af6dae3263a5d00e977a006d2293bc07b8be"
             ),
         }
+
+    def test_infeasible_fixture_exits_one(self, tmp_path, capsys, monkeypatch):
+        import siterules.corpus as corpus
+
+        def infeasible(counts, golden):
+            raise corpus.InfeasibleFixtureError("no database meets the constraints")
+
+        monkeypatch.setattr(corpus, "build_fixture", infeasible)
+        assert main(["fixture", "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: no database meets the constraints\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_dir_naming_a_file_exits_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["fixture", "--out-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
 
 
 class TestMineCommand:
@@ -143,7 +163,15 @@ class TestMineCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "flag, raw", [("--max-antecedent", "abc"), ("--min-support-count", "1.5")]
+        "flag, raw",
+        [
+            ("--max-antecedent", "abc"),
+            ("--min-support-count", "1.5"),
+            # forms int() accepts: other scripts' digits, "_", surrounding spaces
+            ("--max-antecedent", "\u0663"),
+            ("--min-support-count", "1_0"),
+            ("--max-antecedent", " 3"),
+        ],
     )
     def test_non_integer_count_names_the_flag(self, fixture_dir, tmp_path, capsys, flag, raw):
         with pytest.raises(SystemExit) as exc:
@@ -357,23 +385,32 @@ class TestValidateCommand:
         assert code == 2
         assert "confidence below 90" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "column, cell, message",
+        [
+            # 97.95 in Arabic-Indic digits as the confidence
+            (3, "\u0669\u0667.\u0669\u0665", "invalid percentage '\u0669\u0667.\u0669\u0665'"),
+            # 10 in Arabic-Indic digits with "_" and a space, which int() reads as 10
+            (0, "\u0661_\u0660 ", "invalid integer '\u0661_\u0660 '"),
+        ],
+        ids=["percentage", "rule_id"],
+    )
     @pytest.mark.parametrize("edit_golden", [True, False])
-    def test_non_ascii_percentage_digits_name_the_row(
-        self, mined_csv, golden_csv, tmp_path, capsys, edit_golden
+    def test_non_ascii_digits_name_the_row(
+        self, mined_csv, golden_csv, tmp_path, capsys, edit_golden, column, cell, message
     ):
-        # 97.95 in Arabic-Indic digits as row 2's confidence, in a copy of one file
+        # the cell replaces one of row 2's, in a copy of one file
         source = golden_csv if edit_golden else mined_csv
         lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
         cells = lines[1].split(",")
-        cells[3] = "\u0669\u0667.\u0669\u0665"
+        cells[column] = cell
         lines[1] = ",".join(cells)
         edited = tmp_path / "edited.csv"
         edited.write_text("".join(lines), encoding="utf-8")
         golden, mined = (edited, mined_csv) if edit_golden else (golden_csv, edited)
         code = main(["validate", "--mined", str(mined), "--golden", str(golden)])
         assert code == 2
-        message = "row 2: invalid percentage '\u0669\u0667.\u0669\u0665'"
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: row 2: {message}\n"
 
     def test_bad_tolerance(self, mined_csv, golden_csv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -385,7 +422,17 @@ class TestValidateCommand:
         assert "argument --tolerance: not a number: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "raw, message", [("1/0", "zero denominator: '1/0'"), ("-1", "must be non-negative")]
+        "raw, message",
+        [
+            ("1/0", "zero denominator: '1/0'"),
+            ("-1", "must be non-negative"),
+            # forms Fraction() accepts: other scripts' digits, surrounding spaces
+            # and, on some Pythons, "_" and spaces around "/"
+            ("\u0660", "not a number: '\u0660'"),
+            ("1_0", "not a number: '1_0'"),
+            (" 0.5", "not a number: ' 0.5'"),
+            ("1 / 2", "not a number: '1 / 2'"),
+        ],
     )
     def test_tolerance_error_names_the_flag(self, mined_csv, golden_csv, capsys, raw, message):
         with pytest.raises(SystemExit) as exc:
@@ -395,6 +442,16 @@ class TestValidateCommand:
             ])
         assert exc.value.code == 2
         assert f"argument --tolerance: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["0.011", "1/100", "+0", "-0", ".5", "5.", "1e-2", "1.5E+1", "011"])
+def test_ascii_tolerances_read_as_before(raw):
+    assert _tolerance(raw) == Fraction(raw)
+
+
+@pytest.mark.parametrize("raw", ["3", "+3", "03"])
+def test_ascii_counts_read_as_before(raw):
+    assert _positive_int(raw) == int(raw)
 
 
 def _bad_byte_on_line_3(src: Path, dst: Path, prefix: bytes, newline: bytes) -> Path:
@@ -468,6 +525,50 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "f" / "fixture_data.csv").is_file()
+
+
+_WATCHED = (
+    "siterules.corpus", "siterules.validation", "importlib.resources", "tempfile", "pathlib",
+    "fractions",
+)
+_IMPORT_PROBE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); from siterules import cli; "
+    "code = cli.main(sys.argv[3:]); "
+    "print(code, *sorted(set(sys.argv[2].split(',')).intersection(sys.modules)))"
+)
+
+
+def _run_and_list_imports(argv):
+    """Run one command in a fresh interpreter with no site packages; return
+    its exit code and the watched modules it loaded."""
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", _IMPORT_PROBE, str(REPO_ROOT / "src"),
+         ",".join(_WATCHED), *argv],
+        capture_output=True, text=True, check=True,
+    )
+    code, *loaded = result.stdout.splitlines()[-1].split()
+    return int(code), loaded
+
+
+@pytest.mark.parametrize(
+    "command, loaded",
+    [("mine", []), ("stats", []), ("validate", ["fractions", "siterules.validation"])],
+)
+def test_each_command_loads_only_what_it_runs(fixture_dir, mined_csv, tmp_path, command, loaded):
+    data = ["--schema", str(fixture_dir / "schema_appendix_a.txt")]
+    data += ["--data", str(fixture_dir / "fixture_data.csv")]
+    golden = REPO_ROOT / "src" / "siterules" / "data" / "appendix_b.csv"
+    argv = {
+        "mine": ["mine", *data, "--out", str(tmp_path / "rules.csv")],
+        "stats": ["stats", *data, "--out", str(tmp_path / "stats.csv")],
+        "validate": ["validate", "--mined", str(mined_csv), "--golden", str(golden)],
+    }[command]
+    assert _run_and_list_imports(argv) == (0, loaded)
+
+
+def test_fixture_command_loads_corpus(tmp_path):
+    code, loaded = _run_and_list_imports(["fixture", "--out-dir", str(tmp_path)])
+    assert code == 0 and "siterules.corpus" in loaded
 
 
 def test_unknown_command_is_usage_error():

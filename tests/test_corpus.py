@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +8,7 @@ from siterules import corpus
 from siterules.datamodel import ItemClass
 from siterules.engine import count_support
 from siterules.ingest import GoldenRule, parse_transactions, render_transactions_csv
-from siterules.report import RULES_HEADER, format_percent, render_rules, stats_table
+from siterules.report import GROUP_COLUMNS, GROUP_DEFS, format_percent, stats_table
 
 
 class TestPaperCounts:
@@ -67,12 +66,12 @@ class TestPaperCounts:
             corpus.study_group_counts()
 
     def test_group_columns_partition_each_attribute(self, study_schema):
-        for members in corpus._GROUP_DEFS.values():
+        for members in GROUP_DEFS.values():
             assert len({attr for attr, _ in members}) == 1, members
         for attr in study_schema.attributes:
             if attr.item_class is not ItemClass.DEMOGRAPHIC:
                 continue
-            covered = [v for ms in corpus._GROUP_DEFS.values() for a, v in ms if a == attr.name]
+            covered = [v for ms in GROUP_DEFS.values() for a, v in ms if a == attr.name]
             assert sorted(covered) == sorted(attr.values), attr.name
 
 
@@ -338,7 +337,7 @@ class TestBuildFixture:
             )
             skipped = {u.column for u in unmet}
             accepted = mandatory + [
-                (column_idxs[c], targets[c]) for c in corpus.GROUP_COLUMNS if c not in skipped
+                (column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in skipped
             ]
             assert assignment == corpus._first_solution(sizes, accepted), facility
 
@@ -360,86 +359,6 @@ class TestBuildFixture:
         assert "transactions: 91" in text
         assert "68 reference-rule joint counts" in text
         assert "134 of 140 satisfied" in text
-
-
-TOLERANCE_PP = Fraction(11, 1000)
-
-
-@pytest.fixture(scope="module")
-def mined_rows(catalog, mined_classified):
-    return corpus.parse_rules_csv(render_rules(catalog, mined_classified))
-
-
-def rule_21_at(golden, confidence_bp):
-    """Reference rule 21 (ownership=governmental => about_us, published 97.95)
-    with its confidence edited."""
-    (g,) = [g for g in golden if g.rule_id == 21]
-    return [g._replace(confidence_bp=confidence_bp)]
-
-
-class TestValidation:
-    def test_fixture_mined_rules_match_all_68(self, mined_rows, golden):
-        report = corpus.validate_rows_against_golden(mined_rows, golden, TOLERANCE_PP)
-        assert report.ok
-        assert len(report.matched) == 68
-        assert report.missing == ()
-        assert report.metric_mismatches == ()
-        assert len(report.extra) > 0  # unpublished combinations are allowed
-
-    def test_empty_mined_set_misses_everything(self, catalog, golden):
-        rows = corpus.parse_rules_csv(render_rules(catalog, []))
-        report = corpus.validate_rows_against_golden(rows, golden, TOLERANCE_PP)
-        assert not report.ok
-        assert len(report.missing) == 68
-        assert report.matched == ()
-
-    def test_tolerance_absorbs_truncation(self, golden, mined_rows):
-        # the file reads 97.95; a published 97.94 is 0.01 pp off, inside 0.011 pp
-        report = corpus.validate_rows_against_golden(
-            mined_rows, rule_21_at(golden, 9794), TOLERANCE_PP
-        )
-        assert report.ok
-        ((g, row),) = report.matched
-        assert abs(Fraction(row.confidence_bp - g.confidence_bp, 100)) <= Fraction(11, 1000)
-
-    def test_zero_tolerance_flags_truncated_figures(self, golden, mined_rows):
-        report = corpus.validate_rows_against_golden(
-            mined_rows, rule_21_at(golden, 9794), Fraction(0)
-        )
-        assert not report.ok
-        assert len(report.metric_mismatches) == 1
-        # the rule is still item-matched: matched + missing covers all golden
-        assert len(report.matched) == 1 and not report.missing
-
-    def test_negative_tolerance_rejected(self, golden):
-        with pytest.raises(ValueError):
-            corpus.validate_rows_against_golden([], golden, Fraction(-1))
-
-    def test_rows_roundtrip_through_rendered_csv(self, catalog, mined_classified, golden):
-        doc = render_rules(catalog, mined_classified)
-        rows = corpus.parse_rules_csv(doc)
-        assert len(rows) == len(mined_classified)
-        report = corpus.validate_rows_against_golden(rows, golden, TOLERANCE_PP)
-        assert report.ok
-
-    def test_overlong_field_in_rules_csv_names_its_line(self, catalog, mined_classified):
-        doc = render_rules(catalog, mined_classified) + f"999,{'x' * 131_073},,,,,\n"
-        line = len(doc.splitlines())
-        with pytest.raises(ValueError, match=f"line {line}: field larger than field limit"):
-            corpus.parse_rules_csv(doc)
-
-    def test_repeated_antecedent_item_names_its_row(self):
-        doc = (
-            ",".join(RULES_HEADER) + "\n"
-            + "1,age=below10 AND age=below10,facility=about_us,100.00,12.08,12.08,must_have\n"
-        )
-        with pytest.raises(ValueError, match=r"row 2: malformed antecedent \(repeated item\)"):
-            corpus.parse_rules_csv(doc)
-
-    def test_render_summary_line(self, mined_rows, golden):
-        report = corpus.validate_rows_against_golden(mined_rows, golden, TOLERANCE_PP)
-        first = report.render().splitlines()[0]
-        assert first.startswith("matched: 68  missing: 0")
 
 
 class TestStatsAgainstPublishedTable:

@@ -713,6 +713,22 @@ class TestParseGoldenRules:
         with pytest.raises(GoldenFileError, match="duplicate rule_id"):
             parse_golden_rules(text)
 
+    @pytest.mark.parametrize(
+        "cell",
+        # int() reads each of these but the first two as 10
+        ["ten", "", "\u0661\u0660", "\uff11\uff10", "1_0", " 10", "10 ", "\u0661_\u0660 "],
+    )
+    def test_rule_id_takes_ascii_digits_only(self, cell):
+        text = GOLDEN_HEADER + f"\n{cell},age=below10,facility=about_us,100.00,12.08"
+        with pytest.raises(GoldenFileError) as exc:
+            parse_golden_rules(text)
+        assert str(exc.value) == f"row 2: invalid integer {cell!r}"
+
+    @pytest.mark.parametrize("cell, rule_id", [("10", 10), ("+10", 10), ("010", 10), ("-3", -3)])
+    def test_rule_id_ascii_forms_read_as_before(self, cell, rule_id):
+        text = GOLDEN_HEADER + f"\n{cell},age=below10,facility=about_us,100.00,12.08"
+        assert [g.rule_id for g in parse_golden_rules(text)] == [rule_id]
+
     def test_overlong_field_names_its_line(self):
         text = GOLDEN_HEADER + f"\n1,age=below10,facility={'x' * 131_073},100.00,12.08"
         with pytest.raises(GoldenFileError, match="line 2: field larger than field limit"):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from siterules import corpus
+from siterules import corpus, validation
 from siterules.classify import ClassifiedRule
 from siterules.datamodel import (
     AttributeDef,
@@ -45,14 +45,14 @@ def _records():
     column = GroupColumn("total", ())
     row = FrequencyRow("door", (Percent(1, 1),))
     golden = GoldenRule(1, (("age", "young"),), ("facility", "door"), 10_000, 10_000)
-    mined = corpus.MinedRuleRow(
+    mined = validation.MinedRuleRow(
         1, (("age", "young"),), ("facility", "door"), 10_000, 10_000, 10_000, "must_have"
     )
     entry = corpus.ArithmeticCheckEntry(1, 1, 1, Fraction(0), True)
     conflict = corpus.FamilySumConflict("age", (("young", 1),), 1)
     unmet = corpus.UnmetCell("door", "young", 1, 0, conflict)
     report = corpus.ConstructionReport(1, (("age=young", 1),), 0, 1, (unmet,))
-    mismatch = corpus.MetricMismatch(golden, mined, Fraction(0), Fraction(0))
+    mismatch = validation.MetricMismatch(golden, mined, Fraction(0), Fraction(0))
     return [
         young, age, ItemDef("age", "young", ItemClass.DEMOGRAPHIC), catalog, txn, db,
         Percent(1, 2), rule, MiningConfig(), itemset, FrequentLevel(1, (itemset,)),
@@ -60,7 +60,7 @@ def _records():
         Schema(catalog), golden, mined, entry, corpus.ArithmeticReport((entry,)),
         corpus.StudyCounts(1, {}, {}, {}, {}), conflict, corpus.SearchInfeasible((((0,), 1),)),
         unmet, report, corpus.FixtureResult(db, report), mismatch,
-        corpus.ValidationReport(((golden, mined),), (), (), (mismatch,), Fraction(0)),
+        validation.ValidationReport(((golden, mined),), (), (), (mismatch,), Fraction(0)),
     ]
 
 

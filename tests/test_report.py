@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from siterules.classify import classify_rules
-from siterules.corpus import study_aggregate_groups
 from siterules.datamodel import (
     AttributeDef,
     AttributeKind,
@@ -19,6 +18,7 @@ from siterules.report import (
     frequency_csv,
     render_rules,
     stats_table,
+    study_aggregate_groups,
 )
 
 
