@@ -98,15 +98,19 @@ def _positive_int(raw: str) -> int:
 # surrounding whitespace that it also takes: n/d, or a decimal with an
 # optional exponent.
 _NUMBER_RE = re.compile(
-    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?0*(?P<exp>[0-9]+))?)"
 )
 
 
 def _tolerance(raw: str) -> Fraction:
     from fractions import Fraction
 
-    if _NUMBER_RE.fullmatch(raw) is None:
+    m = _NUMBER_RE.fullmatch(raw)
+    if m is None:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}")
+    # Fraction builds 10**exponent; past 400 no verdict or printed figure changes
+    if m["exp"] and (len(m["exp"]) > 3 or int(m["exp"]) > 400):
+        raise argparse.ArgumentTypeError(f"exponent beyond 400: {raw!r}")
     try:
         value = Fraction(raw)
     except ZeroDivisionError:

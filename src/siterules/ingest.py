@@ -1,4 +1,4 @@
-"""Parsers for the schema file, the transaction CSV, and reference rule CSVs.
+"""Parsers for the schema file, the transaction CSV, and the rule-list CSVs.
 
 The schema file is line oriented; ``#`` starts a comment. Three declaration
 forms are accepted:
@@ -486,12 +486,13 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     return out.getvalue()
 
 
-_PCT_RE = re.compile(r"^(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]{1,2}))?$")
+_PCT_RE = re.compile(r"(?P<whole>[0-9]+)(?:\.(?P<frac>[0-9]{1,2}))?")
 
 
 def parse_pct_bp(text: str) -> int:
-    """Parse a percentage with up to two decimals into basis points (0.01%)."""
-    m = _PCT_RE.match(text.strip())
+    """Parse a percentage with up to two decimals into basis points (0.01%);
+    like :func:`parse_int`, it takes ASCII digits and no surrounding space."""
+    m = _PCT_RE.fullmatch(text)
     if m is None:
         raise ValueError(f"invalid percentage {text!r}")
     frac = (m.group("frac") or "").ljust(2, "0")
@@ -539,38 +540,48 @@ def _parse_item_text(text: str) -> tuple[str, str]:
 GOLDEN_HEADER = ["rule_id", "antecedent", "consequent", "confidence_pct", "support_pct"]
 
 
-def parse_golden_rules(text: str) -> list[GoldenRule]:
-    """Parse the transcribed reference rules, validating percentage ranges."""
-    reader = csv_rows(text, GoldenFileError)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise GoldenFileError("missing header row") from None
-    if header != GOLDEN_HEADER:
-        raise GoldenFileError(f"expected header {','.join(GOLDEN_HEADER)}")
-    rules: list[GoldenRule] = []
-    seen_ids: set[int] = set()
-    for rowno, row in enumerate(reader, start=2):
-        if len(row) != len(GOLDEN_HEADER):
-            raise GoldenFileError(f"row {rowno}: expected {len(GOLDEN_HEADER)} cells")
+def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterator[tuple[int, tuple]]:
+    """Each row of a rule-list CSV with ``header``, as (row number, cells):
+    the integer ``rule_id``, the antecedent's distinct items (split at ``" AND "``),
+    the consequent item, each ``*_pct`` cell in basis points, then any later
+    cell as written. Both rule lists (the reference rules and ``mine``'s
+    output) are read here; a fault raises ``error`` naming its row."""
+    rows = csv_rows(text, error)
+    first = next(rows, None)
+    if first is None:
+        raise error("missing header row")
+    if first != header:
+        raise error(f"expected header {','.join(header)}")
+    end = 3 + sum(name.endswith("_pct") for name in header)
+    for rowno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise error(f"row {rowno}: expected {len(header)} cells")
         try:
             rule_id = parse_int(row[0])
             antecedent = tuple(_parse_item_text(part) for part in row[1].split(" AND "))
             consequent = _parse_item_text(row[2])
-            confidence_bp = parse_pct_bp(row[3])
-            support_bp = parse_pct_bp(row[4])
+            percentages = [parse_pct_bp(cell) for cell in row[3:end]]
         except ValueError as exc:
-            raise GoldenFileError(f"row {rowno}: {exc}") from None
-        if rule_id in seen_ids:
-            raise GoldenFileError(f"row {rowno}: duplicate rule_id {rule_id}")
-        seen_ids.add(rule_id)
+            raise error(f"row {rowno}: {exc}") from None
         if len(set(antecedent)) != len(antecedent):
-            raise GoldenFileError(f"row {rowno}: malformed antecedent (repeated item)")
-        if confidence_bp < 9000:
+            raise error(f"row {rowno}: malformed antecedent (repeated item)")
+        yield rowno, (rule_id, antecedent, consequent, *percentages, *row[end:])
+
+
+def parse_golden_rules(text: str) -> list[GoldenRule]:
+    """Parse the transcribed reference rules, validating percentage ranges."""
+    rules: list[GoldenRule] = []
+    seen_ids: set[int] = set()
+    for rowno, cells in _rule_rows(text, GOLDEN_HEADER, GoldenFileError):
+        rule = GoldenRule(*cells)
+        if rule.rule_id in seen_ids:
+            raise GoldenFileError(f"row {rowno}: duplicate rule_id {rule.rule_id}")
+        seen_ids.add(rule.rule_id)
+        if rule.confidence_bp < 9000:
             raise GoldenFileError(f"row {rowno}: confidence below 90")
-        if confidence_bp > 10000:
+        if rule.confidence_bp > 10000:
             raise GoldenFileError(f"row {rowno}: confidence above 100")
-        if not 0 < support_bp <= 10000:
+        if not 0 < rule.support_bp <= 10000:
             raise GoldenFileError(f"row {rowno}: support out of range")
-        rules.append(GoldenRule(rule_id, antecedent, consequent, confidence_bp, support_bp))
+        rules.append(rule)
     return rules

@@ -12,9 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .datamodel import record
-from .ingest import GoldenRule, _parse_item_text, csv_rows, parse_int, parse_pct_bp
+from .datamodel import RuleClass, record
+from .ingest import GoldenRule, _rule_rows
 from .report import RULES_HEADER
+
+_CLASS_LABELS = frozenset(c.label for c in RuleClass)
 
 
 @record
@@ -42,32 +44,15 @@ def _rule_text(rule: Union[GoldenRule, MinedRuleRow]) -> str:
 
 def parse_rules_csv(text: str) -> list[MinedRuleRow]:
     """Re-read a rendered rules CSV; a malformed or repeated rule names its row."""
-    reader = csv_rows(text, ValueError)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("missing header row") from None
-    if header != RULES_HEADER:
-        raise ValueError(f"expected header {','.join(RULES_HEADER)}")
     rows = []
     seen: set[tuple[frozenset, tuple[str, str]]] = set()
-    for rowno, row in enumerate(reader, start=2):
-        if len(row) != len(RULES_HEADER):
-            raise ValueError(f"row {rowno}: expected {len(RULES_HEADER)} cells")
-        try:
-            mined = MinedRuleRow(
-                rule_id=parse_int(row[0]),
-                antecedent_items=tuple(_parse_item_text(part) for part in row[1].split(" AND ")),
-                consequent_item=_parse_item_text(row[2]),
-                confidence_bp=parse_pct_bp(row[3]),
-                coverage_bp=parse_pct_bp(row[4]),
-                support_bp=parse_pct_bp(row[5]),
-                class_label=row[6],
-            )
-        except ValueError as exc:
-            raise ValueError(f"row {rowno}: {exc}") from None
-        if len(set(mined.antecedent_items)) != len(mined.antecedent_items):
-            raise ValueError(f"row {rowno}: malformed antecedent (repeated item)")
+    for rowno, cells in _rule_rows(text, RULES_HEADER, ValueError):
+        mined = MinedRuleRow(*cells)
+        for name, bp in zip(("confidence", "coverage", "support"), cells[3:6]):
+            if bp > 10000:
+                raise ValueError(f"row {rowno}: {name} above 100")
+        if mined.class_label not in _CLASS_LABELS:
+            raise ValueError(f"row {rowno}: unknown class {mined.class_label!r}")
         if mined.key in seen:
             raise ValueError(f"row {rowno}: duplicate rule {_rule_text(mined)}")
         seen.add(mined.key)

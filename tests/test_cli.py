@@ -154,6 +154,10 @@ class TestMineCommand:
             # digits outside ASCII (Arabic-Indic, fullwidth), which int() accepts
             ("\u0669\u0665", "--min-conf: invalid percentage '\u0669\u0665'"),
             ("\uff19\uff10.\uff15", "--min-conf: invalid percentage '\uff19\uff10.\uff15'"),
+            # a surrounding space, ASCII or ideographic (which repr escapes), as
+            # rule_id and the other flags refuse it
+            (" 90", "--min-conf: invalid percentage ' 90'"),
+            ("90\u3000", "--min-conf: invalid percentage '90\\u3000'"),
         ],
     )
     def test_bad_confidence_is_named_before_input_is_read(self, tmp_path, capsys, raw, message):
@@ -392,8 +396,11 @@ class TestValidateCommand:
             (3, "\u0669\u0667.\u0669\u0665", "invalid percentage '\u0669\u0667.\u0669\u0665'"),
             # 10 in Arabic-Indic digits with "_" and a space, which int() reads as 10
             (0, "\u0661_\u0660 ", "invalid integer '\u0661_\u0660 '"),
+            # 97.95 padded by an ideographic or an ASCII space
+            (3, "\u300097.95", "invalid percentage '\\u300097.95'"),
+            (3, " 97.95", "invalid percentage ' 97.95'"),
         ],
-        ids=["percentage", "rule_id"],
+        ids=["percentage", "rule_id", "ideographic-space", "space"],
     )
     @pytest.mark.parametrize("edit_golden", [True, False])
     def test_non_ascii_digits_name_the_row(
@@ -432,6 +439,9 @@ class TestValidateCommand:
             ("1_0", "not a number: '1_0'"),
             (" 0.5", "not a number: ' 0.5'"),
             ("1 / 2", "not a number: '1 / 2'"),
+            # Fraction() would build 10**401 and 10**999999999
+            ("1e-401", "exponent beyond 400: '1e-401'"),
+            ("1e999999999", "exponent beyond 400: '1e999999999'"),
         ],
     )
     def test_tolerance_error_names_the_flag(self, mined_csv, golden_csv, capsys, raw, message):
@@ -444,7 +454,9 @@ class TestValidateCommand:
         assert f"argument --tolerance: {message}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", ["0.011", "1/100", "+0", "-0", ".5", "5.", "1e-2", "1.5E+1", "011"])
+@pytest.mark.parametrize(
+    "raw", ["0.011", "1/100", "+0", "-0", ".5", "5.", "1e-2", "1.5E+1", "011", "1e-400"]
+)
 def test_ascii_tolerances_read_as_before(raw):
     assert _tolerance(raw) == Fraction(raw)
 

@@ -89,6 +89,23 @@ class TestValidation:
             parse_rules_csv(doc)
         assert str(exc.value) == f"row 2: invalid integer {cell!r}"
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            ("150.00,12.08,12.08,must_have", "confidence above 100"),
+            ("100.00,912.08,12.08,must_have", "coverage above 100"),
+            ("100.00,12.08,100.01,must_have", "support above 100"),
+            ("100.00,12.08,12.08,bogus_class", "unknown class 'bogus_class'"),
+            ("100.00,12.08,12.08,Must_Have", "unknown class 'Must_Have'"),
+            ("100.00,12.08,12.08,", "unknown class ''"),
+        ],
+    )
+    def test_percentage_range_and_class_name_the_row(self, cells, message):
+        doc = ",".join(RULES_HEADER) + "\n" + f"1,age=below10,facility=about_us,{cells}\n"
+        with pytest.raises(ValueError) as exc:
+            parse_rules_csv(doc)
+        assert str(exc.value) == f"row 2: {message}"
+
     def test_render_summary_line(self, mined_rows, golden):
         report = validate_rows_against_golden(mined_rows, golden, TOLERANCE_PP)
         first = report.render().splitlines()[0]
