@@ -108,6 +108,10 @@ def _tolerance(raw: str) -> Fraction:
     m = _NUMBER_RE.fullmatch(raw)
     if m is None:
         raise argparse.ArgumentTypeError(f"not a number: {raw!r}")
+    # Fraction reads the digits with int(), which refuses more than 4,300 of
+    # them on current Pythons (640 at the lowest setting)
+    if len(raw) > 400:
+        raise argparse.ArgumentTypeError(f"longer than 400 characters ({len(raw)})")
     # Fraction builds 10**exponent; past 400 no verdict or printed figure changes
     if m["exp"] and (len(m["exp"]) > 3 or int(m["exp"]) > 400):
         raise argparse.ArgumentTypeError(f"exponent beyond 400: {raw!r}")

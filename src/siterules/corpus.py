@@ -123,12 +123,10 @@ def _rule_counts(g: GoldenRule, m: int) -> tuple[int, int, Fraction]:
     return n_antecedent, joint, Fraction(abs(scaled - 10_000 * joint), 10_000)
 
 
-def _demographic_families() -> list[tuple[str, tuple[str, ...]]]:
-    """Each demographic attribute of the study schema with its values."""
+def _demographic_families(catalog: ItemCatalog) -> list[tuple[str, tuple[str, ...]]]:
+    """Each demographic attribute of the catalog with its values."""
     return [
-        (a.name, a.values)
-        for a in load_study_schema().attributes
-        if a.item_class is ItemClass.DEMOGRAPHIC
+        (a.name, a.values) for a in catalog.attributes if a.item_class is ItemClass.DEMOGRAPHIC
     ]
 
 
@@ -156,7 +154,7 @@ def study_group_counts() -> StudyCounts:
         if shares.setdefault(frozenset(g.antecedent_items), g.support_bp) != g.support_bp:
             raise InfeasibleFixtureError(f"rule {g.rule_id}: support contradicts an earlier rule")
     by_key = {key: _derived_count(bp, M_ACCESSIBLE, "truncate") for key, bp in shares.items()}
-    families = _demographic_families()
+    families = _demographic_families(load_study_schema().catalog)
     singles = {(a, v): by_key.get(frozenset({(a, v)}), 0) for a, values in families for v in values}
     for attr, values in families:
         total = sum(singles[(attr, v)] for v in values)
@@ -260,8 +258,9 @@ def _iter_solutions(
 
     Each constraint is (variable index set, exact target sum). Variables are
     assigned in index order, candidate values highest-first, so solutions
-    arrive in lexicographically descending order. With ``start``, only the
-    solutions lexicographically at or below it are yielded.
+    arrive in lexicographically descending order. With ``start`` (no value
+    below 0, as in any solution), only the solutions lexicographically at or
+    below it are yielded.
 
     Before the search, each pair of constraints whose index set A is a
     proper subset of B adds the implied difference (B - A, t_B - t_A),
@@ -299,7 +298,16 @@ def _iter_solutions(
     the solution is then below ``start`` whatever follows. A capped node
     has searched only part of its subtree, so it never goes into ``dead``;
     it may still be skipped by a key that an uncapped node put there.
+
+    A variable whose bound is 0 (an empty cell, or one in a constraint with
+    target 0) is 0 in every solution, so it takes no depth: the search runs
+    over the other variables only, and each solution is scattered back into
+    a full-length tuple. Such a position still counts for the start bound:
+    where its ``start`` value is positive, every solution is below ``start``
+    from there on, so the bound ends at the depth before it.
     """
+    if start is not None and min(start, default=0) < 0:
+        raise ValueError("start holds a negative value")
     n = len(caps)
     constraints = [*constraints, *_implied_differences(constraints)]
     by_var: list[list[int]] = [[] for _ in range(n)]
@@ -318,22 +326,35 @@ def _iter_solutions(
     slack = [sum(map(bound.__getitem__, idxs)) for idxs, _ in constraints]
     if any(r < 0 or r > s for r, s in zip(remaining, slack)):
         return
-    assignment = [0] * n
-    low = [0] * n
-    key: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * n
-    found_before = [0] * n
+    order = [j for j in range(n) if bound[j]]
+    depth_own = [by_var[j] for j in order]
+    depth_bound = [bound[j] for j in order]
+    start_at: list[int] = []  # start's value at each depth, up to where the bound ends
+    for j in range(n if start is not None else 0):
+        if bound[j]:
+            start_at.append(start[j])
+        elif start[j] > 0:
+            break
+    depths = len(order)
+    solution = [0] * n
+    assignment = [0] * depths
+    low = [0] * depths
+    key: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * depths
+    found_before = [0] * depths
     dead: set[tuple[int, tuple[int, ...]]] = set()
     found = 0
-    edge = -1 if start is None else 0
+    edge = 0 if start_at else -1
     i = 0
     while i >= 0:
-        if i == n:
+        if i == depths:
             found += 1
-            yield tuple(assignment)
+            for j, value in zip(order, assignment):
+                solution[j] = value
+            yield tuple(solution)
             i -= 1
             continue
-        own = by_var[i]
-        b = bound[i]
+        own = depth_own[i]
+        b = depth_bound[i]
         if key[i] is None:
             # enter depth i
             here = (i, tuple(remaining))
@@ -341,7 +362,7 @@ def _iter_solutions(
                 i -= 1
                 continue
             found_before[i] = found
-            hi = b if i != edge or start[i] > b else start[i]
+            hi = b if i != edge or start_at[i] > b else start_at[i]
             lo = 0
             for ci in own:
                 slack[ci] -= b
@@ -356,7 +377,7 @@ def _iter_solutions(
                 assignment[i] = hi
                 for ci in own:
                     remaining[ci] -= hi
-                if i == edge and hi == start[i]:
+                if i == edge and hi == start_at[i] and i + 1 < len(start_at):
                     edge = i + 1
                 i += 1
                 continue
@@ -364,7 +385,7 @@ def _iter_solutions(
         else:
             value = assignment[i]
             if value > low[i]:
-                # step down; a value below start[i] leaves later depths uncapped
+                # step down; a value below start_at[i] leaves later depths uncapped
                 assignment[i] = value - 1
                 for ci in own:
                     remaining[ci] += 1
@@ -461,12 +482,11 @@ class FixtureResult(NamedTuple):
 
 
 def _demographic_cells(catalog: ItemCatalog) -> list[tuple[tuple[str, str], ...]]:
-    demo_attrs = [a for a in catalog.attributes if a.item_class is ItemClass.DEMOGRAPHIC]
-    axes = [[(a.name, v) for v in a.values] for a in demo_attrs]
+    axes = [[(attr, v) for v in values] for attr, values in _demographic_families(catalog)]
     return [tuple(cell) for cell in itertools.product(*axes)]
 
 
-def _complete_pair_counts(counts: StudyCounts) -> dict:
+def _complete_pair_counts(counts: StudyCounts, catalog: ItemCatalog) -> dict:
     """Fill in unpublished pairwise cells that the marginals force.
 
     Every pairwise table row/column with a single unknown cell is resolved
@@ -474,7 +494,7 @@ def _complete_pair_counts(counts: StudyCounts) -> dict:
     genuinely free cells open.
     """
     known = dict(counts.pair_counts)
-    families = _demographic_families()
+    families = _demographic_families(catalog)
 
     def resolve(fixed: tuple[str, str], over_attr: str, over_values: Sequence[str]) -> bool:
         keys = [frozenset({fixed, (over_attr, v)}) for v in over_values]
@@ -507,13 +527,13 @@ def _complete_pair_counts(counts: StudyCounts) -> dict:
 
 
 def _demographic_constraints(
-    counts: StudyCounts, cells: Sequence[tuple[tuple[str, str], ...]]
+    counts: StudyCounts, catalog: ItemCatalog, cells: Sequence[tuple[tuple[str, str], ...]]
 ) -> list[tuple[tuple[int, ...], int]]:
     constraints = [(tuple(range(len(cells))), counts.m)]
     for pair, count in counts.single_counts.items():
         idxs = tuple(ci for ci, cell in enumerate(cells) if pair in cell)
         constraints.append((idxs, count))
-    for key, count in _complete_pair_counts(counts).items():
+    for key, count in _complete_pair_counts(counts, catalog).items():
         idxs = tuple(ci for ci, cell in enumerate(cells) if key <= set(cell))
         constraints.append((idxs, count))
     return constraints
@@ -524,8 +544,13 @@ def _facility_mandatory(
     counts: StudyCounts,
     golden: Sequence[GoldenRule],
     cells: Sequence[tuple[tuple[str, str], ...]],
-    sizes: Sequence[int],
+    pinned: dict[tuple[int, ...], int],
 ) -> list[tuple[tuple[int, ...], int]]:
+    """The facility's total and each reference rule's joint count, as (cell
+    indices, target). ``pinned`` maps the cell indices of each demographic
+    constraint to its target; every rule's antecedent group must be one of
+    them, at the size its published support implies, so the set holds under
+    every demographic table."""
     by_cells: dict[tuple[int, ...], int] = {
         tuple(range(len(cells))): counts.facility_counts[facility]["total"]
     }
@@ -534,12 +559,11 @@ def _facility_mandatory(
             continue
         wanted = set(g.antecedent_items)
         idxs = tuple(ci for ci, cell in enumerate(cells) if wanted <= set(cell))
-        n_antecedent = sum(sizes[ci] for ci in idxs)
         expected, joint, deviation = _rule_counts(g, counts.m)
-        if n_antecedent != expected:
+        if pinned.get(idxs) != expected:
             raise InfeasibleFixtureError(
-                f"rule {g.rule_id}: antecedent group holds {n_antecedent} rows, "
-                f"published support implies {expected}"
+                f"rule {g.rule_id}: the demographic counts do not pin its antecedent group "
+                f"at the {expected} rows its published support implies"
             )
         if deviation > Fraction(1, 100):
             raise InfeasibleFixtureError(
@@ -569,45 +593,66 @@ def _facility_assignment(
     sizes: Sequence[int],
 ) -> tuple[tuple[int, ...], list[UnmetCell]]:
     """Mandatory constraints plus a greedy, deterministic pass over the
-    published group cells, each kept only if the set stays feasible.
+    published group cells in ``GROUP_COLUMNS`` order, each kept only if the
+    set stays feasible. A cell that completes its attribute's group columns
+    and disagrees with the facility total is a family conflict, left out
+    without a search.
 
-    ``first`` is the first solution of the mandatory set. Solutions arrive
-    in descending order, so when the current first solution already meets a
-    column's target it is also the first solution of the larger set, and
-    only a column it misses needs a search. That search starts at
-    ``current``: every solution of the larger set is one of the smaller set,
-    so none lies above it.
+    One search decides the whole pass when it can. The plan is the first
+    undecided column and every later one the greedy keeps if each search
+    succeeds: all but the family conflicts, each decided with the earlier
+    planned columns kept. If the accepted set plus the plan has a solution,
+    each greedy step tests a subset of that feasible set, so the greedy
+    keeps exactly the plan, and the plan's first solution is its result.
+    Only when there is none is the first undecided column searched alone,
+    and the pass goes on from the next one.
+
+    Every search starts at ``current``, at first the mandatory set's first
+    solution ``first``: the solutions of a larger set are all solutions of
+    the smaller one, so none lies above it.
     """
     targets = counts.facility_counts[facility]
     accepted = list(mandatory)
-    accepted_columns: set[str] = set()
+    accepted_columns: list[str] = []
     current = first
     unmet: list[tuple[str, UnmetReason]] = []
 
-    def family_conflict(candidate: str) -> Optional[FamilySumConflict]:
+    def family_conflict(candidate: str, kept: list[str]) -> Optional[FamilySumConflict]:
         # a column that completes its attribute's partition must agree with the total
         attr = GROUP_DEFS[candidate][0][0]
         family = [c for c, members in GROUP_DEFS.items() if members[0][0] == attr]
-        if all(c in accepted_columns for c in family if c != candidate):
+        if all(c in kept for c in family if c != candidate):
             published = tuple((c, targets[c]) for c in family)
             if sum(count for _, count in published) != targets["total"]:
                 return FamilySumConflict(attr, published, targets["total"])
         return None
 
-    for column in GROUP_COLUMNS:
-        idxs, target = column_idxs[column], targets[column]
-        reason: Optional[UnmetReason] = family_conflict(column)
-        if reason is None and sum(current[ci] for ci in idxs) != target:
-            solution = _first_solution(sizes, accepted + [(idxs, target)], current)
+    for k, column in enumerate(GROUP_COLUMNS):
+        reason: Optional[UnmetReason] = family_conflict(column, accepted_columns)
+        if reason is None:
+            plan = [column]
+            conflicts = []
+            for later in GROUP_COLUMNS[k + 1:]:
+                conflict = family_conflict(later, accepted_columns + plan)
+                if conflict is None:
+                    plan.append(later)
+                else:
+                    conflicts.append((later, conflict))
+            planned = [(column_idxs[c], targets[c]) for c in plan]
+            solution = _first_solution(sizes, accepted + planned, current)
+            if solution is not None:
+                current = solution
+                unmet += conflicts
+                break
+            solution = _first_solution(sizes, accepted + planned[:1], current)
             if solution is None:
                 reason = SearchInfeasible(tuple(accepted))
             else:
                 current = solution
-        if reason is not None:
-            unmet.append((column, reason))
-            continue
-        accepted.append((idxs, target))
-        accepted_columns.add(column)
+                accepted.append(planned[0])
+                accepted_columns.append(column)
+                continue
+        unmet.append((column, reason))
 
     unmet_cells = [
         UnmetCell(
@@ -628,8 +673,11 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     Demographic profiles are assigned first: the search enumerates cell-size
     tables meeting every published single and pairwise count and takes the
     first one under which every facility's mandatory constraint set stays
-    feasible. Facility bits are then assigned per cell, and within a cell the
-    first rows (by record id) carry each facility.
+    feasible. The mandatory sets are built once, since they do not depend on
+    the table. Each facility's group columns are then decided by
+    ``_facility_assignment``, in one search when its columns fit together
+    (as every study facility's do). Facility bits are assigned per cell, and
+    within a cell the first rows (by record id) carry each facility.
     """
     catalog = load_study_schema().catalog
     cells = _demographic_cells(catalog)
@@ -638,24 +686,20 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     if unknown:
         raise InfeasibleFixtureError(f"reference rules name unknown facilities: {sorted(unknown)}")
 
-    demographic = _demographic_constraints(counts, cells)
+    demographic = _demographic_constraints(counts, catalog, cells)
+    pinned = dict(demographic)
+    mandatory_sets = {f: _facility_mandatory(f, counts, golden, cells, pinned) for f in facilities}
     caps: list[Optional[int]] = [None] * len(cells)
-    sizes: Optional[tuple[int, ...]] = None
-    mandatory_sets: dict[str, list] = {}
-    for table in _iter_solutions(caps, demographic):
-        mandatory_sets = {
-            f: _facility_mandatory(f, counts, golden, cells, table) for f in facilities
-        }
+    for sizes in _iter_solutions(caps, demographic):
         first: dict[str, tuple[int, ...]] = {}
         for f, constraint_set in mandatory_sets.items():
-            solution = _first_solution(table, constraint_set)
+            solution = _first_solution(sizes, constraint_set)
             if solution is None:
                 break
             first[f] = solution
         else:
-            sizes = table
             break
-    if sizes is None:
+    else:
         raise InfeasibleFixtureError("no demographic table admits the mandatory constraints")
 
     column_idxs = _column_cells(cells)

@@ -79,12 +79,12 @@ def stats_table(
     group_vectors = [
         all_mask if not col.item_ids else _union_vector(db, col.item_ids) for col in columns
     ]
+    groups = [(gvec, gvec.bit_count()) for gvec in group_vectors]
     rows = []
     for fid in catalog.ids_of_class(ItemClass.FACILITY):
         fvec = db.vertical_index[fid]
         cells: list[Optional[Percent]] = []
-        for gvec in group_vectors:
-            size = gvec.bit_count()
+        for gvec, size in groups:
             if size == 0:
                 cells.append(None)
             else:

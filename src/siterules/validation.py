@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .datamodel import RuleClass, record
+from .classify import classify_confidence
+from .datamodel import Percent, RuleClass, record
 from .ingest import GoldenRule, _rule_rows
 from .report import RULES_HEADER
 
@@ -43,7 +44,13 @@ def _rule_text(rule: Union[GoldenRule, MinedRuleRow]) -> str:
 
 
 def parse_rules_csv(text: str) -> list[MinedRuleRow]:
-    """Re-read a rendered rules CSV; a malformed or repeated rule names its row."""
+    """Re-read a rendered rules CSV; a malformed or repeated rule names its row.
+
+    A row must also agree with itself as ``mine`` writes it: its class is the
+    tier of its confidence (the file truncates to two decimals, which keeps
+    the 90 and 95 boundaries exact), and its support does not exceed its
+    coverage.
+    """
     rows = []
     seen: set[tuple[frozenset, tuple[str, str]]] = set()
     for rowno, cells in _rule_rows(text, RULES_HEADER, ValueError):
@@ -53,6 +60,14 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
                 raise ValueError(f"row {rowno}: {name} above 100")
         if mined.class_label not in _CLASS_LABELS:
             raise ValueError(f"row {rowno}: unknown class {mined.class_label!r}")
+        tier = classify_confidence(Percent(mined.confidence_bp, 10000)).label
+        if mined.class_label != tier:
+            raise ValueError(
+                f"row {rowno}: class {mined.class_label!r} does not match confidence "
+                f"{mined.confidence_bp / 100:.2f} ({tier})"
+            )
+        if mined.support_bp > mined.coverage_bp:
+            raise ValueError(f"row {rowno}: support above coverage")
         if mined.key in seen:
             raise ValueError(f"row {rowno}: duplicate rule {_rule_text(mined)}")
         seen.add(mined.key)

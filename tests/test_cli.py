@@ -442,6 +442,15 @@ class TestValidateCommand:
             # Fraction() would build 10**401 and 10**999999999
             ("1e-401", "exponent beyond 400: '1e-401'"),
             ("1e999999999", "exponent beyond 400: '1e999999999'"),
+            # int() inside Fraction() would refuse these digits with its own message
+            pytest.param(
+                "1e-" + "0" * 5000 + "5", "longer than 400 characters (5004)",
+                id="5001-digit-exponent",
+            ),
+            pytest.param(
+                "0." + "0" * 5000 + "1", "longer than 400 characters (5003)",
+                id="5001-digit-mantissa",
+            ),
         ],
     )
     def test_tolerance_error_names_the_flag(self, mined_csv, golden_csv, capsys, raw, message):
@@ -510,7 +519,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
         def run(*argv):
             return subprocess.run(
-                [sys.executable, "-m", "siterules", *argv],
+                [sys.executable, "-B", "-m", "siterules", *argv],
                 capture_output=True, check=True, cwd=REPO_ROOT, env=env,
             ).stdout
 
@@ -529,7 +538,7 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
 
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
-        [sys.executable, "-m", "siterules", "fixture", "--out-dir", str(tmp_path / "f")],
+        [sys.executable, "-B", "-m", "siterules", "fixture", "--out-dir", str(tmp_path / "f")],
         capture_output=True,
         text=True,
         cwd=REPO_ROOT,
@@ -554,7 +563,7 @@ def _run_and_list_imports(argv):
     """Run one command in a fresh interpreter with no site packages; return
     its exit code and the watched modules it loaded."""
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", _IMPORT_PROBE, str(REPO_ROOT / "src"),
+        [sys.executable, "-B", "-I", "-S", "-c", _IMPORT_PROBE, str(REPO_ROOT / "src"),
          ",".join(_WATCHED), *argv],
         capture_output=True, text=True, check=True,
     )

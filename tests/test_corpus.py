@@ -153,6 +153,64 @@ def brute_force_solutions(caps, constraints):
     ]
 
 
+@st.composite
+def facility_systems(draw):
+    """One facility's pass on two to five cells of size 0-3. A hidden
+    assignment meets the mandatory set (the total and up to two joint
+    counts); each cell is in at most one group column of each attribute
+    (in the study, exactly one), and each column target is the hidden count
+    moved by at most one, so some columns cannot be met and some families
+    disagree with the total."""
+    n = draw(st.integers(2, 5))
+    sizes = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    hidden = [draw(st.integers(0, size)) for size in sizes]
+    subsets = st.lists(st.integers(0, n - 1), min_size=1, unique=True).map(
+        lambda idxs: tuple(sorted(idxs))
+    )
+    mandatory = [(tuple(range(n)), sum(hidden))]
+    for idxs in draw(st.lists(subsets, max_size=2)):
+        mandatory.append((idxs, sum(hidden[j] for j in idxs)))
+    column_idxs = {}
+    for attr in dict.fromkeys(members[0][0] for members in GROUP_DEFS.values()):
+        family = [c for c in GROUP_COLUMNS if GROUP_DEFS[c][0][0] == attr]
+        owner = draw(st.lists(st.sampled_from([*family, None]), min_size=n, max_size=n))
+        for column in family:
+            column_idxs[column] = tuple(j for j in range(n) if owner[j] == column)
+    targets = {"total": sum(hidden)}
+    for column in GROUP_COLUMNS:
+        moved = sum(hidden[j] for j in column_idxs[column]) + draw(st.sampled_from((0, 0, -1, 1)))
+        targets[column] = max(0, moved)
+    return sizes, mandatory, column_idxs, targets
+
+
+def greedy_assignment(targets, mandatory, column_idxs, sizes):
+    """The column-by-column greedy, by brute force: in ``GROUP_COLUMNS``
+    order, a column is left out for a family conflict (it completes its
+    attribute's kept columns, whose targets do not sum to the total) or when
+    the accepted set plus it has no solution. Returns the highest solution of
+    the accepted set and the (column, reason) pairs left out."""
+
+    def highest(constraints):
+        solutions = brute_force_solutions(sizes, constraints)
+        return solutions[-1] if solutions else None
+
+    accepted, kept, unmet = list(mandatory), [], []
+    for column in GROUP_COLUMNS:
+        attr = GROUP_DEFS[column][0][0]
+        family = [c for c in GROUP_COLUMNS if GROUP_DEFS[c][0][0] == attr]
+        published = tuple((c, targets[c]) for c in family)
+        constraint = (column_idxs[column], targets[column])
+        completes = all(c in kept for c in family if c != column)
+        if completes and sum(t for _, t in published) != targets["total"]:
+            unmet.append((column, corpus.FamilySumConflict(attr, published, targets["total"])))
+        elif highest(accepted + [constraint]) is None:
+            unmet.append((column, corpus.SearchInfeasible(tuple(accepted))))
+        else:
+            accepted.append(constraint)
+            kept.append(column)
+    return highest(accepted), unmet
+
+
 class TestSearch:
     @given(small_systems())
     @settings(max_examples=300, deadline=None)
@@ -229,6 +287,11 @@ class TestSearch:
         ]
         assert list(corpus._iter_solutions(caps, system)) == []
         assert brute_force_solutions(caps, system) == []
+
+    def test_negative_start_rejected(self):
+        # a cell that takes no depth could not end the bound below such a start
+        with pytest.raises(ValueError, match="start holds a negative value"):
+            list(corpus._iter_solutions([0, 2], [((0, 1), 1)], (-1, 5)))
 
     @given(small_systems())
     @settings(max_examples=50, deadline=None)
@@ -317,7 +380,8 @@ class TestBuildFixture:
         edited = counts._replace(facility_counts=dict(counts.facility_counts, about_us=targets))
         cells = corpus._demographic_cells(catalog)
         sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
-        mandatory = corpus._facility_mandatory("about_us", edited, golden, cells, sizes)
+        pinned = dict(corpus._demographic_constraints(counts, catalog, cells))
+        mandatory = corpus._facility_mandatory("about_us", edited, golden, cells, pinned)
         first = corpus._first_solution(sizes, mandatory)
         _, unmet = corpus._facility_assignment(
             "about_us", edited, mandatory, first, corpus._column_cells(cells), sizes
@@ -325,12 +389,22 @@ class TestBuildFixture:
         assert [(u.column, u.target, u.achieved) for u in unmet] == [("governmental", 50, 48)]
         assert unmet[0].reason == corpus.SearchInfeasible(tuple(mandatory))
 
+    def test_unpinned_antecedent_group_rejected(self, counts, golden, catalog):
+        # no demographic count pins a three-item group, so no table would fix its size
+        cells = corpus._demographic_cells(catalog)
+        pinned = dict(corpus._demographic_constraints(counts, catalog, cells))
+        items = (("age", "above30"), ("industry", "products"), ("ownership", "private"))
+        extra = GoldenRule(99, items, ("facility", "about_us"), 10000, 110)
+        with pytest.raises(corpus.InfeasibleFixtureError, match="rule 99: the demographic counts"):
+            corpus._facility_mandatory("about_us", counts, [*golden, extra], cells, pinned)
+
     def test_warm_start_matches_a_fresh_search(self, counts, golden, catalog, fixture_result):
         cells = corpus._demographic_cells(catalog)
         sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
         column_idxs = corpus._column_cells(cells)
+        pinned = dict(corpus._demographic_constraints(counts, catalog, cells))
         for facility, targets in counts.facility_counts.items():
-            mandatory = corpus._facility_mandatory(facility, counts, golden, cells, sizes)
+            mandatory = corpus._facility_mandatory(facility, counts, golden, cells, pinned)
             first = corpus._first_solution(sizes, mandatory)
             assignment, unmet = corpus._facility_assignment(
                 facility, counts, mandatory, first, column_idxs, sizes
@@ -340,6 +414,45 @@ class TestBuildFixture:
                 (column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in skipped
             ]
             assert assignment == corpus._first_solution(sizes, accepted), facility
+
+    @given(facility_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_assignment_matches_the_column_by_column_greedy(self, system):
+        sizes, mandatory, column_idxs, targets = system
+        counts = corpus.StudyCounts(0, {}, {}, {"f": targets}, {})
+        first = corpus._first_solution(sizes, mandatory)
+        assignment, unmet = corpus._facility_assignment(
+            "f", counts, mandatory, first, column_idxs, sizes
+        )
+        expected, expected_unmet = greedy_assignment(targets, mandatory, column_idxs, sizes)
+        assert assignment == expected
+        assert [(u.column, u.reason) for u in unmet] == expected_unmet
+        for u in unmet:
+            assert u.achieved == sum(assignment[j] for j in column_idxs[u.column])
+
+    def test_one_assignment_search_per_facility(self, counts, golden, monkeypatch):
+        # the study's group columns are decided by one search each: every
+        # column that is not a family conflict fits with all the others
+        searching = []
+        searches = {}
+        facility_assignment, first_solution = corpus._facility_assignment, corpus._first_solution
+
+        def assignment(facility, *args):
+            searching.append(facility)
+            try:
+                return facility_assignment(facility, *args)
+            finally:
+                searching.pop()
+
+        def first(*args):
+            for facility in searching:
+                searches[facility] = searches.get(facility, 0) + 1
+            return first_solution(*args)
+
+        monkeypatch.setattr(corpus, "_facility_assignment", assignment)
+        monkeypatch.setattr(corpus, "_first_solution", first)
+        corpus.build_fixture(counts, golden)
+        assert searches == dict.fromkeys(counts.facility_counts, 1)
 
     def test_deterministic_rebuild(self, counts, golden, fixture_result):
         again = corpus.build_fixture(counts, golden)

@@ -107,7 +107,7 @@ def test_cli_import_leaves_out_dataclasses():
         "print('dataclasses' in sys.modules)"
     )
     result = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code, str(SRC)],
+        [sys.executable, "-B", "-I", "-S", "-c", code, str(SRC)],
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "False\n"

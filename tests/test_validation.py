@@ -98,6 +98,26 @@ class TestValidation:
             ("100.00,12.08,12.08,bogus_class", "unknown class 'bogus_class'"),
             ("100.00,12.08,12.08,Must_Have", "unknown class 'Must_Have'"),
             ("100.00,12.08,12.08,", "unknown class ''"),
+            # a row that mine could not have written: its class is not the
+            # tier of its confidence, or its support exceeds its coverage
+            (
+                "90.00,12.08,50.00,rejected",
+                "class 'rejected' does not match confidence 90.00 (should_have)",
+            ),
+            (
+                "95.00,12.08,10.98,should_have",
+                "class 'should_have' does not match confidence 95.00 (must_have)",
+            ),
+            (
+                "94.99,12.08,10.98,must_have",
+                "class 'must_have' does not match confidence 94.99 (should_have)",
+            ),
+            (
+                "89.99,12.08,10.98,should_have",
+                "class 'should_have' does not match confidence 89.99 (rejected)",
+            ),
+            ("100.00,12.08,12.09,must_have", "support above coverage"),
+            ("0.00,0.00,0.01,rejected", "support above coverage"),
         ],
     )
     def test_percentage_range_and_class_name_the_row(self, cells, message):
@@ -105,6 +125,21 @@ class TestValidation:
         with pytest.raises(ValueError) as exc:
             parse_rules_csv(doc)
         assert str(exc.value) == f"row 2: {message}"
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            "89.99,12.08,10.86,rejected",
+            "90.00,12.08,10.87,should_have",
+            "94.99,12.08,11.47,should_have",
+            "95.00,12.08,12.08,must_have",
+            "0.00,0.00,0.00,rejected",
+        ],
+    )
+    def test_class_boundaries_and_equal_support_read(self, cells):
+        doc = ",".join(RULES_HEADER) + "\n" + f"1,age=below10,facility=about_us,{cells}\n"
+        (row,) = parse_rules_csv(doc)
+        assert row.class_label == cells.rsplit(",", 1)[1]
 
     def test_render_summary_line(self, mined_rows, golden):
         report = validate_rows_against_golden(mined_rows, golden, TOLERANCE_PP)
