@@ -163,7 +163,8 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     from . import corpus
 
     try:
-        result = corpus.build_fixture(corpus.study_group_counts(), corpus.load_golden_rules())
+        counts = corpus.study_group_counts()
+        result = corpus.build_fixture(counts, counts.golden)
     except corpus.InfeasibleFixtureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH

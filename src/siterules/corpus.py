@@ -132,13 +132,16 @@ def _demographic_families(catalog: ItemCatalog) -> list[tuple[str, tuple[str, ..
 
 @record
 class StudyCounts(NamedTuple):
-    """Integer counts recovered from the published percentages."""
+    """Integer counts recovered from the published percentages, with the
+    study catalog and reference rules they were read from."""
 
     m: int
     single_counts: dict
     pair_counts: dict
     facility_counts: dict
     group_sizes: dict
+    catalog: ItemCatalog
+    golden: tuple[GoldenRule, ...]
 
 
 def study_group_counts() -> StudyCounts:
@@ -149,12 +152,14 @@ def study_group_counts() -> StudyCounts:
     :class:`InfeasibleFixtureError` if any published figure stops
     reproducing under its table's rounding mode (i.e. a transcription error).
     """
+    golden = tuple(load_golden_rules())
+    catalog = load_study_schema().catalog
     shares: dict[frozenset, int] = {}
-    for g in load_golden_rules():
+    for g in golden:
         if shares.setdefault(frozenset(g.antecedent_items), g.support_bp) != g.support_bp:
             raise InfeasibleFixtureError(f"rule {g.rule_id}: support contradicts an earlier rule")
     by_key = {key: _derived_count(bp, M_ACCESSIBLE, "truncate") for key, bp in shares.items()}
-    families = _demographic_families(load_study_schema().catalog)
+    families = _demographic_families(catalog)
     singles = {(a, v): by_key.get(frozenset({(a, v)}), 0) for a, values in families for v in values}
     for attr, values in families:
         total = sum(singles[(attr, v)] for v in values)
@@ -176,7 +181,7 @@ def study_group_counts() -> StudyCounts:
         for column, bp in zip(GROUP_COLUMNS, row[1:]):
             targets[column] = _derived_count(bp, group_sizes[column], "round")
         facility_counts[facility] = targets
-    return StudyCounts(M_ACCESSIBLE, singles, pairs, facility_counts, group_sizes)
+    return StudyCounts(M_ACCESSIBLE, singles, pairs, facility_counts, group_sizes, catalog, golden)
 
 
 # ---------------------------------------------------------------------------
@@ -226,48 +231,16 @@ def arithmetic_consistency_check(
 # ---------------------------------------------------------------------------
 # deterministic integer feasibility search
 
-def _implied_differences(
-    constraints: Sequence[tuple[tuple[int, ...], int]],
-) -> list[tuple[tuple[int, ...], int]]:
-    """``(B - A, t_B - t_A)`` for every pair of constraints whose index set A
-    is a proper subset of B, unless B - A is already the index set of a
-    constraint or of an earlier difference. One round: differences of
-    differences are not added."""
-    masks = []
-    for idxs, _ in constraints:
-        mask = 0
-        for j in idxs:
-            mask |= 1 << j
-        masks.append(mask)
-    known = set(masks)
-    implied = []
-    for a, (_, t_a) in zip(masks, constraints):
-        for b, (idxs_b, t_b) in zip(masks, constraints):
-            if a & b == a and a != b and b ^ a not in known:
-                known.add(b ^ a)
-                implied.append((tuple(j for j in idxs_b if not a >> j & 1), t_b - t_a))
-    return implied
-
 
 def _iter_solutions(
     caps: Sequence[Optional[int]],
     constraints: Sequence[tuple[tuple[int, ...], int]],
-    start: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield all non-negative integer assignments meeting every constraint.
 
     Each constraint is (variable index set, exact target sum). Variables are
     assigned in index order, candidate values highest-first, so solutions
-    arrive in lexicographically descending order. With ``start`` (no value
-    below 0, as in any solution), only the solutions lexicographically at or
-    below it are yielded.
-
-    Before the search, each pair of constraints whose index set A is a
-    proper subset of B adds the implied difference (B - A, t_B - t_A),
-    unless B - A is already a constraint (redundant constraints). Every
-    solution of the given constraints meets it, so the solutions are
-    unchanged, but it tightens bounds and slack from the first variable on:
-    a negative difference admits no solution at all.
+    arrive in lexicographically descending order.
 
     A variable's bound is its cap tightened by the targets of its
     constraints. ``slack[ci]`` is the sum of those bounds over constraint
@@ -292,24 +265,12 @@ def _iter_solutions(
     unchanged. ``dead`` is local to one call: a subtree left early by a
     closed generator records nothing.
 
-    The start bound is exact too. While the prefix assigned so far equals
-    ``start``'s (depths up to ``edge``), variable i is capped at
-    ``start[i]``; a smaller value leaves every later variable free, since
-    the solution is then below ``start`` whatever follows. A capped node
-    has searched only part of its subtree, so it never goes into ``dead``;
-    it may still be skipped by a key that an uncapped node put there.
-
     A variable whose bound is 0 (an empty cell, or one in a constraint with
     target 0) is 0 in every solution, so it takes no depth: the search runs
     over the other variables only, and each solution is scattered back into
-    a full-length tuple. Such a position still counts for the start bound:
-    where its ``start`` value is positive, every solution is below ``start``
-    from there on, so the bound ends at the depth before it.
+    a full-length tuple.
     """
-    if start is not None and min(start, default=0) < 0:
-        raise ValueError("start holds a negative value")
     n = len(caps)
-    constraints = [*constraints, *_implied_differences(constraints)]
     by_var: list[list[int]] = [[] for _ in range(n)]
     for ci, (idxs, _) in enumerate(constraints):
         for j in idxs:
@@ -329,12 +290,6 @@ def _iter_solutions(
     order = [j for j in range(n) if bound[j]]
     depth_own = [by_var[j] for j in order]
     depth_bound = [bound[j] for j in order]
-    start_at: list[int] = []  # start's value at each depth, up to where the bound ends
-    for j in range(n if start is not None else 0):
-        if bound[j]:
-            start_at.append(start[j])
-        elif start[j] > 0:
-            break
     depths = len(order)
     solution = [0] * n
     assignment = [0] * depths
@@ -343,7 +298,6 @@ def _iter_solutions(
     found_before = [0] * depths
     dead: set[tuple[int, tuple[int, ...]]] = set()
     found = 0
-    edge = 0 if start_at else -1
     i = 0
     while i >= 0:
         if i == depths:
@@ -362,7 +316,7 @@ def _iter_solutions(
                 i -= 1
                 continue
             found_before[i] = found
-            hi = b if i != edge or start_at[i] > b else start_at[i]
+            hi = b
             lo = 0
             for ci in own:
                 slack[ci] -= b
@@ -377,20 +331,15 @@ def _iter_solutions(
                 assignment[i] = hi
                 for ci in own:
                     remaining[ci] -= hi
-                if i == edge and hi == start_at[i] and i + 1 < len(start_at):
-                    edge = i + 1
                 i += 1
                 continue
             value = 0  # no value fits: leave depth i at once
         else:
             value = assignment[i]
             if value > low[i]:
-                # step down; a value below start_at[i] leaves later depths uncapped
                 assignment[i] = value - 1
                 for ci in own:
                     remaining[ci] += 1
-                if edge > i:
-                    edge = i
                 i += 1
                 continue
             here = key[i]
@@ -400,13 +349,13 @@ def _iter_solutions(
         for ci in own:
             slack[ci] += b
             remaining[ci] += value
-        if i > edge and found == found_before[i]:
+        if found == found_before[i]:
             dead.add(here)
         i -= 1
 
 
-def _first_solution(caps, constraints, start=None) -> Optional[tuple[int, ...]]:
-    return next(_iter_solutions(caps, constraints, start), None)
+def _first_solution(caps, constraints) -> Optional[tuple[int, ...]]:
+    return next(_iter_solutions(caps, constraints), None)
 
 
 # ---------------------------------------------------------------------------
@@ -607,9 +556,8 @@ def _facility_assignment(
     Only when there is none is the first undecided column searched alone,
     and the pass goes on from the next one.
 
-    Every search starts at ``current``, at first the mandatory set's first
-    solution ``first``: the solutions of a larger set are all solutions of
-    the smaller one, so none lies above it.
+    The result, ``current``, is the accepted set's first solution (``first``
+    until a column is kept); unmet cells read their achieved counts from it.
     """
     targets = counts.facility_counts[facility]
     accepted = list(mandatory)
@@ -639,12 +587,12 @@ def _facility_assignment(
                 else:
                     conflicts.append((later, conflict))
             planned = [(column_idxs[c], targets[c]) for c in plan]
-            solution = _first_solution(sizes, accepted + planned, current)
+            solution = _first_solution(sizes, accepted + planned)
             if solution is not None:
                 current = solution
                 unmet += conflicts
                 break
-            solution = _first_solution(sizes, accepted + planned[:1], current)
+            solution = _first_solution(sizes, accepted + planned[:1])
             if solution is None:
                 reason = SearchInfeasible(tuple(accepted))
             else:
@@ -679,7 +627,7 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     (as every study facility's do). Facility bits are assigned per cell, and
     within a cell the first rows (by record id) carry each facility.
     """
-    catalog = load_study_schema().catalog
+    catalog = counts.catalog
     cells = _demographic_cells(catalog)
     facilities = [a.name for a in catalog.attributes if a.item_class is ItemClass.FACILITY]
     unknown = {g.consequent_item[1] for g in golden} - set(facilities)

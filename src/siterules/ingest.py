@@ -11,7 +11,8 @@ forms are accepted:
 value "yes"; it is the only way to declare a consequent. The transaction CSV
 has a ``record_id`` first column, then one column per attribute
 (order-insensitive): categorical cells hold a declared value, numeric cells
-an integer, facility cells a yes/no token or nothing.
+an integer, facility cells a yes/no token or nothing. Cells and record ids
+may be padded with ASCII whitespace, and with no other space.
 A row whose facility cells are all empty is excluded from the database and
 only counted; a partially empty facility row is an error.
 
@@ -56,6 +57,8 @@ _ATTR_RE = re.compile(
 _FACILITY_RE = re.compile(r'^facility\s+(?P<name>\S+)\s+"(?P<desc>[^"]*)"$')
 _BIN_RE = re.compile(r"^(?P<lo>[0-9]+)-(?P<hi>[0-9]*)=(?P<label>[^\s,]+)$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
+# the only padding a data cell or record id may carry: ASCII whitespace
+_ASCII_SPACE = " \t\n\r\v\f"
 
 
 class SchemaError(ValueError):
@@ -182,7 +185,7 @@ def bin_numeric(value: float, bins: Sequence[NumericBin]) -> str:
 
 
 def _facility_token(cell: str) -> Optional[bool]:
-    token = cell.strip().lower()
+    token = cell.lower()
     if not token:
         return None
     if token in YES_TOKENS:
@@ -208,7 +211,7 @@ def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -
     The bit depends only on the column and the raw cell; ``rowno`` only
     names the row in the message of a rejected cell.
     """
-    value = cell.strip()
+    value = cell.strip(_ASCII_SPACE)
     if attr.kind is AttributeKind.BINARY:
         try:
             present = _facility_token(value)
@@ -346,14 +349,15 @@ def _read_rows(
     encoded once, with the number of the row it first appears on, and its
     mask (or ``None`` for an excluded row) kept in a dict. A checklist table
     has few distinct tails, so the loop tests the common row first: a tail
-    already kept and a non-empty id cost one lookup, one strip and two
-    appends, and every other row takes the checks in order. Within that
-    check each column keeps a table from raw cell to item bit, filled by
-    :func:`_cell_bit` the first time a cell is seen; empty cells never
-    enter a table, so a row holding one takes the checked path. Record ids,
-    those of excluded rows included, are hashed once as a whole column;
-    only when that finds a repeat, or a row is rejected, are they scanned
-    in order, so the first failing row is named.
+    already kept and a non-empty id with nothing to strip cost one lookup,
+    one strip and two appends, and every other row takes the checks in
+    order, where its id is stripped of ASCII whitespace only and may keep
+    no other padding. Within that check each column keeps a table from raw
+    cell to item bit, filled by :func:`_cell_bit` the first time a cell is
+    seen; empty cells never enter a table, so a row holding one takes the
+    checked path. Record ids, those of excluded rows included, are hashed
+    once as a whole column; only when that finds a repeat, or a row is
+    rejected, are they scanned in order, so the first failing row is named.
     """
     if header is None:
         raise DataError("missing header row")
@@ -380,7 +384,7 @@ def _read_rows(
             return sum(map(lookup, tables, cells))
         except KeyError:
             pass
-        empties = [not cells[k].strip() for k in facility_cols]
+        empties = [not cells[k].strip(_ASCII_SPACE) for k in facility_cols]
         if facility_cols and all(empties):
             return None
         if any(empties):
@@ -403,9 +407,8 @@ def _read_rows(
     try:
         for raw_id, sep, tail in rows:
             members = memo.get(tail, _UNSEEN)
-            record_id = raw_id.strip()
-            if members is not _UNSEEN and record_id:
-                append_id(record_id)
+            if members is not _UNSEEN and raw_id and raw_id.strip() == raw_id:
+                append_id(raw_id)
                 append_mask(members)
                 continue
             rowno = len(record_ids) + 2
@@ -415,8 +418,13 @@ def _read_rows(
                 n_cells = 1 + len(cells) if raw_id or sep else 0
                 if n_cells != width:
                     raise DataError(f"row {rowno}: expected {width} cells, got {n_cells}")
+            record_id = raw_id.strip(_ASCII_SPACE)
             if not record_id:
                 raise DataError(f"row {rowno}: empty record_id")
+            if record_id != record_id.strip():
+                raise DataError(
+                    f"row {rowno}: record_id {record_id!r} has padding other than ASCII whitespace"
+                )
             append_id(record_id)
             if members is _UNSEEN:
                 members = tail_mask(cells, rowno)

@@ -69,6 +69,26 @@ class TestFixtureCommand:
         assert capsys.readouterr().err == "error: no database meets the constraints\n"
         assert not (tmp_path / "out").exists()
 
+    def test_each_packaged_file_is_parsed_once(self, tmp_path, monkeypatch):
+        # every module that imported a parser by name gets the counting wrapper
+        import siterules.cli as cli
+        import siterules.corpus as corpus
+        import siterules.ingest as ingest
+
+        calls = {"parse_schema": 0, "parse_golden_rules": 0}
+        for name in calls:
+            original = getattr(ingest, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for module in (ingest, corpus, cli):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        assert main(["fixture", "--out-dir", str(tmp_path)]) == 0
+        assert calls == {"parse_schema": 1, "parse_golden_rules": 1}
+
     def test_out_dir_naming_a_file_exits_two(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import re
+import string
 from collections import Counter
 
 import pytest
@@ -251,7 +252,7 @@ class TestParseTransactions:
         with pytest.raises(DataError, match="unparseable integer"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,old,Y,N"]))
 
-    @pytest.mark.parametrize("age", ["1_0", "\u0661\u0660"])
+    @pytest.mark.parametrize("age", ["1_0", "\u0661\u0660", "\u300025", "25\xa0"])
     def test_non_ascii_digits_rejected(self, small_schema, age):
         with pytest.raises(DataError, match=r"row 2, column 'age': unparseable integer"):
             parse_transactions(small_schema, rows_to_csv([f"c1,private,{age},Y,N"]))
@@ -366,13 +367,17 @@ def reference_rows(schema, text):
     for rowno, row in enumerate(records, start=2):
         if len(row) != len(header):
             raise DataError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
-        record_id = row[0].strip()
+        record_id = row[0].strip(string.whitespace)
         if not record_id:
             raise DataError(f"row {rowno}: empty record_id")
+        if record_id != record_id.strip():
+            raise DataError(
+                f"row {rowno}: record_id {record_id!r} has padding other than ASCII whitespace"
+            )
         if record_id in seen:
             raise DataError(f"row {rowno}: duplicate record_id {record_id!r}")
         seen.add(record_id)
-        empties = [not row[1 + k].strip() for k in facility]
+        empties = [not row[1 + k].strip(string.whitespace) for k in facility]
         if facility and all(empties):
             excluded += 1
             continue
@@ -395,13 +400,18 @@ def outcome(parse):
 
 
 HEADER = "record_id,ownership,age,about_us,search"
-ODD_IDS = [" c3", "c1 ", "", "\u0661", '"c1"', '"a,b"', '"x\ny"', 'q"x', "c\0"]
+ODD_IDS = [
+    " c3", "c1 ", "", "\u0661", '"c1"', '"a,b"', '"x\ny"', 'q"x', "c\0", "\u3000c3", "c1\xa0", "\x1c",
+]
 # per column: cells the schema accepts, then cells it rejects or that need the reader
 COLUMN_CELLS = [
-    (["private", " governmental", "semiprivate "], ["communal", "", '"private"', "pri\0vate"]),
-    (["5", " 25", "+40", "011"], ["\u0661\u0660", "1_0", "", "x", "-4", '"2,5"']),
-    (["Y", "n ", "yes", "0"], ["", " ", "maybe", '"Y"', "\r"]),
-    (["N", " y", "no", "1"], ["", " ", "maybe", '"n"', "\r"]),
+    (
+        ["private", " governmental", "semiprivate "],
+        ["communal", "", '"private"', "pri\0vate", "\u3000private"],
+    ),
+    (["5", " 25", "+40", "011"], ["\u0661\u0660", "1_0", "", "x", "-4", '"2,5"', "\u300025"]),
+    (["Y", "n ", "yes", "0"], ["", " ", "maybe", '"Y"', "\r", "Y\u3000", "\u3000"]),
+    (["N", " y", "no", "1"], ["", " ", "maybe", '"n"', "\r", "\x1cn"]),
 ]
 SOUP = [",", '"', "\r", "\n", "\r\n", "\0", " ", "\u0661", "private", "25", "Y", "c1"]
 
@@ -461,6 +471,7 @@ class TestRowSources:
     @example("")
     @example("\n")
     @example(HEADER + "\n\u0661,private,\u0661,Y,N\n")
+    @example(HEADER + "\nc1,private,5,\u3000,N\n")  # a facility cell of one non-ASCII space
     @settings(max_examples=300, deadline=None)
     def test_both_routes_match_the_oracle(self, text):
         schema = parse_schema(SMALL_SCHEMA)

@@ -58,8 +58,9 @@ def _records():
         Percent(1, 2), rule, MiningConfig(), itemset, FrequentLevel(1, (itemset,)),
         ClassifiedRule(rule, RuleClass.MUST_HAVE), column, row, FrequencyTable((column,), (row,)),
         Schema(catalog), golden, mined, entry, corpus.ArithmeticReport((entry,)),
-        corpus.StudyCounts(1, {}, {}, {}, {}), conflict, corpus.SearchInfeasible((((0,), 1),)),
-        unmet, report, corpus.FixtureResult(db, report), mismatch,
+        corpus.StudyCounts(1, {}, {}, {}, {}, catalog, (golden,)), conflict,
+        corpus.SearchInfeasible((((0,), 1),)), unmet, report, corpus.FixtureResult(db, report),
+        mismatch,
         validation.ValidationReport(((golden, mined),), (), (), (mismatch,), Fraction(0)),
     ]
 
