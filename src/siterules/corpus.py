@@ -233,7 +233,7 @@ def arithmetic_consistency_check(
 
 
 def _iter_solutions(
-    caps: Sequence[Optional[int]],
+    caps: Sequence[int],
     constraints: Sequence[tuple[tuple[int, ...], int]],
 ) -> Iterator[tuple[int, ...]]:
     """Yield all non-negative integer assignments meeting every constraint.
@@ -276,14 +276,7 @@ def _iter_solutions(
         for j in idxs:
             by_var[j].append(ci)
     remaining = [t for _, t in constraints]
-    bound = []
-    for j, cap in enumerate(caps):
-        targets = [remaining[ci] for ci in by_var[j]]
-        if cap is not None:
-            targets.append(cap)
-        if not targets:
-            raise ValueError(f"variable {j} is unbounded")
-        bound.append(min(targets))
+    bound = [min([cap, *map(remaining.__getitem__, by_var[j])]) for j, cap in enumerate(caps)]
     slack = [sum(map(bound.__getitem__, idxs)) for idxs, _ in constraints]
     if any(r < 0 or r > s for r, s in zip(remaining, slack)):
         return
@@ -435,7 +428,7 @@ def _demographic_cells(catalog: ItemCatalog) -> list[tuple[tuple[str, str], ...]
     return [tuple(cell) for cell in itertools.product(*axes)]
 
 
-def _complete_pair_counts(counts: StudyCounts, catalog: ItemCatalog) -> dict:
+def _complete_pair_counts(counts: StudyCounts) -> dict:
     """Fill in unpublished pairwise cells that the marginals force.
 
     Every pairwise table row/column with a single unknown cell is resolved
@@ -443,7 +436,7 @@ def _complete_pair_counts(counts: StudyCounts, catalog: ItemCatalog) -> dict:
     genuinely free cells open.
     """
     known = dict(counts.pair_counts)
-    families = _demographic_families(catalog)
+    families = _demographic_families(counts.catalog)
 
     def resolve(fixed: tuple[str, str], over_attr: str, over_values: Sequence[str]) -> bool:
         keys = [frozenset({fixed, (over_attr, v)}) for v in over_values]
@@ -476,13 +469,13 @@ def _complete_pair_counts(counts: StudyCounts, catalog: ItemCatalog) -> dict:
 
 
 def _demographic_constraints(
-    counts: StudyCounts, catalog: ItemCatalog, cells: Sequence[tuple[tuple[str, str], ...]]
+    counts: StudyCounts, cells: Sequence[tuple[tuple[str, str], ...]]
 ) -> list[tuple[tuple[int, ...], int]]:
     constraints = [(tuple(range(len(cells))), counts.m)]
     for pair, count in counts.single_counts.items():
         idxs = tuple(ci for ci, cell in enumerate(cells) if pair in cell)
         constraints.append((idxs, count))
-    for key, count in _complete_pair_counts(counts, catalog).items():
+    for key, count in _complete_pair_counts(counts).items():
         idxs = tuple(ci for ci, cell in enumerate(cells) if key <= set(cell))
         constraints.append((idxs, count))
     return constraints
@@ -535,9 +528,8 @@ def _column_cells(cells: Sequence[tuple[tuple[str, str], ...]]) -> dict[str, tup
 
 def _facility_assignment(
     facility: str,
-    counts: StudyCounts,
+    targets: dict[str, int],
     mandatory: list[tuple[tuple[int, ...], int]],
-    first: tuple[int, ...],
     column_idxs: dict[str, tuple[int, ...]],
     sizes: Sequence[int],
 ) -> tuple[tuple[int, ...], list[UnmetCell]]:
@@ -556,13 +548,13 @@ def _facility_assignment(
     Only when there is none is the first undecided column searched alone,
     and the pass goes on from the next one.
 
-    The result, ``current``, is the accepted set's first solution (``first``
-    until a column is kept); unmet cells read their achieved counts from it.
+    ``targets`` holds the facility's published counts. The result,
+    ``current``, is the accepted set's first solution (``mandatory``'s when
+    no search succeeds); unmet cells read their achieved counts from it.
     """
-    targets = counts.facility_counts[facility]
     accepted = list(mandatory)
     accepted_columns: list[str] = []
-    current = first
+    current: Optional[tuple[int, ...]] = None
     unmet: list[tuple[str, UnmetReason]] = []
 
     def family_conflict(candidate: str, kept: list[str]) -> Optional[FamilySumConflict]:
@@ -601,6 +593,8 @@ def _facility_assignment(
                 accepted_columns.append(column)
                 continue
         unmet.append((column, reason))
+    if current is None:
+        current = _first_solution(sizes, mandatory)
 
     unmet_cells = [
         UnmetCell(
@@ -634,18 +628,11 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     if unknown:
         raise InfeasibleFixtureError(f"reference rules name unknown facilities: {sorted(unknown)}")
 
-    demographic = _demographic_constraints(counts, catalog, cells)
+    demographic = _demographic_constraints(counts, cells)
     pinned = dict(demographic)
     mandatory_sets = {f: _facility_mandatory(f, counts, golden, cells, pinned) for f in facilities}
-    caps: list[Optional[int]] = [None] * len(cells)
-    for sizes in _iter_solutions(caps, demographic):
-        first: dict[str, tuple[int, ...]] = {}
-        for f, constraint_set in mandatory_sets.items():
-            solution = _first_solution(sizes, constraint_set)
-            if solution is None:
-                break
-            first[f] = solution
-        else:
+    for sizes in _iter_solutions([counts.m] * len(cells), demographic):
+        if all(_first_solution(sizes, s) is not None for s in mandatory_sets.values()):
             break
     else:
         raise InfeasibleFixtureError("no demographic table admits the mandatory constraints")
@@ -653,11 +640,10 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     column_idxs = _column_cells(cells)
     assignments = {}
     unmet: list[UnmetCell] = []
-    rule_targets = 0
     for facility in facilities:
-        rule_targets += len(mandatory_sets[facility]) - 1  # total is not a rule target
+        targets = counts.facility_counts[facility]
         assignment, facility_unmet = _facility_assignment(
-            facility, counts, mandatory_sets[facility], first[facility], column_idxs, sizes
+            facility, targets, mandatory_sets[facility], column_idxs, sizes
         )
         assignments[facility] = assignment
         unmet.extend(facility_unmet)
@@ -686,7 +672,8 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
         cell_sizes=tuple(
             (" ".join(f"{a}={v}" for a, v in cell), sizes[ci]) for ci, cell in enumerate(cells)
         ),
-        mandatory_rule_targets=rule_targets,
+        # each set's first constraint is the facility total, not a rule target
+        mandatory_rule_targets=sum(len(s) - 1 for s in mandatory_sets.values()),
         frequency_cells_total=len(facilities) * len(GROUP_COLUMNS),
         unmet_cells=tuple(unmet),
     )

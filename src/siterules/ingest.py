@@ -90,8 +90,11 @@ def _parse_bins(body: str, lineno: int) -> tuple[NumericBin, ...]:
         m = _BIN_RE.match(part)
         if m is None:
             raise SchemaError(f"line {lineno}: malformed bin {part!r}")
-        lo = int(m.group("lo"))
-        hi = int(m.group("hi")) if m.group("hi") else None
+        try:
+            lo = int(m.group("lo"))
+            hi = int(m.group("hi")) if m.group("hi") else None
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise SchemaError(f"line {lineno}: bin {m['label']!r} has a bound too long") from None
         if hi is not None and hi < lo:
             raise SchemaError(f"line {lineno}: bin {part!r} is empty")
         bins.append(NumericBin(lo, hi, m.group("label")))
@@ -150,8 +153,9 @@ def parse_schema(text: str) -> Schema:
             raise SchemaError(f"line {lineno}: unrecognized declaration {line.split()[0]!r}")
         # Rule files write an item as attribute=value, join antecedent items
         # with " AND " and separate cells with ","; these names and values
-        # would read back as other items.
-        for char in ",=":
+        # would read back as other items, and a '"' opening a cell would
+        # read as a quoted field.
+        for char in ',="':
             if char in name:
                 raise SchemaError(f"line {lineno}: attribute name {name!r} contains {char!r}")
         if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
@@ -553,7 +557,9 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
     the integer ``rule_id``, the antecedent's distinct items (split at ``" AND "``),
     the consequent item, each ``*_pct`` cell in basis points, then any later
     cell as written. Both rule lists (the reference rules and ``mine``'s
-    output) are read here; a fault raises ``error`` naming its row."""
+    output) are read here; a fault, such as a rule (antecedent set and
+    consequent) that an earlier row already holds, raises ``error`` naming
+    its row."""
     rows = csv_rows(text, error)
     first = next(rows, None)
     if first is None:
@@ -561,6 +567,7 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
     if first != header:
         raise error(f"expected header {','.join(header)}")
     end = 3 + sum(name.endswith("_pct") for name in header)
+    seen: set[tuple[frozenset, tuple[str, str]]] = set()
     for rowno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise error(f"row {rowno}: expected {len(header)} cells")
@@ -573,6 +580,10 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
             raise error(f"row {rowno}: {exc}") from None
         if len(set(antecedent)) != len(antecedent):
             raise error(f"row {rowno}: malformed antecedent (repeated item)")
+        key = (frozenset(antecedent), consequent)
+        if key in seen:
+            raise error(f"row {rowno}: duplicate rule {row[1]} => {row[2]}")
+        seen.add(key)
         yield rowno, (rule_id, antecedent, consequent, *percentages, *row[end:])
 
 

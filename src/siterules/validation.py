@@ -52,7 +52,6 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
     coverage.
     """
     rows = []
-    seen: set[tuple[frozenset, tuple[str, str]]] = set()
     for rowno, cells in _rule_rows(text, RULES_HEADER, ValueError):
         mined = MinedRuleRow(*cells)
         for name, bp in zip(("confidence", "coverage", "support"), cells[3:6]):
@@ -68,9 +67,6 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
             )
         if mined.support_bp > mined.coverage_bp:
             raise ValueError(f"row {rowno}: support above coverage")
-        if mined.key in seen:
-            raise ValueError(f"row {rowno}: duplicate rule {_rule_text(mined)}")
-        seen.add(mined.key)
         rows.append(mined)
     return rows
 

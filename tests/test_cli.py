@@ -382,6 +382,18 @@ class TestValidateCommand:
         assert code == 2
         assert "row 3: duplicate rule" in capsys.readouterr().err
 
+    def test_repeated_reference_rule_names_its_row(self, mined_csv, golden_csv, tmp_path, capsys):
+        # the 68 rules, then rule 1 again under a new rule_id
+        repeated = tmp_path / "repeated_golden.csv"
+        repeated.write_text(
+            golden_csv.read_text() + "999,age=below10,facility=about_us,100.00,12.08\n"
+        )
+        code = main(["validate", "--mined", str(mined_csv), "--golden", str(repeated)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 70: duplicate rule")
+        assert len(err.splitlines()) == 1
+
     def test_single_antecedent_subset(self, mined_csv, golden_csv, capsys):
         code = main([
             "validate", "--mined", str(mined_csv), "--golden", str(golden_csv),

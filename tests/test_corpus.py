@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siterules import corpus
@@ -101,17 +101,13 @@ class TestGoldenAsRules:
 
 @st.composite
 def small_systems(draw):
-    """Up to six variables with caps 0-4 or none, and one to four exact-sum
-    constraints; every uncapped variable is in some constraint."""
+    """Up to six variables with caps 0-8 and one to four exact-sum
+    constraints with targets up to 6, so a variable's bound is sometimes its
+    cap and sometimes a target."""
     n = draw(st.integers(1, 6))
-    caps = draw(st.lists(st.none() | st.integers(0, 4), min_size=n, max_size=n))
+    caps = draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
     members = st.lists(st.integers(0, n - 1), unique=True).map(lambda idxs: tuple(sorted(idxs)))
     constraints = draw(st.lists(st.tuples(members, st.integers(-1, 6)), min_size=1, max_size=4))
-    covered = {j for idxs, _ in constraints for j in idxs}
-    uncovered = [j for j in range(n) if caps[j] is None and j not in covered]
-    if uncovered:
-        idxs, target = constraints[0]
-        constraints[0] = (tuple(sorted(set(idxs) | set(uncovered))), target)
     return caps, constraints
 
 
@@ -143,9 +139,7 @@ def brute_force_solutions(caps, constraints):
     ranges = []
     for j, cap in enumerate(caps):
         limits = [t for idxs, t in constraints if j in idxs]
-        if cap is not None:
-            limits.append(cap)
-        ranges.append(range(min(limits) + 1))
+        ranges.append(range(min([cap, *limits]) + 1))
     return [
         values
         for values in itertools.product(*ranges)
@@ -263,13 +257,6 @@ class TestSearch:
         assert list(corpus._iter_solutions(caps, system)) == []
         assert brute_force_solutions(caps, system) == []
 
-    @given(small_systems())
-    @settings(max_examples=50, deadline=None)
-    def test_unbounded_variable_rejected(self, system):
-        caps, constraints = system
-        with pytest.raises(ValueError, match=f"variable {len(caps)} is unbounded"):
-            list(corpus._iter_solutions(caps + [None], constraints))
-
 
 class TestBuildFixture:
     def test_shape(self, fixture_db):
@@ -347,14 +334,12 @@ class TestBuildFixture:
     def test_unreachable_column_is_search_infeasible(self, counts, golden, catalog, fixture_result):
         # 50 governmental sites with about_us, in a group of 49
         targets = dict(counts.facility_counts["about_us"], governmental=50)
-        edited = counts._replace(facility_counts=dict(counts.facility_counts, about_us=targets))
         cells = corpus._demographic_cells(catalog)
         sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
-        pinned = dict(corpus._demographic_constraints(counts, catalog, cells))
-        mandatory = corpus._facility_mandatory("about_us", edited, golden, cells, pinned)
-        first = corpus._first_solution(sizes, mandatory)
+        pinned = dict(corpus._demographic_constraints(counts, cells))
+        mandatory = corpus._facility_mandatory("about_us", counts, golden, cells, pinned)
         _, unmet = corpus._facility_assignment(
-            "about_us", edited, mandatory, first, corpus._column_cells(cells), sizes
+            "about_us", targets, mandatory, corpus._column_cells(cells), sizes
         )
         assert [(u.column, u.target, u.achieved) for u in unmet] == [("governmental", 50, 48)]
         assert unmet[0].reason == corpus.SearchInfeasible(tuple(mandatory))
@@ -362,7 +347,7 @@ class TestBuildFixture:
     def test_unpinned_antecedent_group_rejected(self, counts, golden, catalog):
         # no demographic count pins a three-item group, so no table would fix its size
         cells = corpus._demographic_cells(catalog)
-        pinned = dict(corpus._demographic_constraints(counts, catalog, cells))
+        pinned = dict(corpus._demographic_constraints(counts, cells))
         items = (("age", "above30"), ("industry", "products"), ("ownership", "private"))
         extra = GoldenRule(99, items, ("facility", "about_us"), 10000, 110)
         with pytest.raises(corpus.InfeasibleFixtureError, match="rule 99: the demographic counts"):
@@ -372,12 +357,11 @@ class TestBuildFixture:
         cells = corpus._demographic_cells(catalog)
         sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
         column_idxs = corpus._column_cells(cells)
-        pinned = dict(corpus._demographic_constraints(counts, catalog, cells))
+        pinned = dict(corpus._demographic_constraints(counts, cells))
         for facility, targets in counts.facility_counts.items():
             mandatory = corpus._facility_mandatory(facility, counts, golden, cells, pinned)
-            first = corpus._first_solution(sizes, mandatory)
             assignment, unmet = corpus._facility_assignment(
-                facility, counts, mandatory, first, column_idxs, sizes
+                facility, targets, mandatory, column_idxs, sizes
             )
             skipped = {u.column for u in unmet}
             accepted = mandatory + [
@@ -386,13 +370,19 @@ class TestBuildFixture:
             assert assignment == corpus._first_solution(sizes, accepted), facility
 
     @given(facility_systems())
+    # every column is out of reach, so no search succeeds and the result is
+    # the mandatory set's first solution
+    @example((
+        (1, 1),
+        [((0, 1), 1)],
+        dict.fromkeys(GROUP_COLUMNS, ()),
+        dict.fromkeys(["total", *GROUP_COLUMNS], 1),
+    ))
     @settings(max_examples=200, deadline=None)
     def test_assignment_matches_the_column_by_column_greedy(self, system):
         sizes, mandatory, column_idxs, targets = system
-        counts = corpus.StudyCounts(0, {}, {}, {"f": targets}, {}, None, ())
-        first = corpus._first_solution(sizes, mandatory)
         assignment, unmet = corpus._facility_assignment(
-            "f", counts, mandatory, first, column_idxs, sizes
+            "f", targets, mandatory, column_idxs, sizes
         )
         expected, expected_unmet = greedy_assignment(targets, mandatory, column_idxs, sizes)
         assert assignment == expected

@@ -2,6 +2,7 @@ import csv
 import itertools
 import re
 import string
+import sys
 from collections import Counter
 
 import pytest
@@ -89,6 +90,17 @@ class TestParseSchema:
         with pytest.raises(SchemaError, match="malformed bin"):
             parse_schema("attribute a numeric antecedent bins: ten-20=x\n")
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts strings of any length here",
+    )
+    @pytest.mark.parametrize("bins", ["0-{big}=x", "0-10=x, {big}-=y"])
+    def test_bin_bound_too_long_for_int_names_its_line(self, bins):
+        big = "1" * (sys.get_int_max_str_digits() + 1)
+        text = "facility f \"F\"\nattribute a numeric antecedent bins: " + bins.format(big=big)
+        with pytest.raises(SchemaError, match="^line 2: bin '[xy]' has a bound too long$"):
+            parse_schema(text)
+
     @pytest.mark.parametrize("text", [
         "attribute age categorical antecedent values: a, a\n",
         "attribute age numeric antecedent bins: 0-10=a, 11-=a\n",
@@ -112,6 +124,8 @@ class TestParseSchema:
             ("attribute own,er categorical antecedent values: a, b", "attribute name 'own,er' contains ','"),
             ('facility about,us "About"', "attribute name 'about,us' contains ','"),
             ("attribute o=wn categorical antecedent values: a, b", "attribute name 'o=wn' contains '='"),
+            ('attribute "q categorical antecedent values: a, b', """attribute name '"q' contains '"'"""),
+            ('facility "about_us "About"', """attribute name '"about_us' contains '"'"""),
             ("attribute own categorical antecedent values: x AND y, z", "value 'x AND y' contains ' AND '"),
             ("attribute own categorical antecedent values: x AND, z", "value 'x AND' contains ' AND '"),
             ("attribute facility categorical antecedent values: a, b", "'facility' labels facility items"),
