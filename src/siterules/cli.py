@@ -74,11 +74,16 @@ def _emit(text: str, out: Optional[str]) -> None:
             f.write(text)
 
 
+def _shown(raw: str) -> str:
+    """A flag value as a message echoes it: whole if short, else its start and length."""
+    return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
+
+
 def _confidence_from_flag(raw: str) -> Percent:
     try:
         bp = parse_pct_bp(raw)
-    except ValueError as exc:
-        raise ValueError(f"--min-conf: {exc}") from None
+    except ValueError:
+        raise ValueError(f"--min-conf: invalid percentage {_shown(raw)}") from None
     if bp > 10_000:
         raise ValueError("--min-conf: confidence must be in [0,100]")
     return Percent.from_basis_points(bp)
@@ -88,7 +93,11 @@ def _positive_int(raw: str) -> int:
     try:
         value = parse_int(raw)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {raw!r}") from None
+        digits = raw[1:] if raw[:1] in "+-" else raw
+        if digits.isascii() and digits.isdigit():
+            # int() converts at most sys.get_int_max_str_digits() digits
+            raise argparse.ArgumentTypeError(f"too long: {_shown(raw)}") from None
+        raise argparse.ArgumentTypeError(f"not an integer: {_shown(raw)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -107,7 +116,7 @@ def _tolerance(raw: str) -> Fraction:
 
     m = _NUMBER_RE.fullmatch(raw)
     if m is None:
-        raise argparse.ArgumentTypeError(f"not a number: {raw!r}")
+        raise argparse.ArgumentTypeError(f"not a number: {_shown(raw)}")
     # Fraction reads the digits with int(), which refuses more than 4,300 of
     # them on current Pythons (640 at the lowest setting)
     if len(raw) > 400:

@@ -257,8 +257,7 @@ _TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
 def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     """Bit j of item i's vector is set iff ``masks[j]`` has bit i set.
 
-    The masks must lie in ``[0, 2**n_items)``; the callers check that. They
-    are packed into one int,
+    The masks must lie in ``[0, 2**n_items)``. They are packed into one int,
     row j as ``words`` little-endian ``width``-bit words, with zero rows
     appended up to a multiple of ``width``. The width is the smallest of 8,
     16, 32 and 64 bits that holds a mask; a catalog of more than 64 items
@@ -335,14 +334,17 @@ def _raise_first_invalid(
 
 class TransactionDatabase(Frozen):
     """An immutable transaction set (``record_ids[j]`` with bitmask ``masks[j]``)
-    plus its per-item vertical index.
+    plus the per-item vertical index that the constructor derives from it.
 
-    ``excluded_count`` records input rows that were dropped before the
-    database was built (e.g. unreachable websites); they never enter any
-    count and the database size ``m`` covers included rows only.
+    The constructor trusts its rows: equal-length columns, distinct ids, every mask
+    in ``[0, 2**n_items)`` and at most one item per non-binary attribute;
+    :meth:`from_columns` checks them. Equality, repr and pickling go by the rows.
+    ``excluded_count`` records input rows dropped before the build (e.g.
+    unreachable websites); they never enter any count or the size ``m``.
     """
 
-    __slots__ = _fields = ("catalog", "record_ids", "masks", "excluded_count", "vertical_index")
+    __slots__ = ("catalog", "record_ids", "masks", "excluded_count", "vertical_index")
+    _fields = ("catalog", "record_ids", "masks", "excluded_count")
     catalog: ItemCatalog
     record_ids: tuple[str, ...]
     masks: tuple[int, ...]
@@ -350,53 +352,44 @@ class TransactionDatabase(Frozen):
     vertical_index: tuple[int, ...]
 
     def __init__(
-        self, catalog: ItemCatalog, record_ids: tuple[str, ...], masks: tuple[int, ...],
-        excluded_count: int, vertical_index: tuple[int, ...],
+        self, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
+        excluded_count: int = 0,
     ) -> None:
         if excluded_count < 0:
             raise ValueError("excluded_count must be non-negative")
-        if len(vertical_index) != catalog.n_items:
-            raise ValueError("vertical index must have one vector per item")
+        masks = tuple(masks)
         _set(self, "catalog", catalog)
-        _set(self, "record_ids", record_ids)
+        _set(self, "record_ids", tuple(record_ids))
         _set(self, "masks", masks)
         _set(self, "excluded_count", excluded_count)
-        _set(self, "vertical_index", vertical_index)
+        _set(self, "vertical_index", _transpose(catalog.n_items, masks))
 
     @classmethod
     def from_columns(
         cls, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
         excluded_count: int = 0,
     ) -> "TransactionDatabase":
-        """Validate rows given as an id column and a mask column, and index them.
+        """Check an id column and a mask column, and build their database.
 
-        The checks run on whole columns: record ids are distinct, every mask lies in
-        ``[0, 2**n_items)``, and no two items of one non-binary attribute share a
-        transaction. Only when one fails are the rows scanned, to name the first
-        offending record.
+        The checks run on whole columns: equal lengths, distinct ids, masks in
+        range, then, on the built index, no two items of one non-binary attribute
+        in a transaction. Only when one fails are the rows scanned, to name the
+        first offending record.
         """
-        screened = len(set(record_ids)) == len(record_ids) and _masks_in_range(
-            catalog.n_items, masks
-        )
-        return cls._index_columns(catalog, record_ids, masks, excluded_count, screened)
-
-    @classmethod
-    def _index_columns(
-        cls, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
-        excluded_count: int, screened: bool,
-    ) -> "TransactionDatabase":
-        """:meth:`from_columns` for a caller that has already checked the ids and
-        the mask range; ``screened`` says whether the ids are distinct and every
-        mask is in range."""
+        if len(record_ids) != len(masks):
+            raise ValueError(
+                f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks"
+            )
         exclusive = [
             catalog.ids_of_attribute(attr.name)
             for attr in catalog.attributes
             if attr.kind is not AttributeKind.BINARY
         ]
-        index = _transpose(catalog.n_items, masks) if screened else None
-        if index is None or any(_overlapping(index, ids) for ids in exclusive):
-            _raise_first_invalid(catalog.n_items, exclusive, record_ids, masks)
-        return cls(catalog, tuple(record_ids), tuple(masks), excluded_count, index)
+        if len(set(record_ids)) == len(record_ids) and _masks_in_range(catalog.n_items, masks):
+            db = cls(catalog, record_ids, masks, excluded_count)
+            if not any(_overlapping(db.vertical_index, ids) for ids in exclusive):
+                return db
+        _raise_first_invalid(catalog.n_items, exclusive, record_ids, masks)
 
     @classmethod
     def build(

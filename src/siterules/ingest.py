@@ -445,11 +445,9 @@ def _read_rows(
     if excluded:
         record_ids = [rid for rid, mask in zip(record_ids, masks) if mask is not None]
         masks = [mask for mask in masks if mask is not None]
-    try:
-        # the ids are distinct, and every mask is a sum of catalog bits
-        return TransactionDatabase._index_columns(catalog, record_ids, masks, excluded, True)
-    except ValueError as exc:
-        raise DataError(str(exc)) from None
+    # the ids are distinct, and each column is one attribute whose cell sets at
+    # most one of its items: the rows are what the constructor trusts them to be
+    return TransactionDatabase(catalog, record_ids, masks, excluded)
 
 
 def _numeric_representative(attr: AttributeDef, label: str) -> str:
@@ -554,12 +552,13 @@ GOLDEN_HEADER = ["rule_id", "antecedent", "consequent", "confidence_pct", "suppo
 
 def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterator[tuple[int, tuple]]:
     """Each row of a rule-list CSV with ``header``, as (row number, cells):
-    the integer ``rule_id``, the antecedent's distinct items (split at ``" AND "``),
-    the consequent item, each ``*_pct`` cell in basis points, then any later
-    cell as written. Both rule lists (the reference rules and ``mine``'s
-    output) are read here; a fault, such as a rule (antecedent set and
-    consequent) that an earlier row already holds, raises ``error`` naming
-    its row."""
+    the integer ``rule_id``, the antecedent's items (split at ``" AND "``),
+    which are of distinct attributes other than ``facility``, the consequent
+    item, which is a ``facility=`` item, each ``*_pct`` cell in basis points,
+    then any later cell as written. Both rule lists (the reference rules and
+    ``mine``'s output) are read here; a fault, such as a rule (antecedent set
+    and consequent) that an earlier row already holds, raises ``error``
+    naming its row."""
     rows = csv_rows(text, error)
     first = next(rows, None)
     if first is None:
@@ -580,6 +579,14 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
             raise error(f"row {rowno}: {exc}") from None
         if len(set(antecedent)) != len(antecedent):
             raise error(f"row {rowno}: malformed antecedent (repeated item)")
+        # the template's rules: demographic items of distinct attributes => one facility
+        attributes = [attr for attr, _ in antecedent]
+        if "facility" in attributes:
+            raise error(f"row {rowno}: facility item in the antecedent")
+        if len(set(attributes)) != len(attributes):
+            raise error(f"row {rowno}: antecedent repeats an attribute")
+        if consequent[0] != "facility":
+            raise error(f"row {rowno}: consequent {row[2]!r} is not a facility item")
         key = (frozenset(antecedent), consequent)
         if key in seen:
             raise error(f"row {rowno}: duplicate rule {row[1]} => {row[2]}")

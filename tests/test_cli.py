@@ -178,6 +178,11 @@ class TestMineCommand:
             # rule_id and the other flags refuse it
             (" 90", "--min-conf: invalid percentage ' 90'"),
             ("90\u3000", "--min-conf: invalid percentage '90\\u3000'"),
+            # a long value is echoed only in part
+            (
+                "x" * 50,
+                "--min-conf: invalid percentage 'xxxxxxxxxxxxxxxxxxxx'... (50 characters)",
+            ),
         ],
     )
     def test_bad_confidence_is_named_before_input_is_read(self, tmp_path, capsys, raw, message):
@@ -204,6 +209,20 @@ class TestMineCommand:
         err = capsys.readouterr().err
         assert f"argument {flag}: not an integer: {raw!r}" in err
         assert "_positive_int" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts strings of any length here",
+    )
+    @pytest.mark.parametrize("flag", ["--max-antecedent", "--min-support-count"])
+    def test_overlong_count_names_its_length(self, fixture_dir, tmp_path, capsys, flag):
+        raw = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(SystemExit) as exc:
+            run_mine(fixture_dir, tmp_path / "x.csv", flag, raw)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"argument {flag}: too long: {raw[:20]!r}... ({len(raw)} characters)\n")
+        assert len(err.encode()) < 1024
 
     def test_consequent_attribute_schema_is_usage_error(self, tmp_path, capsys):
         schema = tmp_path / "schema.txt"
@@ -352,6 +371,21 @@ def golden_csv(fixture_dir):
     return path
 
 
+def validate_with_row_2(mined_csv, golden_csv, tmp_path, edit_golden, cells):
+    """Run ``validate`` with row 2 of one rule file given ``cells`` (column
+    number to text) in a copy; the exit code."""
+    source = golden_csv if edit_golden else mined_csv
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    row = lines[1].split(",")
+    for column, cell in cells.items():
+        row[column] = cell
+    lines[1] = ",".join(row)
+    edited = tmp_path / "edited.csv"
+    edited.write_text("".join(lines), encoding="utf-8")
+    golden, mined = (edited, mined_csv) if edit_golden else (golden_csv, edited)
+    return main(["validate", "--mined", str(mined), "--golden", str(golden)])
+
+
 class TestValidateCommand:
     def test_full_match_exits_zero(self, mined_csv, golden_csv, capsys):
         code = main(["validate", "--mined", str(mined_csv), "--golden", str(golden_csv)])
@@ -438,16 +472,28 @@ class TestValidateCommand:
     def test_non_ascii_digits_name_the_row(
         self, mined_csv, golden_csv, tmp_path, capsys, edit_golden, column, cell, message
     ):
-        # the cell replaces one of row 2's, in a copy of one file
-        source = golden_csv if edit_golden else mined_csv
-        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
-        cells = lines[1].split(",")
-        cells[column] = cell
-        lines[1] = ",".join(cells)
-        edited = tmp_path / "edited.csv"
-        edited.write_text("".join(lines), encoding="utf-8")
-        golden, mined = (edited, mined_csv) if edit_golden else (golden_csv, edited)
-        code = main(["validate", "--mined", str(mined), "--golden", str(golden)])
+        code = validate_with_row_2(mined_csv, golden_csv, tmp_path, edit_golden, {column: cell})
+        assert code == 2
+        assert capsys.readouterr().err == f"error: row 2: {message}\n"
+
+    @pytest.mark.parametrize(
+        "antecedent, consequent, message",
+        [
+            ("age=below10 AND age=above30", "facility=about_us", "antecedent repeats an attribute"),
+            ("facility=search_inside", "age=below10", "facility item in the antecedent"),
+            (
+                "age=below10", "ownership=private",
+                "consequent 'ownership=private' is not a facility item",
+            ),
+        ],
+        ids=["repeated-attribute", "facility-antecedent", "demographic-consequent"],
+    )
+    @pytest.mark.parametrize("edit_golden", [True, False])
+    def test_rule_the_template_cannot_produce_names_its_row(
+        self, mined_csv, golden_csv, tmp_path, capsys, edit_golden, antecedent, consequent, message
+    ):
+        edits = {1: antecedent, 2: consequent}
+        code = validate_with_row_2(mined_csv, golden_csv, tmp_path, edit_golden, edits)
         assert code == 2
         assert capsys.readouterr().err == f"error: row 2: {message}\n"
 
@@ -483,6 +529,11 @@ class TestValidateCommand:
                 "0." + "0" * 5000 + "1", "longer than 400 characters (5003)",
                 id="5001-digit-mantissa",
             ),
+            # a long value that is no number is echoed only in part
+            pytest.param(
+                "x" * 5000, "not a number: 'xxxxxxxxxxxxxxxxxxxx'... (5000 characters)\n",
+                id="5000-character-word",
+            ),
         ],
     )
     def test_tolerance_error_names_the_flag(self, mined_csv, golden_csv, capsys, raw, message):
@@ -502,7 +553,7 @@ def test_ascii_tolerances_read_as_before(raw):
     assert _tolerance(raw) == Fraction(raw)
 
 
-@pytest.mark.parametrize("raw", ["3", "+3", "03"])
+@pytest.mark.parametrize("raw", ["3", "+3", "03", "0" * 600 + "3"])
 def test_ascii_counts_read_as_before(raw):
     assert _positive_int(raw) == int(raw)
 

@@ -1,4 +1,6 @@
+import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -193,6 +195,43 @@ class TestDatabase:
                 if txn.members >> i & 1:
                     expected[i] |= 1 << j
         assert build_vertical_index(n_items, rows) == tuple(expected)
+        # the constructor derives the same index from the same rows
+        catalog = ItemCatalog(tuple(
+            AttributeDef(f"f{i}", AttributeKind.BINARY, ItemClass.FACILITY, ("yes",))
+            for i in range(n_items)
+        ))
+        db = TransactionDatabase(catalog, [t.record_id for t in rows], [t.members for t in rows])
+        assert db.vertical_index == tuple(expected)
+
+    @pytest.mark.parametrize("record_ids, masks", [(["a"], [1, 1, 1]), (["a", "b", "c"], [1])])
+    def test_from_columns_refuses_columns_of_different_lengths(self, record_ids, masks):
+        message = f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransactionDatabase.from_columns(make_catalog(), record_ids, masks)
+
+    def test_vertical_index_is_not_a_field(self):
+        assert "vertical_index" not in TransactionDatabase._fields
+        db = TransactionDatabase.from_columns(make_catalog(), ["a", "b"], [0b10, 0b101], 3)
+        again = pickle.loads(pickle.dumps(db))
+        assert again == db
+        assert again.vertical_index == db.vertical_index == (0b10, 0b01, 0b10, 0, 0)
+        assert repr(db) == (
+            f"TransactionDatabase(catalog={db.catalog!r}, record_ids=('a', 'b'), "
+            "masks=(2, 5), excluded_count=3)"
+        )
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts to strings of any length here",
+    )
+    def test_repr_of_a_database_wider_than_the_int_digit_limit(self):
+        # an item vector of 15,000 bits has over 4,300 decimal digits
+        n_rows = 15_000
+        db = TransactionDatabase.from_columns(
+            make_catalog(), [f"r{j}" for j in range(n_rows)], [0b100] * n_rows
+        )
+        assert db.vertical_index[2] == (1 << n_rows) - 1
+        assert repr(db).startswith("TransactionDatabase(catalog=")
 
     def test_excluded_count_tracked(self):
         catalog = make_catalog()

@@ -6,7 +6,8 @@ the commands that read it through ``cli.main`` in-process. Whatever the
 edit, the command must end in exit 0, 1 or 2 with no traceback; an exit 2
 must say what went wrong on one line; and what ``mine`` writes must read
 back through ``validate``'s reader. A digit from another script in a number,
-or an ideographic space around a rule-file percentage, must be rejected.
+an ideographic space around a rule-file percentage, or a rule that the
+demographic => facility template cannot produce, must be rejected.
 """
 
 import contextlib
@@ -202,3 +203,25 @@ def test_a_padded_percentage_is_rejected(work, data):
     lines[k] = ",".join(cells)
     code, _, err = run_on(directory, {**texts, name: "\n".join(lines)}, "validate")
     assert (code, err) == (2, f"error: row {k + 1}: invalid percentage {cells[col]!r}\n")
+
+
+@pytest.mark.parametrize("name", ["golden", "mined"])
+@pytest.mark.parametrize(
+    "antecedent, consequent",
+    [
+        ("age=below10 AND age=above30", "facility=about_us"),
+        ("facility=search_inside", "age=below10"),
+    ],
+    ids=["repeated-attribute", "facility-antecedent"],
+)
+def test_a_rule_the_template_cannot_produce_is_rejected(work, name, antecedent, consequent):
+    # validate would otherwise list such a reference rule as missing, and
+    # such a mined rule as extra, with exit 1
+    directory, texts = work
+    lines = texts[name].split("\n")
+    cells = lines[1].split(",")
+    cells[1:3] = [antecedent, consequent]
+    lines[1] = ",".join(cells)
+    code, _, err = run_on(directory, {**texts, name: "\n".join(lines)}, "validate")
+    assert_clean_end(code, err)
+    assert code == 2 and err.startswith("error: row 2: ")
