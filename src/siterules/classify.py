@@ -21,15 +21,20 @@ class ClassifiedRule(NamedTuple):
     rule_class: RuleClass
 
 
-def classify_confidence(confidence: Percent) -> RuleClass:
-    """Tier for an exact confidence value; boundaries compare as rationals."""
-    if confidence >= MUST_HAVE_FLOOR:
+def _tier(joint: int, antecedent: int) -> RuleClass:
+    """Tier of the confidence ``joint / antecedent``, by cross-multiplication."""
+    if joint * MUST_HAVE_FLOOR.denominator >= MUST_HAVE_FLOOR.numerator * antecedent:
         return RuleClass.MUST_HAVE
-    if confidence >= SHOULD_HAVE_FLOOR:
+    if joint * SHOULD_HAVE_FLOOR.denominator >= SHOULD_HAVE_FLOOR.numerator * antecedent:
         return RuleClass.SHOULD_HAVE
     return RuleClass.REJECTED
 
 
+def classify_confidence(confidence: Percent) -> RuleClass:
+    """Tier for an exact confidence value; boundaries compare as rationals."""
+    return _tier(confidence.numerator, confidence.denominator)
+
+
 def classify_rules(rules: Iterable[Rule]) -> tuple[ClassifiedRule, ...]:
     """Classify every rule, preserving the input order."""
-    return tuple(ClassifiedRule(r, classify_confidence(r.confidence)) for r in rules)
+    return tuple(ClassifiedRule(r, _tier(r.joint_count, r.antecedent_count)) for r in rules)

@@ -28,6 +28,7 @@ from .ingest import (
     DataError,
     GoldenFileError,
     SchemaError,
+    _shown,
     parse_golden_rules,
     parse_int,
     parse_pct_bp,
@@ -74,11 +75,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             f.write(text)
 
 
-def _shown(raw: str) -> str:
-    """A flag value as a message echoes it: whole if short, else its start and length."""
-    return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
-
-
 def _confidence_from_flag(raw: str) -> Percent:
     try:
         bp = parse_pct_bp(raw)
@@ -123,11 +119,11 @@ def _tolerance(raw: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"longer than 400 characters ({len(raw)})")
     # Fraction builds 10**exponent; past 400 no verdict or printed figure changes
     if m["exp"] and (len(m["exp"]) > 3 or int(m["exp"]) > 400):
-        raise argparse.ArgumentTypeError(f"exponent beyond 400: {raw!r}")
+        raise argparse.ArgumentTypeError(f"exponent beyond 400: {_shown(raw)}")
     try:
         value = Fraction(raw)
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"zero denominator: {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator: {_shown(raw)}") from None
     if value < 0:
         raise argparse.ArgumentTypeError("must be non-negative")
     return value

@@ -31,10 +31,10 @@ from fractions import Fraction
 from importlib.resources import files
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase, record
+from .datamodel import ItemCatalog, ItemClass, TransactionDatabase, record
 from .engine import count_support
-from .ingest import GoldenRule, Schema, parse_golden_rules, parse_pct_bp, parse_schema
-from .report import GROUP_COLUMNS, GROUP_DEFS, format_percent
+from .ingest import GoldenRule, Schema, parse_golden_rules, parse_schema
+from .report import GROUP_COLUMNS, GROUP_DEFS, percent_bp
 
 # kept under these names because perfbench/workloads.py calls them from here
 from .report import study_aggregate_groups  # noqa: F401
@@ -106,21 +106,26 @@ def _derived_count(bp: int, denominator: int, mode: str) -> int:
     mode (truncate for the rule list, round for the frequency table).
     """
     count = (bp * denominator + 5000) // 10000
-    in_range = 0 <= count <= denominator
-    if not (in_range and parse_pct_bp(format_percent(Percent(count, denominator), mode)) == bp):
+    if not (0 <= count <= denominator and percent_bp(count, denominator, mode) == bp):
         raise InfeasibleFixtureError(
             f"embedded figure {bp / 100:.2f}% of {denominator} fails its integrality check"
         )
     return count
 
 
-def _rule_counts(g: GoldenRule, m: int) -> tuple[int, int, Fraction]:
+# the furthest a consistent rule's joint may lie from an integer: 0.01, in
+# ten-thousandths (see arithmetic_consistency_check)
+_MAX_DEVIATION = 100
+
+
+def _rule_counts(g: GoldenRule, m: int) -> tuple[int, int, int]:
     """Antecedent and joint counts implied by a reference rule's published
-    support and confidence, with the joint's distance from an integer."""
+    support and confidence, with the joint's distance from an integer in
+    ten-thousandths."""
     n_antecedent = (g.support_bp * m + 5000) // 10000
     scaled = g.confidence_bp * n_antecedent
     joint = (scaled + 5000) // 10000
-    return n_antecedent, joint, Fraction(abs(scaled - 10_000 * joint), 10_000)
+    return n_antecedent, joint, abs(scaled - 10_000 * joint)
 
 
 def _demographic_families(catalog: ItemCatalog) -> list[tuple[str, tuple[str, ...]]]:
@@ -223,8 +228,12 @@ def arithmetic_consistency_check(
     entries = []
     for g in golden:
         n_antecedent, joint, deviation = _rule_counts(g, counts.m)
-        consistent = deviation <= Fraction(1, 100)
-        entries.append(ArithmeticCheckEntry(g.rule_id, n_antecedent, joint, deviation, consistent))
+        entries.append(
+            ArithmeticCheckEntry(
+                g.rule_id, n_antecedent, joint, Fraction(deviation, 10_000),
+                deviation <= _MAX_DEVIATION,
+            )
+        )
     return ArithmeticReport(tuple(entries))
 
 
@@ -484,36 +493,42 @@ def _demographic_constraints(
 def _facility_mandatory(
     facility: str,
     counts: StudyCounts,
-    golden: Sequence[GoldenRule],
-    cells: Sequence[tuple[tuple[str, str], ...]],
+    rules: Sequence[GoldenRule],
+    cell_sets: Sequence[frozenset[tuple[str, str]]],
     pinned: dict[tuple[int, ...], int],
 ) -> list[tuple[tuple[int, ...], int]]:
-    """The facility's total and each reference rule's joint count, as (cell
-    indices, target). ``pinned`` maps the cell indices of each demographic
-    constraint to its target; every rule's antecedent group must be one of
-    them, at the size its published support implies, so the set holds under
-    every demographic table."""
+    """The facility's total and the joint count of each of ``rules`` (its
+    reference rules), as (cell indices, target); ``cell_sets`` holds each
+    demographic cell's items. ``pinned`` maps the cell indices of each
+    demographic constraint to its target; every rule's antecedent group must
+    be one of them, at the size its published support implies, so the set
+    holds under every demographic table."""
     by_cells: dict[tuple[int, ...], int] = {
-        tuple(range(len(cells))): counts.facility_counts[facility]["total"]
+        tuple(range(len(cell_sets))): counts.facility_counts[facility]["total"]
     }
-    for g in golden:
-        if g.consequent_item != ("facility", facility):
-            continue
+    for g in rules:
         wanted = set(g.antecedent_items)
-        idxs = tuple(ci for ci, cell in enumerate(cells) if wanted <= set(cell))
+        idxs = tuple(ci for ci, cell in enumerate(cell_sets) if wanted <= cell)
         expected, joint, deviation = _rule_counts(g, counts.m)
         if pinned.get(idxs) != expected:
             raise InfeasibleFixtureError(
                 f"rule {g.rule_id}: the demographic counts do not pin its antecedent group "
                 f"at the {expected} rows its published support implies"
             )
-        if deviation > Fraction(1, 100):
+        if deviation > _MAX_DEVIATION:
             raise InfeasibleFixtureError(
                 f"rule {g.rule_id}: confidence implies non-integer joint count"
             )
         if by_cells.setdefault(idxs, joint) != joint:
             raise InfeasibleFixtureError(f"rule {g.rule_id}: conflicting joint targets")
     return list(by_cells.items())
+
+
+# each group column's attribute, and that attribute's columns in GROUP_COLUMNS order
+_COLUMN_FAMILY = {
+    column: (attr, tuple(c for c, m in GROUP_DEFS.items() if m[0][0] == attr))
+    for column, ((attr, _), *_) in GROUP_DEFS.items()
+}
 
 
 def _column_cells(cells: Sequence[tuple[tuple[str, str], ...]]) -> dict[str, tuple[int, ...]]:
@@ -559,8 +574,7 @@ def _facility_assignment(
 
     def family_conflict(candidate: str, kept: list[str]) -> Optional[FamilySumConflict]:
         # a column that completes its attribute's partition must agree with the total
-        attr = GROUP_DEFS[candidate][0][0]
-        family = [c for c, members in GROUP_DEFS.items() if members[0][0] == attr]
+        attr, family = _COLUMN_FAMILY[candidate]
         if all(c in kept for c in family if c != candidate):
             published = tuple((c, targets[c]) for c in family)
             if sum(count for _, count in published) != targets["total"]:
@@ -627,10 +641,17 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     unknown = {g.consequent_item[1] for g in golden} - set(facilities)
     if unknown:
         raise InfeasibleFixtureError(f"reference rules name unknown facilities: {sorted(unknown)}")
+    rules_of: dict[tuple[str, str], list[GoldenRule]] = {}
+    for g in golden:
+        rules_of.setdefault(g.consequent_item, []).append(g)
 
     demographic = _demographic_constraints(counts, cells)
     pinned = dict(demographic)
-    mandatory_sets = {f: _facility_mandatory(f, counts, golden, cells, pinned) for f in facilities}
+    cell_sets = [frozenset(cell) for cell in cells]
+    mandatory_sets = {
+        f: _facility_mandatory(f, counts, rules_of.get(("facility", f), ()), cell_sets, pinned)
+        for f in facilities
+    }
     for sizes in _iter_solutions([counts.m] * len(cells), demographic):
         if all(_first_solution(sizes, s) is not None for s in mandatory_sets.values()):
             break
@@ -648,20 +669,19 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
         assignments[facility] = assignment
         unmet.extend(facility_unmet)
 
+    facility_quotas = [(1 << catalog.item_id(f, "yes"), assignments[f]) for f in facilities]
     record_ids: list[str] = []
     masks: list[int] = []
     for ci, cell in enumerate(cells):
         base = 0
         for pair in cell:
             base |= 1 << catalog.item_id(*pair)
-        facility_bits = [
-            (catalog.item_id(f, "yes"), assignments[f][ci]) for f in facilities
-        ]
+        facility_bits = [(bit, quotas[ci]) for bit, quotas in facility_quotas]
         for k in range(sizes[ci]):
             members = base
-            for item_id, quota in facility_bits:
+            for bit, quota in facility_bits:
                 if k < quota:
-                    members |= 1 << item_id
+                    members |= bit
             record_ids.append(f"C{len(record_ids) + 1:03d}")
             masks.append(members)
     db = TransactionDatabase.from_columns(catalog, record_ids, masks, excluded_count=0)

@@ -61,6 +61,12 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _ASCII_SPACE = " \t\n\r\v\f"
 
 
+def _shown(raw: str) -> str:
+    """An input value as an error message echoes it: whole if short, else
+    its start and length."""
+    return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
+
+
 class SchemaError(ValueError):
     """Schema file rejected; the message carries the offending line number."""
 
@@ -89,14 +95,16 @@ def _parse_bins(body: str, lineno: int) -> tuple[NumericBin, ...]:
     for part in (p.strip() for p in body.split(",")):
         m = _BIN_RE.match(part)
         if m is None:
-            raise SchemaError(f"line {lineno}: malformed bin {part!r}")
+            raise SchemaError(f"line {lineno}: malformed bin {_shown(part)}")
         try:
             lo = int(m.group("lo"))
             hi = int(m.group("hi")) if m.group("hi") else None
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise SchemaError(f"line {lineno}: bin {m['label']!r} has a bound too long") from None
+            raise SchemaError(
+                f"line {lineno}: bin {_shown(m['label'])} has a bound too long"
+            ) from None
         if hi is not None and hi < lo:
-            raise SchemaError(f"line {lineno}: bin {part!r} is empty")
+            raise SchemaError(f"line {lineno}: bin {_shown(part)} is empty")
         bins.append(NumericBin(lo, hi, m.group("label")))
     for prev, cur in zip(bins, bins[1:]):
         if prev.hi is None or cur.lo <= prev.hi:
@@ -124,11 +132,11 @@ def parse_schema(text: str) -> Schema:
                 raise SchemaError(f"line {lineno}: malformed attribute declaration")
             name, kind_word, cls_word = m.group("name"), m.group("kind"), m.group("cls")
             if kind_word not in ("categorical", "numeric"):
-                raise SchemaError(f"line {lineno}: unknown attribute kind {kind_word!r}")
+                raise SchemaError(f"line {lineno}: unknown attribute kind {_shown(kind_word)}")
             if cls_word == "consequent":
                 raise SchemaError(f"line {lineno}: consequents are declared with 'facility'")
             if cls_word != "antecedent":
-                raise SchemaError(f"line {lineno}: unknown class keyword {cls_word!r}")
+                raise SchemaError(f"line {lineno}: unknown class keyword {_shown(cls_word)}")
             item_class = ItemClass.DEMOGRAPHIC
             if kind_word == "categorical":
                 if m.group("list") != "values":
@@ -150,25 +158,31 @@ def parse_schema(text: str) -> Schema:
             name, kind, item_class = m.group("name"), AttributeKind.BINARY, ItemClass.FACILITY
             values, description = ("yes",), m.group("desc")
         else:
-            raise SchemaError(f"line {lineno}: unrecognized declaration {line.split()[0]!r}")
+            raise SchemaError(
+                f"line {lineno}: unrecognized declaration {_shown(line.split()[0])}"
+            )
         # Rule files write an item as attribute=value, join antecedent items
         # with " AND " and separate cells with ","; these names and values
         # would read back as other items, and a '"' opening a cell would
         # read as a quoted field.
         for char in ',="':
             if char in name:
-                raise SchemaError(f"line {lineno}: attribute name {name!r} contains {char!r}")
+                raise SchemaError(
+                    f"line {lineno}: attribute name {_shown(name)} contains {char!r}"
+                )
         if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
             raise SchemaError(f"line {lineno}: 'facility' labels facility items; rename the attribute")
         for value in values:
             if " AND " in value + " ":  # a trailing " AND" joins into " AND AND "
-                raise SchemaError(f"line {lineno}: value {value!r} contains ' AND '")
+                raise SchemaError(f"line {lineno}: value {_shown(value)} contains ' AND '")
         try:
             attr = AttributeDef(name, kind, item_class, values, bins, description)
         except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from None
+            # the catalog's messages name the attribute whole
+            message = str(exc).replace(repr(name), _shown(name))
+            raise SchemaError(f"line {lineno}: {message}") from None
         if attr.name in seen:
-            raise SchemaError(f"line {lineno}: duplicate attribute {attr.name!r}")
+            raise SchemaError(f"line {lineno}: duplicate attribute {_shown(attr.name)}")
         seen.add(attr.name)
         attributes.append(attr)
     if not attributes:
@@ -196,7 +210,7 @@ def _facility_token(cell: str) -> Optional[bool]:
         return True
     if token in NO_TOKENS:
         return False
-    raise ValueError(f"unrecognized yes/no token {cell!r}")
+    raise ValueError(f"unrecognized yes/no token {_shown(cell)}")
 
 
 def csv_rows(text: str, error: type[ValueError]) -> Iterator[list[str]]:
@@ -207,6 +221,11 @@ def csv_rows(text: str, error: type[ValueError]) -> Iterator[list[str]]:
         yield from reader
     except csv.Error as exc:
         raise error(f"line {reader.line_num}: {exc}") from None
+
+
+def _cell_error(rowno: int, attr: AttributeDef, message: str) -> DataError:
+    """The error for a rejected cell of column ``attr``, naming its row."""
+    return DataError(f"row {rowno}, column {_shown(attr.name)}: {message}")
 
 
 def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -> int:
@@ -220,20 +239,24 @@ def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -
         try:
             present = _facility_token(value)
         except ValueError as exc:
-            raise DataError(f"row {rowno}, column {attr.name!r}: {exc}") from None
+            raise _cell_error(rowno, attr, str(exc)) from None
         return 1 << catalog.item_id(attr.name, "yes") if present else 0
     if not value:
-        raise DataError(f"row {rowno}: empty value for attribute {attr.name!r}")
+        raise DataError(f"row {rowno}: empty value for attribute {_shown(attr.name)}")
     if attr.kind is AttributeKind.NUMERIC:
         if _INT_RE.fullmatch(value) is None:
-            raise DataError(f"row {rowno}, column {attr.name!r}: unparseable integer {value!r}")
+            raise _cell_error(rowno, attr, f"unparseable integer {_shown(value)}")
         try:
-            label = bin_numeric(int(value), attr.bins)
-        except ValueError as exc:
-            raise DataError(f"row {rowno}, column {attr.name!r}: {exc}") from None
+            number = int(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise _cell_error(rowno, attr, f"integer {_shown(value)} too long") from None
+        try:
+            label = bin_numeric(number, attr.bins)
+        except ValueError:
+            raise _cell_error(rowno, attr, f"value {_shown(value)} falls in no bin") from None
     else:
         if value not in attr.values:
-            raise DataError(f"row {rowno}, column {attr.name!r}: value {value!r} not in schema")
+            raise _cell_error(rowno, attr, f"value {_shown(value)} not in schema")
         label = value
     return 1 << catalog.item_id(attr.name, label)
 
@@ -333,7 +356,7 @@ def _duplicate_id(record_ids: Sequence[str]) -> Optional[DataError]:
     seen: set[str] = set()
     for rowno, record_id in enumerate(record_ids, start=2):
         if record_id in seen:
-            return DataError(f"row {rowno}: duplicate record_id {record_id!r}")
+            return DataError(f"row {rowno}: duplicate record_id {_shown(record_id)}")
         seen.add(record_id)
     return None
 
@@ -366,16 +389,16 @@ def _read_rows(
     if header is None:
         raise DataError("missing header row")
     if not header or header[0] != "record_id":
-        raise DataError("first column must be 'record_id'")
+        raise DataError("row 1: first column must be 'record_id'")
     declared = {a.name for a in catalog.attributes}
     for col in header[1:]:
         if col not in declared:
-            raise DataError(f"unknown column {col!r}")
+            raise DataError(f"row 1: unknown column {_shown(col)}")
     missing = declared - set(header[1:])
     if missing:
-        raise DataError(f"missing columns: {', '.join(sorted(missing))}")
+        raise DataError(f"row 1: missing columns: {', '.join(map(_shown, sorted(missing)))}")
     if len(header) != len(declared) + 1:
-        raise DataError("duplicate columns in header")
+        raise DataError("row 1: duplicate columns in header")
     attr_by_col = [catalog.attribute(col) for col in header[1:]]
     facility_cols = [k for k, a in enumerate(attr_by_col) if a.kind is AttributeKind.BINARY]
     tables: list[dict[str, int]] = [{} for _ in attr_by_col]
@@ -427,7 +450,8 @@ def _read_rows(
                 raise DataError(f"row {rowno}: empty record_id")
             if record_id != record_id.strip():
                 raise DataError(
-                    f"row {rowno}: record_id {record_id!r} has padding other than ASCII whitespace"
+                    f"row {rowno}: record_id {_shown(record_id)} has padding other than ASCII"
+                    " whitespace"
                 )
             append_id(record_id)
             if members is _UNSEEN:
@@ -450,11 +474,20 @@ def _read_rows(
     return TransactionDatabase(catalog, record_ids, masks, excluded)
 
 
-def _numeric_representative(attr: AttributeDef, label: str) -> str:
-    for b in attr.bins:
-        if b.label == label:
-            return str(b.hi if b.hi is not None else b.lo)
-    raise ValueError(f"no bin labelled {label!r} for attribute {attr.name!r}")
+def _cell_texts(catalog: ItemCatalog, attr: AttributeDef) -> tuple[int, dict[int, str]]:
+    """The bits of ``attr``'s items, and the cell written for each value of a
+    mask's bits there: no bit is an empty cell (``N`` for a facility), and an
+    item's bit its value, a numeric bin's largest integer (its lowest when
+    open above) or a facility's ``Y``."""
+    ids = catalog.ids_of_attribute(attr.name)
+    if attr.kind is AttributeKind.BINARY:
+        return 1 << ids[0], {0: "N", 1 << ids[0]: "Y"}
+    if attr.kind is AttributeKind.NUMERIC:
+        texts = [str(b.hi if b.hi is not None else b.lo) for b in attr.bins]
+    else:
+        texts = list(attr.values)
+    cells = {0: "", **{1 << i: text for i, text in zip(ids, texts)}}
+    return sum(1 << i for i in ids), cells
 
 
 def render_transactions_csv(db: TransactionDatabase) -> str:
@@ -463,11 +496,13 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     Numeric cells are written as a representative integer of the transaction's
     bin, so re-parsing reproduces the same membership bits. Excluded rows are
     regenerated as all-empty rows named ``__excluded_k`` (skipping any name
-    already used as a record id) to preserve the excluded count.
+    already used as a record id) to preserve the excluded count. Each cell is
+    one lookup of the mask's bits in its column's table; a mask that sets two
+    items of one attribute, which the database never holds, has no entry.
     """
     catalog = db.catalog
     header = ["record_id"] + [a.name for a in catalog.attributes]
-    columns = [(a, catalog.ids_of_attribute(a.name)) for a in catalog.attributes]
+    columns = [_cell_texts(catalog, a) for a in catalog.attributes]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     # csv.writer quotes a field for the terminator's "\n" but not for a bare
@@ -475,18 +510,7 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     quote_all = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
     for record_id, mask in zip(db.record_ids, db.masks):
-        cells = [record_id]
-        for attr, ids in columns:
-            if attr.kind is AttributeKind.BINARY:
-                cells.append("Y" if mask >> ids[0] & 1 else "N")
-                continue
-            present = [i for i in ids if mask >> i & 1]
-            if not present:
-                cells.append("")
-            elif attr.kind is AttributeKind.NUMERIC:
-                cells.append(_numeric_representative(attr, catalog.item(present[0]).value))
-            else:
-                cells.append(catalog.item(present[0]).value)
+        cells = [record_id, *[table[mask & bits] for bits, table in columns]]
         (quote_all if "\r" in record_id else writer).writerow(cells)
     taken = set(db.record_ids)
     names = (f"__excluded_{k}" for k in itertools.count(1))
@@ -504,7 +528,7 @@ def parse_pct_bp(text: str) -> int:
     like :func:`parse_int`, it takes ASCII digits and no surrounding space."""
     m = _PCT_RE.fullmatch(text)
     if m is None:
-        raise ValueError(f"invalid percentage {text!r}")
+        raise ValueError(f"invalid percentage {_shown(text)}")
     frac = (m.group("frac") or "").ljust(2, "0")
     return int(m.group("whole")) * 100 + int(frac)
 
@@ -516,7 +540,7 @@ def parse_int(text: str) -> int:
     and surrounding whitespace; this reader takes none of them.
     """
     if _INT_RE.fullmatch(text) is None:
-        raise ValueError(f"invalid integer {text!r}")
+        raise ValueError(f"invalid integer {_shown(text)}")
     return int(text)
 
 
@@ -543,7 +567,7 @@ class GoldenRule(NamedTuple):
 def _parse_item_text(text: str) -> tuple[str, str]:
     attr, sep, value = text.partition("=")
     if not sep or not attr.strip() or not value.strip():
-        raise ValueError(f"malformed item {text!r}")
+        raise ValueError(f"malformed item {_shown(text)}")
     return (attr.strip(), value.strip())
 
 
@@ -586,10 +610,10 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
         if len(set(attributes)) != len(attributes):
             raise error(f"row {rowno}: antecedent repeats an attribute")
         if consequent[0] != "facility":
-            raise error(f"row {rowno}: consequent {row[2]!r} is not a facility item")
+            raise error(f"row {rowno}: consequent {_shown(row[2])} is not a facility item")
         key = (frozenset(antecedent), consequent)
         if key in seen:
-            raise error(f"row {rowno}: duplicate rule {row[1]} => {row[2]}")
+            raise error(f"row {rowno}: duplicate rule {_shown(row[1])} => {_shown(row[2])}")
         seen.add(key)
         yield rowno, (rule_id, antecedent, consequent, *percentages, *row[end:])
 
@@ -601,7 +625,7 @@ def parse_golden_rules(text: str) -> list[GoldenRule]:
     for rowno, cells in _rule_rows(text, GOLDEN_HEADER, GoldenFileError):
         rule = GoldenRule(*cells)
         if rule.rule_id in seen_ids:
-            raise GoldenFileError(f"row {rowno}: duplicate rule_id {rule.rule_id}")
+            raise GoldenFileError(f"row {rowno}: duplicate rule_id {_shown(str(rule.rule_id))}")
         seen_ids.add(rule.rule_id)
         if rule.confidence_bp < 9000:
             raise GoldenFileError(f"row {rowno}: confidence below 90")

@@ -11,25 +11,34 @@ from __future__ import annotations
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .classify import ClassifiedRule
-from .datamodel import ItemCatalog, ItemClass, Percent, TransactionDatabase, record
+from .datamodel import ItemCatalog, ItemClass, Percent, RuleClass, TransactionDatabase, record
 
 FormatMode = Literal["truncate", "round"]
 
 
-def format_percent(value: Percent, mode: FormatMode = "truncate") -> str:
-    """Render an exact ratio as a percentage with exactly two decimals.
+def percent_bp(numerator: int, denominator: int, mode: FormatMode = "truncate") -> int:
+    """``numerator / denominator`` in hundredths of a percent, as an integer.
 
     ``truncate`` drops everything beyond the second decimal; ``round`` rounds
-    half away from zero. Pure integer arithmetic either way.
+    half away from zero. Every two-decimal figure the package writes or
+    checks is this number.
     """
-    scaled = 10_000 * value.numerator
+    scaled = 10_000 * numerator
     if mode == "truncate":
-        q = scaled // value.denominator
-    elif mode == "round":
-        q = (2 * scaled + value.denominator) // (2 * value.denominator)
-    else:
-        raise ValueError(f"unknown format mode {mode!r}")
-    return f"{q // 100}.{q % 100:02d}"
+        return scaled // denominator
+    if mode == "round":
+        return (2 * scaled + denominator) // (2 * denominator)
+    raise ValueError(f"unknown format mode {mode!r}")
+
+
+def _bp_text(bp: int) -> str:
+    return f"{bp // 100}.{bp % 100:02d}"
+
+
+def format_percent(value: Percent, mode: FormatMode = "truncate") -> str:
+    """Render an exact ratio as a percentage with exactly two decimals
+    (:func:`percent_bp`); pure integer arithmetic either way."""
+    return _bp_text(percent_bp(value.numerator, value.denominator, mode))
 
 
 @record
@@ -162,18 +171,21 @@ def render_rules(
     published rule list. The text format is an aligned table of the same
     fields.
     """
+    labels = [catalog.item_label(i) for i in range(catalog.n_items)]
+    tiers = {tier: tier.label for tier in RuleClass}
     rows = []
     for k, entry in enumerate(classified, start=1):
         rule = entry.rule
+        joint, antecedent, size = rule.joint_count, rule.antecedent_count, rule.db_size
         rows.append(
             [
                 str(k),
-                " AND ".join(catalog.item_label(i) for i in rule.antecedent),
-                catalog.item_label(rule.consequent[0]),
-                format_percent(rule.confidence, "truncate"),
-                format_percent(rule.coverage, "truncate"),
-                format_percent(rule.support, "truncate"),
-                entry.rule_class.label,
+                " AND ".join([labels[i] for i in rule.antecedent]),
+                labels[rule.consequent[0]],
+                _bp_text(percent_bp(joint, antecedent)),
+                _bp_text(percent_bp(antecedent, size)),
+                _bp_text(percent_bp(joint, size)),
+                tiers[entry.rule_class],
             ]
         )
     if fmt == "csv":

@@ -9,10 +9,9 @@ taken from the mined itemset counts, so every metric derives from integers.
 
 from __future__ import annotations
 
-from operator import attrgetter
 from typing import Iterable
 
-from .datamodel import ItemClass, MiningConfig, Percent, Rule, TransactionDatabase
+from .datamodel import ItemClass, MiningConfig, Rule, TransactionDatabase
 from .engine import mine_frequent
 
 
@@ -50,6 +49,9 @@ def derive_rules(
         leaf_from=first_facility,
     )
     counts = {ci.items: ci.count for level in levels for ci in level}
+    # joint / antecedent >= floor, cross-multiplied
+    floor_num = config.min_confidence.numerator
+    floor_den = config.min_confidence.denominator
 
     rules: list[Rule] = []
     for level in levels[1:]:
@@ -59,7 +61,7 @@ def derive_rules(
                 continue
             antecedent = ci.items[:-1]
             n_antecedent = counts[antecedent]
-            if Percent(ci.count, n_antecedent) < config.min_confidence:
+            if ci.count * floor_den < floor_num * n_antecedent:
                 continue
             rules.append(Rule(antecedent, (consequent,), n_antecedent, ci.count, db.size))
     return tuple(rules)
@@ -69,9 +71,20 @@ def canonical_sort(rules: Iterable[Rule]) -> tuple[Rule, ...]:
     """Order rules by confidence (descending, exact), then antecedent size,
     then antecedent item ids, then consequent item ids. Total and stable.
 
-    Two stable sorts give that order: the tie-breaks first, then the exact
-    confidence; a sort with ``reverse=True`` keeps equal items in order.
+    Confidence is compared as the integer ``joint * s // antecedent``, with
+    ``s`` the square of the largest antecedent count N among the rules. The
+    key is exact: two different ratios a/b and c/d with b, d <= N differ by
+    at least 1/(b*d) >= 1/s, so scaled by s they lie at least 1 apart and
+    their floors keep their order, while equal ratios scale to equal keys.
     """
-    ordered = sorted(rules, key=lambda r: (len(r.antecedent), r.antecedent, r.consequent))
-    ordered.sort(key=attrgetter("confidence"), reverse=True)
+    ordered = list(rules)
+    s = max([r.antecedent_count for r in ordered], default=1) ** 2
+    ordered.sort(
+        key=lambda r: (
+            -(r.joint_count * s // r.antecedent_count),
+            len(r.antecedent),
+            r.antecedent,
+            r.consequent,
+        )
+    )
     return tuple(ordered)

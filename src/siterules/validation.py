@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 from .classify import classify_confidence
 from .datamodel import Percent, RuleClass, record
-from .ingest import GoldenRule, _rule_rows
+from .ingest import GoldenRule, _rule_rows, _shown
 from .report import RULES_HEADER
 
 _CLASS_LABELS = frozenset(c.label for c in RuleClass)
@@ -58,7 +58,7 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
             if bp > 10000:
                 raise ValueError(f"row {rowno}: {name} above 100")
         if mined.class_label not in _CLASS_LABELS:
-            raise ValueError(f"row {rowno}: unknown class {mined.class_label!r}")
+            raise ValueError(f"row {rowno}: unknown class {_shown(mined.class_label)}")
         tier = classify_confidence(Percent(mined.confidence_bp, 10000)).label
         if mined.class_label != tier:
             raise ValueError(

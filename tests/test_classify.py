@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from siterules.classify import classify_confidence
-from siterules.datamodel import Percent, RuleClass
+from siterules.classify import classify_confidence, classify_rules
+from siterules.datamodel import Percent, Rule, RuleClass
 
 
 class TestClassifyConfidence:
@@ -42,3 +42,23 @@ class TestPartition:
         tiers = [classify_confidence(Percent.from_basis_points(g.confidence_bp)) for g in golden]
         tier_order = (RuleClass.MUST_HAVE, RuleClass.SHOULD_HAVE, RuleClass.REJECTED)
         assert [tiers.count(c) for c in tier_order] == [33, 35, 0]
+
+
+@st.composite
+def rules_near_the_floors(draw):
+    """A rule whose confidence lies within a few counts of 90% or 95%."""
+    n_antecedent = draw(st.integers(1, 10**6))
+    floor = draw(st.sampled_from([90, 95]))
+    joint = n_antecedent * floor // 100 + draw(st.integers(-3, 3))
+    joint = min(max(joint, 0), n_antecedent)
+    return Rule((0,), (1,), n_antecedent, joint, n_antecedent)
+
+
+class TestClassifyRules:
+    @given(st.lists(rules_near_the_floors(), max_size=20))
+    @settings(max_examples=200)
+    def test_tiers_as_classify_confidence(self, rules):
+        classified = classify_rules(rules)
+        assert [c.rule for c in classified] == rules
+        for k, rule in enumerate(rules):
+            assert classified[k].rule_class is classify_confidence(rule.confidence)

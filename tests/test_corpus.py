@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siterules import corpus
-from siterules.datamodel import ItemClass
+from siterules.datamodel import ItemClass, Percent
 from siterules.engine import count_support
-from siterules.ingest import GoldenRule, parse_transactions, render_transactions_csv
+from siterules.ingest import GoldenRule, parse_pct_bp, parse_transactions, render_transactions_csv
 from siterules.report import GROUP_COLUMNS, GROUP_DEFS, format_percent, stats_table
 
 
@@ -44,6 +44,25 @@ class TestPaperCounts:
         assert corpus._derived_count(9795, 49, "truncate") == 48
         assert corpus._derived_count(9796, 49, "round") == 48
         assert corpus._derived_count(1208, 91, "truncate") == 11
+
+    @given(
+        bp=st.integers(-100, 10_100),
+        denominator=st.integers(1, 10**6),
+        mode=st.sampled_from(["truncate", "round"]),
+    )
+    @settings(max_examples=300)
+    def test_derived_count_as_the_rendered_round_trip(self, bp, denominator, mode):
+        # a count is accepted when its figure, rendered and read back, is bp
+        count = (bp * denominator + 5000) // 10000
+        expected = 0 <= count <= denominator and (
+            parse_pct_bp(format_percent(Percent(count, denominator), mode)) == bp
+        )
+        try:
+            got = corpus._derived_count(bp, denominator, mode)
+        except corpus.InfeasibleFixtureError:
+            assert not expected
+        else:
+            assert expected and got == count
 
     def test_conflicting_support_rejected(self, monkeypatch):
         # rules 1 and 2 share the antecedent age=below10; 13.18% of 91 is integral
@@ -258,6 +277,14 @@ class TestSearch:
         assert brute_force_solutions(caps, system) == []
 
 
+def facility_mandatory(facility, counts, golden, cells, pinned):
+    """``corpus._facility_mandatory`` over the reference rules whose consequent
+    is ``facility``, with the demographic cells as sets, as the build calls it."""
+    rules = [g for g in golden if g.consequent_item == ("facility", facility)]
+    cell_sets = [frozenset(cell) for cell in cells]
+    return corpus._facility_mandatory(facility, counts, rules, cell_sets, pinned)
+
+
 class TestBuildFixture:
     def test_shape(self, fixture_db):
         assert fixture_db.size == 91
@@ -337,7 +364,7 @@ class TestBuildFixture:
         cells = corpus._demographic_cells(catalog)
         sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
         pinned = dict(corpus._demographic_constraints(counts, cells))
-        mandatory = corpus._facility_mandatory("about_us", counts, golden, cells, pinned)
+        mandatory = facility_mandatory("about_us", counts, golden, cells, pinned)
         _, unmet = corpus._facility_assignment(
             "about_us", targets, mandatory, corpus._column_cells(cells), sizes
         )
@@ -351,7 +378,7 @@ class TestBuildFixture:
         items = (("age", "above30"), ("industry", "products"), ("ownership", "private"))
         extra = GoldenRule(99, items, ("facility", "about_us"), 10000, 110)
         with pytest.raises(corpus.InfeasibleFixtureError, match="rule 99: the demographic counts"):
-            corpus._facility_mandatory("about_us", counts, [*golden, extra], cells, pinned)
+            facility_mandatory("about_us", counts, [*golden, extra], cells, pinned)
 
     def test_warm_start_matches_a_fresh_search(self, counts, golden, catalog, fixture_result):
         cells = corpus._demographic_cells(catalog)
@@ -359,7 +386,7 @@ class TestBuildFixture:
         column_idxs = corpus._column_cells(cells)
         pinned = dict(corpus._demographic_constraints(counts, cells))
         for facility, targets in counts.facility_counts.items():
-            mandatory = corpus._facility_mandatory(facility, counts, golden, cells, pinned)
+            mandatory = facility_mandatory(facility, counts, golden, cells, pinned)
             assignment, unmet = corpus._facility_assignment(
                 facility, targets, mandatory, column_idxs, sizes
             )

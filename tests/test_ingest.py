@@ -201,7 +201,7 @@ class TestParseTransactions:
 
     def test_missing_column(self, small_schema):
         text = "record_id,ownership,age,about_us\nc1,private,5,Y\n"
-        with pytest.raises(DataError, match="missing columns: search"):
+        with pytest.raises(DataError, match="missing columns: 'search'"):
             parse_transactions(small_schema, text)
 
     def test_duplicate_record_id(self, small_schema):

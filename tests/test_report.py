@@ -154,6 +154,20 @@ class TestRenderRules:
         assert lines[0].startswith("rule_id")
         assert len(lines) == 7
 
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_percentages_as_format_percent(self, catalog, data):
+        size = data.draw(st.integers(1, 10**6), label="size")
+        antecedent = data.draw(st.integers(1, size), label="antecedent")
+        joint = data.draw(st.integers(0, antecedent), label="joint")
+        rule = Rule((0,), (catalog.n_items - 1,), antecedent, joint, size)
+        cells = render_rules(catalog, classify_rules([rule])).splitlines()[1].split(",")
+        assert cells[3:6] == [
+            format_percent(rule.confidence, "truncate"),
+            format_percent(rule.coverage, "truncate"),
+            format_percent(rule.support, "truncate"),
+        ]
+
     def test_byte_determinism(self, catalog, mined_classified):
         a = render_rules(catalog, mined_classified)
         b = render_rules(catalog, list(mined_classified))

@@ -13,6 +13,7 @@ demographic => facility template cannot produce, must be rejected.
 import contextlib
 import io
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -225,3 +226,140 @@ def test_a_rule_the_template_cannot_produce_is_rejected(work, name, antecedent, 
     code, _, err = run_on(directory, {**texts, name: "\n".join(lines)}, "validate")
     assert_clean_end(code, err)
     assert code == 2 and err.startswith("error: row 2: ")
+
+
+
+X = "x" * 100_000  # shorter than csv.field_size_limit(), so every route reads it
+
+
+def set_cells(text, column, value, rows=(2,)):
+    """CSV ``text`` with the cell under ``column`` in each of ``rows``
+    (numbered from the header's 1) set to ``value``."""
+    lines = text.split("\n")
+    k = lines[0].split(",").index(column)
+    for row in rows:
+        cells = lines[row - 1].split(",")
+        cells[k] = value
+        lines[row - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+def set_text(text, lineno, old, new):
+    """``text`` with the first ``old`` on line ``lineno`` replaced by ``new``."""
+    lines = text.split("\n")
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    return "\n".join(lines)
+
+
+# (input edited, its edit, what the one error line says after "error: ");
+# each edit puts a value of 100,000 characters (1,000 digits for a rule_id,
+# which int() must convert to reach the check) where a reader echoes it
+LONG_CELLS = {
+    "rule_id": ("golden", lambda t: set_cells(t, "rule_id", X), "row 2: invalid integer"),
+    "repeated-rule_id": (
+        "golden", lambda t: set_cells(t, "rule_id", "1" * 1000, rows=(2, 3)),
+        "row 3: duplicate rule_id",
+    ),
+    "percentage": (
+        "golden", lambda t: set_cells(t, "confidence_pct", X), "row 2: invalid percentage",
+    ),
+    "item": ("golden", lambda t: set_cells(t, "antecedent", X), "row 2: malformed item"),
+    "repeated-rule": (
+        "golden",
+        lambda t: set_cells(
+            set_cells(t, "antecedent", f"age={X}", rows=(2, 3)), "consequent",
+            "facility=about_us", rows=(2, 3),
+        ),
+        "row 3: duplicate rule",
+    ),
+    "consequent": (
+        "golden", lambda t: set_cells(t, "consequent", f"age={X}"),
+        "row 2: consequent 'age=xxx",
+    ),
+    "class": ("mined", lambda t: set_cells(t, "class", X), "row 2: unknown class"),
+    "yes/no-token": (
+        "data", lambda t: set_cells(t, "about_us", X),
+        "row 2, column 'about_us': unrecognized yes/no token",
+    ),
+    "integer": (
+        "data", lambda t: set_cells(t, "age", X), "row 2, column 'age': unparseable integer",
+    ),
+    "value": (
+        "data", lambda t: set_cells(t, "ownership", X), "row 2, column 'ownership': value",
+    ),
+    "integer-in-no-bin": (
+        "data", lambda t: set_cells(t, "age", "-" + "1" * 1000),
+        "row 2, column 'age': value '-111",
+    ),
+    # int() refuses as many digits where Python limits them, and without a
+    # limit the integer falls in no bin
+    "integer-too-long": (
+        "data", lambda t: set_cells(t, "age", "-" + "1" * 99_999),
+        "row 2, column 'age': "
+        + ("integer" if getattr(sys, "get_int_max_str_digits", lambda: 0)() else "value"),
+    ),
+    "unknown-column": ("data", lambda t: set_text(t, 1, "age", X), "row 1: unknown column"),
+    "padded-record_id": (
+        "data", lambda t: set_cells(t, "record_id", X + "\u3000"), "row 2: record_id",
+    ),
+    "repeated-record_id": (
+        "data", lambda t: set_cells(t, "record_id", X, rows=(2, 3)),
+        "row 3: duplicate record_id",
+    ),
+    "attribute-kind": (
+        "schema", lambda t: set_text(t, 3, "numeric", X), "line 3: unknown attribute kind",
+    ),
+    "class-keyword": (
+        "schema", lambda t: set_text(t, 4, "antecedent", X), "line 4: unknown class keyword",
+    ),
+    "declaration": (
+        "schema", lambda t: set_text(t, 3, "attribute", X), "line 3: unrecognized declaration",
+    ),
+    "attribute-name": (
+        "schema", lambda t: set_text(t, 4, "ownership", f"{X},"), "line 4: attribute name",
+    ),
+    "repeated-values": (
+        "schema", lambda t: set_text(t, 4, "ownership", X).replace("private,", "governmental,"),
+        "line 4: attribute 'xxx",
+    ),
+    "repeated-attribute": (
+        "schema", lambda t: set_text(set_text(t, 4, "ownership", X), 5, "industry", X),
+        "line 5: duplicate attribute",
+    ),
+    "value-with-AND": (
+        "schema", lambda t: set_text(t, 5, "services", f"services AND {X}"), "line 5: value",
+    ),
+    "malformed-bin": ("schema", lambda t: set_text(t, 3, "0-10=below10", X), "line 3: malformed bin"),
+    "empty-bin": (
+        "schema", lambda t: set_text(t, 3, "0-10=below10", f"10-0={X}"), "line 3: bin '10-0=",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_CELLS))
+def test_a_long_cell_is_echoed_by_its_start(work, case):
+    directory, texts = work
+    name, edit, says = LONG_CELLS[case]
+    edited = edit(texts[name])
+    code, _, err = run_on(directory, {**texts, name: edited}, READERS[name][0])
+    assert_clean_end(code, err)
+    assert code == 2
+    assert err.startswith(f"error: {says}")
+    assert len(err.encode()) < 1024 and " characters)" in err
+
+
+@pytest.mark.parametrize(
+    "raw, says",
+    [("1e" + "9" * 398, "exponent beyond 400"), ("1/" + "0" * 398, "zero denominator")],
+    ids=["exponent", "zero-denominator"],
+)
+def test_a_long_tolerance_is_echoed_by_its_start(work, raw, says):
+    # the longest tolerance these checks see: one over 400 characters is
+    # refused by its length, unechoed
+    directory, texts = work
+    code, _, err = run_on(directory, texts, "validate", "--tolerance", raw)
+    assert_clean_end(code, err, flag_error=True)
+    assert code == 2
+    assert err.splitlines()[-1].endswith(f"{says}: {raw[:20]!r}... (400 characters)")
+    assert len(err.encode()) < 1024

@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siterules.classify import classify_rules
@@ -236,11 +236,27 @@ class TestCanonicalSort:
         rng=st.randoms(use_true_random=False),
     )
     @settings(max_examples=200)
+    # Near-ties of large counts, the higher confidence on the longer
+    # antecedent, so a key that ties them sorts them the wrong way round: a
+    # key scaled to basis points ties 99,999/100,000 and 99,998/99,999, and a
+    # float key ties 999,999,999/10**9 and 999,999,998/999,999,999. Equal
+    # ratios of far-apart counts must tie, and sort by the antecedent.
+    @example(
+        specs=[({0, 1}, 5, 100_000, 99_999), ({2}, 5, 99_999, 99_998)], rng=random.Random(0)
+    )
+    @example(
+        specs=[({0, 1}, 5, 10**9, 10**9 - 1), ({2}, 5, 10**9 - 1, 10**9 - 2)],
+        rng=random.Random(0),
+    )
+    @example(
+        specs=[({0, 1}, 5, 6, 3), ({2}, 5, 1_000_000, 500_000), ({1}, 6, 999_999, 499_999)],
+        rng=random.Random(0),
+    )
     def test_matches_the_single_key_sort(self, specs, rng):
         # denominators up to 6 tie many confidences (1/2 = 2/4 = 3/6), and
         # equal rules may repeat, so the order of ties is checked too
         rules = [
-            Rule(tuple(sorted(ante)), (cons,), n_ante, min(joint, n_ante), 10)
+            Rule(tuple(sorted(ante)), (cons,), n_ante, min(joint, n_ante), 10**9)
             for ante, cons, n_ante, joint in specs
         ]
         rng.shuffle(rules)
