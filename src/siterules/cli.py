@@ -10,7 +10,10 @@ Each command loads only the modules it runs: ``corpus`` (the fixture search
 and the packaged data) is imported inside the ``fixture`` handler,
 ``validation`` inside the ``validate`` handler and ``fractions`` where
 ``--tolerance`` is read, and files are read and written with ``open``
-rather than ``pathlib``.
+rather than ``pathlib``. Likewise :func:`main` builds only the invoked
+command's argument parser; the full tree of :func:`build_parser` is built
+for the top-level help, a missing or unknown command, and arguments the
+command does not take, so that argparse words those as before.
 """
 
 from __future__ import annotations
@@ -23,12 +26,11 @@ import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .classify import classify_rules
-from .datamodel import MiningConfig, Percent
+from .datamodel import MiningConfig, Percent, _shown
 from .ingest import (
     DataError,
     GoldenFileError,
     SchemaError,
-    _shown,
     parse_golden_rules,
     parse_int,
     parse_pct_bp,
@@ -182,49 +184,78 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each command's help line, handler and arguments (flags and add_argument
+# keywords), in the order its usage lists them.
+_COMMANDS = {
+    "mine": ("mine, classify and render rules", _cmd_mine, (
+        ("--schema", {"required": True}),
+        ("--data", {"required": True}),
+        ("--min-conf", {"default": "90", "help": "minimum confidence percent"}),
+        ("--max-antecedent", {"type": _positive_int, "default": 2}),
+        ("--min-support-count", {"type": _positive_int, "default": 1}),
+        ("--format", {"choices": ("csv", "text"), "default": "csv"}),
+        ("--out", {}),
+    )),
+    "stats": ("per-facility frequency table", _cmd_stats, (
+        ("--schema", {"required": True}),
+        ("--data", {"required": True}),
+        ("--out", {}),
+    )),
+    "validate": ("compare mined rules to a reference list", _cmd_validate, (
+        ("--mined", {"required": True}),
+        ("--golden", {"required": True}),
+        ("--tolerance", {"type": _tolerance, "default": "0.011", "help": "percentage points"}),
+        ("--subset", {"choices": ("all", "single-antecedent"), "default": "all"}),
+    )),
+    "fixture": ("emit the reconstructed study fixture", _cmd_fixture, (
+        ("--out-dir", {"required": True}),
+    )),
+}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    _, handler, arguments = _COMMANDS[command]
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every command as a subparser of ``siterules``.
+
+    :func:`main` builds only the invoked command's parser, from the same
+    definitions, and turns to this one for what that parser cannot say
+    alike: the top-level help, a missing or unknown command, and arguments
+    the command does not take.
+    """
     parser = argparse.ArgumentParser(
         prog="siterules",
         description="Constrained association-rule mining over checklist data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    mine = sub.add_parser("mine", help="mine, classify and render rules")
-    mine.add_argument("--schema", required=True)
-    mine.add_argument("--data", required=True)
-    mine.add_argument("--min-conf", default="90", help="minimum confidence percent")
-    mine.add_argument("--max-antecedent", type=_positive_int, default=2)
-    mine.add_argument("--min-support-count", type=_positive_int, default=1)
-    mine.add_argument("--format", choices=("csv", "text"), default="csv")
-    mine.add_argument("--out")
-    mine.set_defaults(handler=_cmd_mine)
-
-    stats = sub.add_parser("stats", help="per-facility frequency table")
-    stats.add_argument("--schema", required=True)
-    stats.add_argument("--data", required=True)
-    stats.add_argument("--out")
-    stats.set_defaults(handler=_cmd_stats)
-
-    validate = sub.add_parser("validate", help="compare mined rules to a reference list")
-    validate.add_argument("--mined", required=True)
-    validate.add_argument("--golden", required=True)
-    validate.add_argument(
-        "--tolerance", type=_tolerance, default="0.011", help="percentage points"
-    )
-    validate.add_argument(
-        "--subset", choices=("all", "single-antecedent"), default="all"
-    )
-    validate.set_defaults(handler=_cmd_validate)
-
-    fixture = sub.add_parser("fixture", help="emit the reconstructed study fixture")
-    fixture.add_argument("--out-dir", required=True)
-    fixture.set_defaults(handler=_cmd_fixture)
+    for command, (summary, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(command, help=summary), command)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of the
+    command ``argv`` starts with when that parser takes every argument after
+    it. The full tree hands those arguments to the same parser, named
+    ``siterules <command>``, so its usage, help and errors read alike; what
+    it leaves over, only the full tree words as before.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"siterules {argv[0]}")
+        args, extra = _add_arguments(parser, argv[0]).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
     except (SchemaError, DataError, GoldenFileError, OSError, ValueError) as exc:

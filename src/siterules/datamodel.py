@@ -25,6 +25,12 @@ if TYPE_CHECKING:
 _set = object.__setattr__
 
 
+def _shown(raw: str) -> str:
+    """An input value as an error message echoes it: whole if short, else
+    its start and length."""
+    return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
+
+
 def record(cls):
     """Class decorator for a ``NamedTuple`` record: it equals only records of
     its own class with equal fields, never a plain tuple or another record
@@ -321,15 +327,15 @@ def _raise_first_invalid(
     exclusive_masks = [sum(1 << i for i in ids) for ids in exclusive]
     for record_id, members in zip(record_ids, masks):
         if record_id in seen:
-            raise ValueError(f"duplicate record_id {record_id!r}")
+            raise ValueError(f"duplicate record_id {_shown(record_id)}")
         seen.add(record_id)
         if members < 0:
-            raise ValueError(f"record {record_id!r} has a negative membership mask")
+            raise ValueError(f"record {_shown(record_id)} has a negative membership mask")
         if members.bit_length() > n_items:
-            raise ValueError(f"record {record_id!r} sets an item id outside the catalog")
+            raise ValueError(f"record {_shown(record_id)} sets an item id outside the catalog")
         for mask in exclusive_masks:
             if (members & mask).bit_count() > 1:
-                raise ValueError(f"record {record_id!r} sets multiple values of one attribute")
+                raise ValueError(f"record {_shown(record_id)} sets multiple values of one attribute")
 
 
 class TransactionDatabase(Frozen):
@@ -474,11 +480,13 @@ class Rule(Frozen):
         antecedent_count: int, joint_count: int, db_size: int,
     ) -> None:
         for side in (antecedent, consequent):
-            if any(a >= b for a, b in zip(side, side[1:])) or any(i < 0 for i in side):
+            # strictly increasing: the side is its own items, deduplicated and
+            # sorted; its first item is then its least
+            if sorted(set(side)) != list(side) or (side and side[0] < 0):
                 raise ValueError("rule sides must be strictly increasing item id tuples")
         if not consequent:
             raise ValueError("rule consequent must be non-empty")
-        if set(antecedent) & set(consequent):
+        if not set(antecedent).isdisjoint(consequent):
             raise ValueError("antecedent and consequent must be disjoint")
         if not 0 <= joint_count <= antecedent_count <= db_size:
             raise ValueError(

@@ -90,7 +90,10 @@ def generate_candidates(
             cand = left + (right[-1],)
             # left and right are the two drop-one subsets keeping the shared
             # prefix; the remaining ones drop an item inside the prefix.
-            if all(cand[:p] + cand[p + 1:] in frequent for p in range(len(cand) - 2)):
+            for p in range(len(cand) - 2):
+                if cand[:p] + cand[p + 1:] not in frequent:
+                    break
+            else:
                 out.append(cand)
     return out
 

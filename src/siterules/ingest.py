@@ -33,6 +33,7 @@ every later row.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import re
@@ -45,6 +46,7 @@ from .datamodel import (
     ItemClass,
     NumericBin,
     TransactionDatabase,
+    _shown,
     record,
 )
 
@@ -59,12 +61,6 @@ _BIN_RE = re.compile(r"^(?P<lo>[0-9]+)-(?P<hi>[0-9]*)=(?P<label>[^\s,]+)$")
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 # the only padding a data cell or record id may carry: ASCII whitespace
 _ASCII_SPACE = " \t\n\r\v\f"
-
-
-def _shown(raw: str) -> str:
-    """An input value as an error message echoes it: whole if short, else
-    its start and length."""
-    return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
 
 
 class SchemaError(ValueError):
@@ -574,6 +570,22 @@ def _parse_item_text(text: str) -> tuple[str, str]:
 GOLDEN_HEADER = ["rule_id", "antecedent", "consequent", "confidence_pct", "support_pct"]
 
 
+def _antecedent(cell: str) -> tuple[tuple[tuple[str, str], ...], frozenset, Optional[str]]:
+    """The items of an antecedent cell (split at ``" AND "``), their set, and
+    the first way they break the template, if any: a repeated item, a
+    ``facility`` item, or two items of one attribute."""
+    items = tuple(_parse_item_text(part) for part in cell.split(" AND "))
+    attributes = [attr for attr, _ in items]
+    fault = None
+    if len(set(items)) != len(items):
+        fault = "malformed antecedent (repeated item)"
+    elif "facility" in attributes:
+        fault = "facility item in the antecedent"
+    elif len(set(attributes)) != len(attributes):
+        fault = "antecedent repeats an attribute"
+    return items, frozenset(items), fault
+
+
 def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterator[tuple[int, tuple]]:
     """Each row of a rule-list CSV with ``header``, as (row number, cells):
     the integer ``rule_id``, the antecedent's items (split at ``" AND "``),
@@ -582,7 +594,12 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
     then any later cell as written. Both rule lists (the reference rules and
     ``mine``'s output) are read here; a fault, such as a rule (antecedent set
     and consequent) that an earlier row already holds, raises ``error``
-    naming its row."""
+    naming its row.
+
+    Antecedent, consequent and percentage cells repeat from row to row, so
+    each distinct one is parsed and checked once per file; a row still meets
+    its faults in the order above, and the first one raises.
+    """
     rows = csv_rows(text, error)
     first = next(rows, None)
     if first is None:
@@ -590,28 +607,26 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
     if first != header:
         raise error(f"expected header {','.join(header)}")
     end = 3 + sum(name.endswith("_pct") for name in header)
+    # a parse that raises keeps nothing, and its error ends the file's read
+    antecedents = functools.cache(_antecedent)
+    consequents = functools.cache(_parse_item_text)
+    basis_points = functools.cache(parse_pct_bp)
     seen: set[tuple[frozenset, tuple[str, str]]] = set()
     for rowno, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise error(f"row {rowno}: expected {len(header)} cells")
         try:
             rule_id = parse_int(row[0])
-            antecedent = tuple(_parse_item_text(part) for part in row[1].split(" AND "))
-            consequent = _parse_item_text(row[2])
-            percentages = [parse_pct_bp(cell) for cell in row[3:end]]
+            antecedent, antecedent_set, fault = antecedents(row[1])
+            consequent = consequents(row[2])
+            percentages = list(map(basis_points, row[3:end]))
         except ValueError as exc:
             raise error(f"row {rowno}: {exc}") from None
-        if len(set(antecedent)) != len(antecedent):
-            raise error(f"row {rowno}: malformed antecedent (repeated item)")
-        # the template's rules: demographic items of distinct attributes => one facility
-        attributes = [attr for attr, _ in antecedent]
-        if "facility" in attributes:
-            raise error(f"row {rowno}: facility item in the antecedent")
-        if len(set(attributes)) != len(attributes):
-            raise error(f"row {rowno}: antecedent repeats an attribute")
+        if fault is not None:
+            raise error(f"row {rowno}: {fault}")
         if consequent[0] != "facility":
             raise error(f"row {rowno}: consequent {_shown(row[2])} is not a facility item")
-        key = (frozenset(antecedent), consequent)
+        key = (antecedent_set, consequent)
         if key in seen:
             raise error(f"row {rowno}: duplicate rule {_shown(row[1])} => {_shown(row[2])}")
         seen.add(key)

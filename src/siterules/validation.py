@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .classify import classify_confidence
-from .datamodel import Percent, RuleClass, record
-from .ingest import GoldenRule, _rule_rows, _shown
+from .classify import _tier
+from .datamodel import RuleClass, _shown, record
+from .ingest import GoldenRule, _rule_rows
 from .report import RULES_HEADER
 
 _CLASS_LABELS = frozenset(c.label for c in RuleClass)
@@ -59,7 +59,7 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
                 raise ValueError(f"row {rowno}: {name} above 100")
         if mined.class_label not in _CLASS_LABELS:
             raise ValueError(f"row {rowno}: unknown class {_shown(mined.class_label)}")
-        tier = classify_confidence(Percent(mined.confidence_bp, 10000)).label
+        tier = _tier(mined.confidence_bp, 10000).label
         if mined.class_label != tier:
             raise ValueError(
                 f"row {rowno}: class {mined.class_label!r} does not match confidence "

@@ -161,6 +161,25 @@ class TestDatabase:
         with pytest.raises(ValueError):
             build_vertical_index(5, [Transaction(r, m) for r, m in rows])
 
+    @pytest.mark.parametrize(
+        "masks, says",
+        [
+            ([0, 0], "duplicate record_id "),
+            ([-1], "has a negative membership mask"),
+            ([1 << 5], "sets an item id outside the catalog"),
+            ([0b11], "sets multiple values of one attribute"),
+        ],
+        ids=["duplicate", "negative", "outside", "multiple"],
+    )
+    def test_a_long_record_id_is_echoed_by_its_start(self, masks, says):
+        long_id = "x" * 100_000
+        with pytest.raises(ValueError) as info:
+            TransactionDatabase.from_columns(make_catalog(), [long_id] * len(masks), masks)
+        message = str(info.value)
+        assert says in message and len(message.encode()) < 1024
+        # the echo is the id's start, then its length
+        assert f"'{'x' * 20}'... (100000 characters)" in message
+
     def test_mask_wider_than_catalog_rejected_by_transpose(self):
         with pytest.raises(ValueError):
             build_vertical_index(3, [Transaction("a", 1), Transaction("b", 1 << 3)])
@@ -260,6 +279,41 @@ class TestRule:
             Rule((2, 1), (3,), 5, 5, 10)  # not sorted
         with pytest.raises(ValueError):
             Rule((0,), (), 5, 5, 10)  # empty consequent
+        with pytest.raises(ValueError):
+            Rule((-1,), (1,), 5, 5, 10)  # negative id
+        with pytest.raises(ValueError):
+            Rule((1, 1), (3,), 5, 5, 10)  # id repeated within a side
+        with pytest.raises(ValueError):
+            Rule((0,), (1, 1), 5, 5, 10)
+        with pytest.raises(ValueError):
+            Rule((1, 3, 2), (4,), 5, 5, 10)  # out of order after the first pair
+        with pytest.raises(ValueError):
+            Rule((1, 2), (2, 3), 5, 5, 10)  # overlap between two-item sides
+
+    @given(
+        st.lists(st.integers(-2, 5), max_size=4).map(tuple),
+        st.lists(st.integers(-2, 5), max_size=3).map(tuple),
+        st.integers(-1, 4), st.integers(-1, 4), st.integers(-1, 4),
+    )
+    @settings(max_examples=300)
+    def test_accepts_exactly_its_contract(self, antecedent, consequent, a, j, m):
+        def increasing(side):
+            return all(side[p] < side[q] for p in range(len(side)) for q in range(p + 1, len(side)))
+
+        contract = (
+            increasing(antecedent) and increasing(consequent)
+            and all(i >= 0 for i in antecedent + consequent)
+            and len(consequent) > 0
+            and not any(x == y for x in antecedent for y in consequent)
+            and 0 <= j <= a <= m and a > 0
+        )
+        try:
+            Rule(antecedent, consequent, a, j, m)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == contract
 
     @given(st.integers(1, 60), st.integers(0, 60), st.integers(0, 60))
     @settings(max_examples=150)

@@ -8,19 +8,38 @@ must say what went wrong on one line; and what ``mine`` writes must read
 back through ``validate``'s reader. A digit from another script in a number,
 an ideographic space around a rule-file percentage, or a rule that the
 demographic => facility template cannot produce, must be rejected.
+
+Two properties hold the fast paths to the plain ones they replace: ``main``
+against a parse through the full ``build_parser()`` tree, and the rule-list
+reader, which parses each distinct cell once, against the reader that
+parsed every row whole.
 """
 
 import contextlib
 import io
+import os
 import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siterules import corpus
-from siterules.cli import main
+from siterules.cli import EXIT_ERROR, build_parser, main
+from siterules.datamodel import _shown
+from siterules.ingest import (
+    GOLDEN_HEADER,
+    DataError,
+    GoldenFileError,
+    SchemaError,
+    _parse_item_text,
+    _rule_rows,
+    csv_rows,
+    parse_int,
+    parse_pct_bp,
+)
+from siterules.report import RULES_HEADER
 from siterules.validation import parse_rules_csv
 
 # the texts an edit inserts or puts in place of one character
@@ -363,3 +382,209 @@ def test_a_long_tolerance_is_echoed_by_its_start(work, raw, says):
     assert code == 2
     assert err.splitlines()[-1].endswith(f"{says}: {raw[:20]!r}... (400 characters)")
     assert len(err.encode()) < 1024
+
+
+def full_tree_main(argv):
+    """``main`` as it ran with one parser for every command: the whole
+    ``build_parser()`` tree parses ``argv``, then the command's handler runs."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except (SchemaError, DataError, GoldenFileError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
+
+def outcome(entry, argv, directory):
+    """(exit code, stdout, stderr, the text of each file in ``WRITTEN``) of
+    ``entry(argv)`` run in ``directory``, with those files removed first."""
+    written = [directory / name for name in WRITTEN]
+    for path in written:
+        if path.exists():
+            path.unlink()
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = entry(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    files = [path.read_text(encoding="utf-8") if path.exists() else None for path in written]
+    return code, out.getvalue(), err.getvalue(), files
+
+
+# Each command's flags, and values for each flag, a good one first; paths
+# are relative to the directory the command runs in, which holds the inputs
+# as run_on writes them. The required flags are given all at once or drawn.
+COMMAND_FLAGS = {
+    "mine": ["--schema", "--data", "--min-conf", "--max-antecedent", "--min-support-count",
+             "--format", "--out"],
+    "stats": ["--schema", "--data", "--out"],
+    "validate": ["--mined", "--golden", "--tolerance", "--subset"],
+    "fixture": ["--out-dir"],
+}
+REQUIRED = ("--schema", "--data", "--mined", "--golden", "--out-dir")
+FLAG_VALUES = {
+    "--schema": ["schema.txt", "no-such-file"],
+    "--data": ["data.txt", "schema.txt"],
+    "--min-conf": ["90", "95.50", "101", "x"],
+    "--max-antecedent": ["2", "0", "1.5"],
+    "--min-support-count": ["1", "10", "-1"],
+    "--format": ["csv", "text", "xml"],
+    "--out": ["out.csv"],
+    "--mined": ["mined.txt", "golden.txt"],
+    "--golden": ["golden.txt", "no-such-file"],
+    "--tolerance": ["0.011", "0", "1/0", "-1", "abc"],
+    "--subset": ["all", "single-antecedent", "some"],
+    "--out-dir": ["fixture"],
+}
+WRITTEN = ["out.csv", *(f"fixture/{name}" for name in (
+    "schema_appendix_a.txt", "fixture_data.csv", "construction_report.txt"))]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv: a command (or none, an unknown one, or a help flag), then
+    its flags with good and bad values, flags missing their value, stray
+    positionals, unknown flags and help flags, in any order."""
+    command = draw(st.sampled_from([*COMMAND_FLAGS, None, "bogus", "-h", "--help", "MINE"]))
+    if command is None:
+        return []
+    flags = COMMAND_FLAGS.get(command, ["--schema", "--data", "--mined"])
+    argv = [command]
+    if command in COMMAND_FLAGS and draw(st.booleans()):
+        argv += [part for flag in flags if flag in REQUIRED for part in (flag, FLAG_VALUES[flag][0])]
+    valued = st.sampled_from(flags).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(FLAG_VALUES[flag]))
+    )
+    pieces = st.one_of(
+        valued.map(list),
+        valued.map(lambda pair: ["=".join(pair)]),
+        st.sampled_from(flags).map(lambda flag: [flag]),
+        st.sampled_from([["junk"], ["--bogus"], ["-h"], ["--help"], ["--"], ["-x", "1"]]),
+    )
+    for piece in draw(st.lists(pieces, max_size=5)):
+        argv += piece
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=command_lines())
+@example(argv=[])
+@example(argv=["--help"])
+@example(argv=["bogus"])
+@example(argv=["mine", "--help"])
+@example(argv=["mine", "--schema", "schema.txt", "--data", "data.txt", "junk"])
+@example(argv=["stats", "--schema", "schema.txt", "--data", "data.txt", "--bogus"])
+@example(argv=["validate", "--mined", "mined.txt", "--golden", "golden.txt", "--tolerance"])
+@example(argv=["validate", "--mined", "mined.txt", "--golden", "golden.txt"])
+def test_main_parses_as_the_full_tree(work, argv):
+    directory, texts = work
+    for name, text in texts.items():
+        (directory / f"{name}.txt").write_text(text, encoding="utf-8", newline="")
+    assert outcome(main, argv, directory) == outcome(full_tree_main, argv, directory)
+
+
+def reference_rule_rows(text, header, error):
+    """The rule-list reader as it parsed every row's cells in full, kept
+    verbatim as the reference for the reader that parses each distinct
+    cell once."""
+    rows = csv_rows(text, error)
+    first = next(rows, None)
+    if first is None:
+        raise error("missing header row")
+    if first != header:
+        raise error(f"expected header {','.join(header)}")
+    end = 3 + sum(name.endswith("_pct") for name in header)
+    seen: set[tuple[frozenset, tuple[str, str]]] = set()
+    for rowno, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise error(f"row {rowno}: expected {len(header)} cells")
+        try:
+            rule_id = parse_int(row[0])
+            antecedent = tuple(_parse_item_text(part) for part in row[1].split(" AND "))
+            consequent = _parse_item_text(row[2])
+            percentages = [parse_pct_bp(cell) for cell in row[3:end]]
+        except ValueError as exc:
+            raise error(f"row {rowno}: {exc}") from None
+        if len(set(antecedent)) != len(antecedent):
+            raise error(f"row {rowno}: malformed antecedent (repeated item)")
+        # the template's rules: demographic items of distinct attributes => one facility
+        attributes = [attr for attr, _ in antecedent]
+        if "facility" in attributes:
+            raise error(f"row {rowno}: facility item in the antecedent")
+        if len(set(attributes)) != len(attributes):
+            raise error(f"row {rowno}: antecedent repeats an attribute")
+        if consequent[0] != "facility":
+            raise error(f"row {rowno}: consequent {_shown(row[2])} is not a facility item")
+        key = (frozenset(antecedent), consequent)
+        if key in seen:
+            raise error(f"row {rowno}: duplicate rule {_shown(row[1])} => {_shown(row[2])}")
+        seen.add(key)
+        yield rowno, (rule_id, antecedent, consequent, *percentages, *row[end:])
+
+
+RULE_HEADERS = {"golden": GOLDEN_HEADER, "mined": RULES_HEADER}
+
+
+def read_rules(reader, text, header):
+    """The rows ``reader`` yields for ``text``, or the error it raises."""
+    try:
+        return list(reader(text, header, GoldenFileError))
+    except GoldenFileError as exc:
+        return f"error: {exc}"
+
+
+def assert_reads_as_reference(name, text):
+    header = RULE_HEADERS[name]
+    assert read_rules(_rule_rows, text, header) == read_rules(reference_rule_rows, text, header)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_the_rule_reader_reads_as_its_reference(work, data):
+    _, texts = work
+    name, edited = data.draw(edits({name: texts[name] for name in RULE_HEADERS}))
+    assert_reads_as_reference(name, edited)
+
+
+# Each edit gives a row that repeats an earlier row's antecedent, consequent
+# or percentage cell, so the reader finds that cell parsed and checked, and
+# puts the row's fault in another cell. Rows 2 and 3 of both files share
+# their antecedent and percentages, rows 3 and 4 their consequent.
+MEMO_HITS = {
+    "rule_id": ("golden", "rule_id", "x", 3),
+    "malformed-consequent": ("golden", "consequent", "facility", 3),
+    "non-facility-consequent": ("golden", "consequent", "age=above30", 3),
+    "duplicate-rule": ("golden", "consequent", "facility=about_us", 3),
+    "percentage": ("golden", "support_pct", "1.234", 3),
+    "repeated-attribute": ("golden", "antecedent", "age=below10 AND age=above30", 4),
+    "facility-antecedent": ("golden", "antecedent", "facility=about_us", 4),
+    "repeated-item": ("golden", "antecedent", "age=below10 AND age=below10", 3),
+    "malformed-antecedent": ("golden", "antecedent", "age=", 4),
+    "mined-coverage": ("mined", "coverage_pct", "x", 3),
+    "mined-consequent": ("mined", "consequent", "facility=about_us", 3),
+    "mined-antecedent": ("mined", "antecedent", "facility=search_inside", 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMO_HITS))
+def test_a_repeated_cell_with_a_fault_elsewhere_reads_as_the_reference(work, case):
+    _, texts = work
+    name, column, value, row = MEMO_HITS[case]
+    edited = set_cells(texts[name], column, value, rows=(row,))
+    assert_reads_as_reference(name, edited)
+    assert read_rules(_rule_rows, edited, RULE_HEADERS[name]).startswith(f"error: row {row}: ")
+
+
+def test_a_template_fault_follows_a_bad_percentage_on_its_row(work):
+    # the antecedent is parsed before the percentages but judged after them
+    _, texts = work
+    edited = set_cells(texts["golden"], "antecedent", "age=below10 AND age=above30", rows=(3,))
+    edited = set_cells(edited, "support_pct", "x", rows=(3,))
+    assert_reads_as_reference("golden", edited)
+    assert read_rules(_rule_rows, edited, GOLDEN_HEADER) == "error: row 3: invalid percentage 'x'"
