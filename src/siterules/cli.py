@@ -28,9 +28,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from .classify import classify_rules
 from .datamodel import MiningConfig, Percent, _shown
 from .ingest import (
-    DataError,
-    GoldenFileError,
-    SchemaError,
     parse_golden_rules,
     parse_int,
     parse_pct_bp,
@@ -258,7 +255,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.handler(args)
-    except (SchemaError, DataError, GoldenFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -33,7 +33,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .datamodel import ItemCatalog, ItemClass, TransactionDatabase, record
 from .engine import count_support
-from .ingest import GoldenRule, Schema, parse_golden_rules, parse_schema
+from .ingest import GoldenRule, parse_golden_rules, parse_schema
 from .report import GROUP_COLUMNS, GROUP_DEFS, percent_bp
 
 # kept under these names because perfbench/workloads.py calls them from here
@@ -56,10 +56,6 @@ def schema_text() -> str:
 
 def golden_text() -> str:
     return (files("siterules") / "data" / "appendix_b.csv").read_text("utf-8")
-
-
-def load_study_schema() -> Schema:
-    return parse_schema(schema_text())
 
 
 def load_golden_rules() -> list[GoldenRule]:
@@ -158,7 +154,7 @@ def study_group_counts() -> StudyCounts:
     reproducing under its table's rounding mode (i.e. a transcription error).
     """
     golden = tuple(load_golden_rules())
-    catalog = load_study_schema().catalog
+    catalog = parse_schema(schema_text()).catalog
     shares: dict[frozenset, int] = {}
     for g in golden:
         if shares.setdefault(frozenset(g.antecedent_items), g.support_bp) != g.support_bp:

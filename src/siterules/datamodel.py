@@ -128,18 +128,18 @@ class AttributeDef(Frozen):
         if not name:
             raise ValueError("attribute name must be non-empty")
         if not values:
-            raise ValueError(f"attribute {name!r} declares no values")
+            raise ValueError(f"attribute {_shown(name)} declares no values")
         if len(set(values)) != len(values):
-            raise ValueError(f"attribute {name!r} has duplicate values")
+            raise ValueError(f"attribute {_shown(name)} has duplicate values")
         if kind is AttributeKind.NUMERIC:
             if tuple(b.label for b in bins) != values:
-                raise ValueError(f"attribute {name!r}: bin labels must match values")
+                raise ValueError(f"attribute {_shown(name)}: bin labels must match values")
         elif bins:
-            raise ValueError(f"attribute {name!r}: only numeric attributes take bins")
+            raise ValueError(f"attribute {_shown(name)}: only numeric attributes take bins")
         if kind is AttributeKind.BINARY and len(values) != 1:
-            raise ValueError(f"attribute {name!r}: binary attributes have exactly one item")
+            raise ValueError(f"attribute {_shown(name)}: binary attributes have exactly one item")
         if item_class is ItemClass.FACILITY and kind is not AttributeKind.BINARY:
-            raise ValueError(f"attribute {name!r}: facility attributes must be binary")
+            raise ValueError(f"attribute {_shown(name)}: facility attributes must be binary")
         _set(self, "name", name)
         _set(self, "kind", kind)
         _set(self, "item_class", item_class)
@@ -188,9 +188,6 @@ class ItemCatalog(Frozen):
     def n_items(self) -> int:
         return len(self.items)
 
-    def item(self, item_id: int) -> ItemDef:
-        return self.items[item_id]
-
     def item_id(self, attribute: str, value: str) -> int:
         try:
             return self._index[(attribute, value)]
@@ -204,7 +201,7 @@ class ItemCatalog(Frozen):
         for attr in self.attributes:
             if attr.name == name:
                 return attr
-        raise KeyError(f"no attribute {name!r} in catalog")
+        raise KeyError(f"no attribute {_shown(name)} in catalog")
 
     def ids_of_class(self, item_class: ItemClass) -> tuple[int, ...]:
         return tuple(i for i, it in enumerate(self.items) if it.item_class is item_class)
@@ -338,13 +335,19 @@ def _raise_first_invalid(
                 raise ValueError(f"record {_shown(record_id)} sets multiple values of one attribute")
 
 
+def _check_lengths(record_ids: Sequence[str], masks: Sequence[int]) -> None:
+    if len(record_ids) != len(masks):
+        raise ValueError(f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks")
+
+
 class TransactionDatabase(Frozen):
     """An immutable transaction set (``record_ids[j]`` with bitmask ``masks[j]``)
     plus the per-item vertical index that the constructor derives from it.
 
-    The constructor trusts its rows: equal-length columns, distinct ids, every mask
-    in ``[0, 2**n_items)`` and at most one item per non-binary attribute;
-    :meth:`from_columns` checks them. Equality, repr and pickling go by the rows.
+    The constructor refuses columns of different lengths and trusts the rest of
+    its rows: distinct ids, every mask in ``[0, 2**n_items)`` and at most one
+    item per non-binary attribute; :meth:`from_columns` checks them. Equality,
+    repr and pickling go by the rows.
     ``excluded_count`` records input rows dropped before the build (e.g.
     unreachable websites); they never enter any count or the size ``m``.
     """
@@ -363,9 +366,11 @@ class TransactionDatabase(Frozen):
     ) -> None:
         if excluded_count < 0:
             raise ValueError("excluded_count must be non-negative")
+        record_ids = tuple(record_ids)
         masks = tuple(masks)
+        _check_lengths(record_ids, masks)
         _set(self, "catalog", catalog)
-        _set(self, "record_ids", tuple(record_ids))
+        _set(self, "record_ids", record_ids)
         _set(self, "masks", masks)
         _set(self, "excluded_count", excluded_count)
         _set(self, "vertical_index", _transpose(catalog.n_items, masks))
@@ -382,10 +387,7 @@ class TransactionDatabase(Frozen):
         in a transaction. Only when one fails are the rows scanned, to name the
         first offending record.
         """
-        if len(record_ids) != len(masks):
-            raise ValueError(
-                f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks"
-            )
+        _check_lengths(record_ids, masks)
         exclusive = [
             catalog.ids_of_attribute(attr.name)
             for attr in catalog.attributes

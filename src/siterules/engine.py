@@ -15,14 +15,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .datamodel import Frozen, TransactionDatabase, record
 
-__all__ = [
-    "CountedItemset",
-    "FrequentLevel",
-    "count_support",
-    "generate_candidates",
-    "mine_frequent",
-]
-
 
 @record
 class CountedItemset(NamedTuple):
@@ -31,8 +23,8 @@ class CountedItemset(NamedTuple):
 
 
 class FrequentLevel(Frozen):
-    """All frequent itemsets of one size, sorted lexicographically by item ids;
-    iterating a level yields its itemsets."""
+    """All frequent itemsets of one size (``itemsets``), sorted
+    lexicographically by item ids."""
 
     __slots__ = _fields = ("k", "itemsets")
     k: int
@@ -41,9 +33,6 @@ class FrequentLevel(Frozen):
     def __init__(self, k: int, itemsets: tuple[CountedItemset, ...]) -> None:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "itemsets", itemsets)
-
-    def __iter__(self):
-        return iter(self.itemsets)
 
 
 def count_support(db: TransactionDatabase, items: Iterable[int]) -> int:

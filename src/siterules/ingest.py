@@ -77,13 +77,9 @@ class GoldenFileError(ValueError):
 
 @record
 class Schema(NamedTuple):
-    """A parsed schema: the catalog plus the declaration-ordered attributes."""
+    """A parsed schema: its catalog holds the declaration-ordered attributes."""
 
     catalog: ItemCatalog
-
-    @property
-    def attributes(self) -> tuple[AttributeDef, ...]:
-        return self.catalog.attributes
 
 
 def _parse_bins(body: str, lineno: int) -> tuple[NumericBin, ...]:
@@ -174,9 +170,7 @@ def parse_schema(text: str) -> Schema:
         try:
             attr = AttributeDef(name, kind, item_class, values, bins, description)
         except ValueError as exc:
-            # the catalog's messages name the attribute whole
-            message = str(exc).replace(repr(name), _shown(name))
-            raise SchemaError(f"line {lineno}: {message}") from None
+            raise SchemaError(f"line {lineno}: {exc}") from None
         if attr.name in seen:
             raise SchemaError(f"line {lineno}: duplicate attribute {_shown(attr.name)}")
         seen.add(attr.name)

@@ -98,7 +98,7 @@ def stats_table(
                 cells.append(None)
             else:
                 cells.append(Percent((fvec & gvec).bit_count(), size))
-        rows.append(FrequencyRow(catalog.item(fid).attribute, tuple(cells)))
+        rows.append(FrequencyRow(catalog.items[fid].attribute, tuple(cells)))
     return FrequencyTable(tuple(columns), tuple(rows))
 
 

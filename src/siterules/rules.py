@@ -48,14 +48,14 @@ def derive_rules(
         max_size=min(config.max_antecedent_size, n_demographic) + 1,
         leaf_from=first_facility,
     )
-    counts = {ci.items: ci.count for level in levels for ci in level}
+    counts = {ci.items: ci.count for level in levels for ci in level.itemsets}
     # joint / antecedent >= floor, cross-multiplied
     floor_num = config.min_confidence.numerator
     floor_den = config.min_confidence.denominator
 
     rules: list[Rule] = []
     for level in levels[1:]:
-        for ci in level:
+        for ci in level.itemsets:
             consequent = ci.items[-1]
             if consequent < first_facility:
                 continue

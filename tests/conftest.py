@@ -2,12 +2,13 @@ import pytest
 
 from siterules import corpus
 from siterules.classify import classify_rules
+from siterules.ingest import parse_schema
 from siterules.rules import canonical_sort, derive_rules
 
 
 @pytest.fixture(scope="session")
 def study_schema():
-    return corpus.load_study_schema()
+    return parse_schema(corpus.schema_text())
 
 
 @pytest.fixture(scope="session")

@@ -675,6 +675,31 @@ def test_fixture_command_loads_corpus(tmp_path):
     assert code == 0 and "siterules.corpus" in loaded
 
 
+_PACKAGE_PROBE = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import siterules; "
+    "bare = sorted(m for m in sys.modules if m.startswith('siterules.')); "
+    "import siterules.cli; "
+    "print(siterules.__file__); print(*bare); "
+    "print(*sorted(m for m in sys.modules if m.startswith('siterules.')))"
+)
+
+
+def test_the_package_alone_loads_no_module():
+    # each name is imported from its own module: the package holds only its
+    # docstring, and the cli loads the modules its commands share
+    result = subprocess.run(
+        [sys.executable, "-B", "-I", "-S", "-c", _PACKAGE_PROBE, str(REPO_ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    path, bare, with_cli = result.stdout.splitlines()
+    assert Path(path) == REPO_ROOT / "src" / "siterules" / "__init__.py"
+    assert bare == ""
+    assert with_cli.split() == [
+        f"siterules.{name}"
+        for name in ("classify", "cli", "datamodel", "engine", "ingest", "report", "rules")
+    ]
+
+
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -87,7 +87,7 @@ class TestPaperCounts:
     def test_group_columns_partition_each_attribute(self, study_schema):
         for members in GROUP_DEFS.values():
             assert len({attr for attr, _ in members}) == 1, members
-        for attr in study_schema.attributes:
+        for attr in study_schema.catalog.attributes:
             if attr.item_class is not ItemClass.DEMOGRAPHIC:
                 continue
             covered = [v for ms in GROUP_DEFS.values() for a, v in ms if a == attr.name]

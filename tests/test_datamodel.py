@@ -13,6 +13,7 @@ from siterules.datamodel import (
     ItemCatalog,
     ItemClass,
     MiningConfig,
+    NumericBin,
     Percent,
     Rule,
     RuleClass,
@@ -105,6 +106,46 @@ class TestCatalog:
             catalog.item_id("color", "green")
         with pytest.raises(KeyError):
             catalog.attribute("nope")
+
+    @pytest.mark.parametrize("length", [40, 100_000])
+    @pytest.mark.parametrize(
+        "kind, item_class, values, bins, message",
+        [
+            (AttributeKind.CATEGORICAL, ItemClass.DEMOGRAPHIC, (), (),
+             "attribute {} declares no values"),
+            (AttributeKind.CATEGORICAL, ItemClass.DEMOGRAPHIC, ("a", "a"), (),
+             "attribute {} has duplicate values"),
+            (AttributeKind.NUMERIC, ItemClass.DEMOGRAPHIC, ("a",), (),
+             "attribute {}: bin labels must match values"),
+            (AttributeKind.CATEGORICAL, ItemClass.DEMOGRAPHIC, ("a",), (NumericBin(0, None, "a"),),
+             "attribute {}: only numeric attributes take bins"),
+            (AttributeKind.BINARY, ItemClass.FACILITY, ("yes", "no"), (),
+             "attribute {}: binary attributes have exactly one item"),
+            (AttributeKind.CATEGORICAL, ItemClass.FACILITY, ("a",), (),
+             "attribute {}: facility attributes must be binary"),
+        ],
+        ids=["no-values", "duplicate", "bin-labels", "bins", "binary", "facility"],
+    )
+    def test_a_long_attribute_name_is_echoed_by_its_start(
+        self, kind, item_class, values, bins, message, length
+    ):
+        name = "x" * length
+        with pytest.raises(ValueError) as info:
+            AttributeDef(name, kind, item_class, values, bins)
+        # a name of up to 40 characters is echoed whole, a longer one by its
+        # start and its length
+        shown = repr(name) if length <= 40 else f"'{'x' * 20}'... (100000 characters)"
+        assert str(info.value) == message.format(shown)
+        assert len(str(info.value).encode()) < 1024
+
+    @pytest.mark.parametrize("length", [40, 100_000])
+    def test_an_unknown_long_attribute_is_echoed_by_its_start(self, length):
+        name = "x" * length
+        with pytest.raises(KeyError) as info:
+            make_catalog().attribute(name)
+        shown = repr(name) if length <= 40 else f"'{'x' * 20}'... (100000 characters)"
+        assert info.value.args == (f"no attribute {shown} in catalog",)
+        assert len(str(info.value).encode()) < 1024
 
 
 class TestDatabase:
@@ -227,6 +268,15 @@ class TestDatabase:
         message = f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks"
         with pytest.raises(ValueError, match=f"^{message}$"):
             TransactionDatabase.from_columns(make_catalog(), record_ids, masks)
+
+    @pytest.mark.parametrize("record_ids, masks", [(["a"], [1, 1, 1]), (["a", "b", "c"], [1])])
+    def test_constructor_refuses_columns_of_different_lengths(self, record_ids, masks):
+        # the constructor trusts what from_columns screens, but not that the
+        # columns pair up: 1 id with 3 masks would count a support of 3 in a
+        # database of size 1
+        message = f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TransactionDatabase(make_catalog(), record_ids, masks)
 
     def test_vertical_index_is_not_a_field(self):
         assert "vertical_index" not in TransactionDatabase._fields
