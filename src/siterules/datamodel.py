@@ -17,6 +17,7 @@ import enum
 import sys
 from array import array
 from functools import total_ordering
+from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
@@ -192,7 +193,7 @@ class ItemCatalog(Frozen):
         try:
             return self._index[(attribute, value)]
         except KeyError:
-            raise KeyError(f"no item {attribute}={value} in catalog") from None
+            raise KeyError(f"no item {_shown(attribute)}={_shown(value)} in catalog") from None
 
     def has_item(self, attribute: str, value: str) -> bool:
         return (attribute, value) in self._index
@@ -225,11 +226,15 @@ class ItemCatalog(Frozen):
         return f"{attr}={value}"
 
     def resolve_pair(self, pair: tuple[str, str]) -> int:
-        """Item id for a ``(attribute, value)`` pair in item_pair convention."""
+        """Item id for a ``(attribute, value)`` pair in item_pair convention;
+        ``("facility", name)`` resolves only to a facility attribute's item."""
         attr, value = pair
-        if attr == "facility":
-            attr, value = value, "yes"
-        return self.item_id(attr, value)
+        if attr != "facility":
+            return self.item_id(attr, value)
+        item = self._index.get((value, "yes"))
+        if item is None or self.items[item].item_class is not ItemClass.FACILITY:
+            raise KeyError(f"no facility {_shown(value)} in catalog")
+        return item
 
 
 @record
@@ -242,25 +247,25 @@ class Transaction(NamedTuple):
 
 def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> tuple[int, ...]:
     """Transpose row bitmasks into one transaction bitset per item (see :func:`_transpose`)."""
-    masks = [txn.members for txn in transactions]
-    if not _masks_in_range(n_items, masks):
-        raise ValueError("a membership mask is negative or wider than the catalog")
-    return _transpose(n_items, masks)
+    return _transpose(n_items, list(map(itemgetter(1), transactions)))
 
 
-def _masks_in_range(n_items: int, masks: Sequence[int]) -> bool:
-    """Whether every mask lies in ``[0, 2**n_items)``."""
-    return min(masks, default=0) >= 0 and max(masks, default=0).bit_length() <= n_items
+class _MaskOutOfRange(ValueError):
+    """:func:`_transpose` met a mask outside ``[0, 2**n_items)``."""
+
+    def __init__(self) -> None:
+        super().__init__("a membership mask is negative or wider than the catalog")
 
 
-# an array typecode for each unsigned word size in bytes
-_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+# an array typecode for each unsigned word size in bytes; 'L' wins over an
+# equally wide 'Q', since array('L', ...) converts Python ints faster
+_TYPECODES = {array(code).itemsize: code for code in "BHIQL"}
 
 
 def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     """Bit j of item i's vector is set iff ``masks[j]`` has bit i set.
 
-    The masks must lie in ``[0, 2**n_items)``. They are packed into one int,
+    The masks are packed into one int,
     row j as ``words`` little-endian ``width``-bit words, with zero rows
     appended up to a multiple of ``width``. The width is the smallest of 8,
     16, 32 and 64 bits that holds a mask; a catalog of more than 64 items
@@ -272,8 +277,14 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     ``width * r + c`` holds rows ``width * r`` .. ``width * r + width - 1``
     of item ``width * w + c``, so item i's vector is every
     ``width * words``-th word from there.
+
+    A mask outside ``[0, 2**n_items)`` raises ``ValueError``: packing refuses
+    one that is negative or wider than its row's words, and the padding
+    items from ``n_items`` up to the words' width must read back empty.
     """
     if not n_items:
+        if any(masks):
+            raise _MaskOutOfRange
         return ()
     width = next((w for w in (8, 16, 32) if n_items <= w), 64)
     words = -(-n_items // width)
@@ -281,13 +292,16 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     typecode = _TYPECODES[word_bytes]
     row_bytes = word_bytes * words
     n_rows = -(-len(masks) // width) * width
-    if words == 1:
-        packed = array(typecode, masks)
-        if sys.byteorder == "big":
-            packed.byteswap()
-        rows = packed.tobytes()
-    else:
-        rows = b"".join([mask.to_bytes(row_bytes, "little") for mask in masks])
+    try:
+        if words == 1:
+            packed = array(typecode, masks)
+            if sys.byteorder == "big":
+                packed.byteswap()
+            rows = packed.tobytes()
+        else:
+            rows = b"".join([mask.to_bytes(row_bytes, "little") for mask in masks])
+    except OverflowError:
+        raise _MaskOutOfRange from None
     rows += bytes(row_bytes * (n_rows - len(masks)))
     bits = int.from_bytes(rows, "little")
     k = width // 2
@@ -301,10 +315,13 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
         bits ^= swap ^ swap << shift
         k >>= 1
     column_words = memoryview(bits.to_bytes(len(rows), "little")).cast(typecode)
-    return tuple(
+    vectors = tuple(
         int.from_bytes(column_words[(i % width) * words + i // width :: width * words], "little")
-        for i in range(n_items)
+        for i in range(width * words)
     )
+    if any(vectors[n_items:]):
+        raise _MaskOutOfRange
+    return vectors[:n_items]
 
 
 def _overlapping(index: Sequence[int], item_ids: Sequence[int]) -> bool:
@@ -344,10 +361,11 @@ class TransactionDatabase(Frozen):
     """An immutable transaction set (``record_ids[j]`` with bitmask ``masks[j]``)
     plus the per-item vertical index that the constructor derives from it.
 
-    The constructor refuses columns of different lengths and trusts the rest of
-    its rows: distinct ids, every mask in ``[0, 2**n_items)`` and at most one
-    item per non-binary attribute; :meth:`from_columns` checks them. Equality,
-    repr and pickling go by the rows.
+    The constructor refuses columns of different lengths and any mask outside
+    ``[0, 2**n_items)`` (the transpose meets each one), and trusts the rest of
+    its rows: distinct ids and at most one item per non-binary attribute;
+    :meth:`from_columns` checks them. Equality, repr and pickling go by the
+    rows.
     ``excluded_count`` records input rows dropped before the build (e.g.
     unreachable websites); they never enter any count or the size ``m``.
     """
@@ -382,10 +400,10 @@ class TransactionDatabase(Frozen):
     ) -> "TransactionDatabase":
         """Check an id column and a mask column, and build their database.
 
-        The checks run on whole columns: equal lengths, distinct ids, masks in
-        range, then, on the built index, no two items of one non-binary attribute
-        in a transaction. Only when one fails are the rows scanned, to name the
-        first offending record.
+        The checks run on whole columns: equal lengths and distinct ids, then
+        the constructor's mask range, then, on the built index, no two items of
+        one non-binary attribute in a transaction. Only when one fails are the
+        rows scanned, to name the first offending record.
         """
         _check_lengths(record_ids, masks)
         exclusive = [
@@ -393,10 +411,14 @@ class TransactionDatabase(Frozen):
             for attr in catalog.attributes
             if attr.kind is not AttributeKind.BINARY
         ]
-        if len(set(record_ids)) == len(record_ids) and _masks_in_range(catalog.n_items, masks):
-            db = cls(catalog, record_ids, masks, excluded_count)
-            if not any(_overlapping(db.vertical_index, ids) for ids in exclusive):
-                return db
+        if len(set(record_ids)) == len(record_ids):
+            try:
+                db = cls(catalog, record_ids, masks, excluded_count)
+            except _MaskOutOfRange:
+                pass
+            else:
+                if not any(_overlapping(db.vertical_index, ids) for ids in exclusive):
+                    return db
         _raise_first_invalid(catalog.n_items, exclusive, record_ids, masks)
 
     @classmethod
@@ -404,8 +426,8 @@ class TransactionDatabase(Frozen):
         cls, catalog: ItemCatalog, transactions: Sequence[Transaction], excluded_count: int = 0
     ) -> "TransactionDatabase":
         """:meth:`from_columns` over rows given as :class:`Transaction` objects."""
-        record_ids = [txn.record_id for txn in transactions]
-        masks = [txn.members for txn in transactions]
+        record_ids = list(map(itemgetter(0), transactions))
+        masks = list(map(itemgetter(1), transactions))
         return cls.from_columns(catalog, record_ids, masks, excluded_count)
 
     @property

@@ -2,16 +2,18 @@
 
 Raw transactions are touched once, when the database's vertical index is
 built; all counting afterwards is word-level intersection plus popcount on
-per-item transaction bitsets. Candidates come grouped by their size-k
-prefix; each group's prefix bitset is built once, as the intersection of
-its items' vectors, and each candidate is counted by intersecting it with
-one item vector. No bitset outlives its prefix group, so working memory
-holds a couple of bitsets, whatever the number of frequent itemsets.
+per-item transaction bitsets. The join gives each frequent k-itemset it
+extends the sorted list of last items that survive the prune (one set
+intersection per prefix item); that itemset's bitset is built once, as the
+intersection of its items' vectors, and each candidate is counted by
+intersecting it with one item vector. No bitset outlives its left itemset,
+so working memory holds a couple of bitsets, whatever the number of
+frequent itemsets.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .datamodel import Frozen, TransactionDatabase, record
 
@@ -54,6 +56,39 @@ def count_support(db: TransactionDatabase, items: Iterable[int]) -> int:
     return vec.bit_count()
 
 
+def _joins(
+    level: FrequentLevel, leaf_from: Optional[int]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each k-itemset ``left`` of ``level`` that starts a join, with the
+    sorted last items ``y`` whose candidate ``left + (y,)`` survives the prune.
+
+    The level's itemsets sharing a prefix (all but their last item) form one
+    sorted run of last items. A join pairs ``left`` with every later itemset
+    of its run. A drop-one subset of ``left + (y,)`` that keeps the prefix is
+    ``left`` or its partner; the one that drops prefix item p is frequent iff
+    ``y`` is a last item of the run whose prefix is ``left`` without p, so
+    each prefix item prunes by one set intersection. Only lefts with a
+    surviving candidate are yielded, in level order.
+    """
+    runs: dict[tuple[int, ...], list[int]] = {}
+    for ci in level.itemsets:
+        runs.setdefault(ci.items[:-1], []).append(ci.items[-1])
+    for prefix, lasts in runs.items():
+        for n, last in enumerate(lasts):
+            # lasts ascend, so every later left also ends in a leaf item
+            if leaf_from is not None and last >= leaf_from:
+                break
+            ys = lasts[n + 1:]
+            left = prefix + (last,)
+            if prefix and ys:
+                keep = set(ys)
+                for p in range(len(prefix)):
+                    keep.intersection_update(runs.get(left[:p] + left[p + 1:], ()))
+                ys = sorted(keep)
+            if ys:
+                yield left, ys
+
+
 def generate_candidates(
     level: FrequentLevel, *, leaf_from: Optional[int] = None
 ) -> list[tuple[int, ...]]:
@@ -65,26 +100,7 @@ def generate_candidates(
     such items. Input must be sorted lexicographically; output is sorted and
     duplicate free by construction.
     """
-    sets = [ci.items for ci in level.itemsets]
-    frequent = set(sets)
-    out: list[tuple[int, ...]] = []
-    for i, left in enumerate(sets):
-        if leaf_from is not None and left[-1] >= leaf_from:
-            continue
-        prefix = left[:-1]
-        for j in range(i + 1, len(sets)):
-            right = sets[j]
-            if right[:-1] != prefix:
-                break
-            cand = left + (right[-1],)
-            # left and right are the two drop-one subsets keeping the shared
-            # prefix; the remaining ones drop an item inside the prefix.
-            for p in range(len(cand) - 2):
-                if cand[:p] + cand[p + 1:] not in frequent:
-                    break
-            else:
-                out.append(cand)
-    return out
+    return [left + (y,) for left, ys in _joins(level, leaf_from) for y in ys]
 
 
 def mine_frequent(
@@ -98,10 +114,11 @@ def mine_frequent(
 
     Level 1 holds every item whose vector popcount reaches ``min_count``;
     each further level is generated by join+prune and counted by
-    intersection with the item vectors. Candidates sharing a prefix (their
-    first k items) arrive together, so each prefix's bitset is built once
-    per group from the item vectors, and nothing of a level is stored but
-    its counts.
+    intersection with the item vectors. Each itemset that starts a join
+    arrives once with the last items of its surviving candidates, so its
+    bitset is built once from the item vectors, each candidate costs one
+    intersection and a popcount, and a candidate's tuple is built only if it
+    is kept. Nothing of a level is stored but its counts.
     Returns only the non-empty levels. Output is deterministic regardless of
     transaction order.
 
@@ -115,11 +132,11 @@ def mine_frequent(
     if min_count < 1:
         raise ValueError("min_count must be at least 1")
     index = db.vertical_index
-    singles = [
-        CountedItemset((i,), vec.bit_count())
-        for i, vec in enumerate(index)
-        if vec.bit_count() >= min_count
-    ]
+    singles = []
+    for i, vec in enumerate(index):
+        count = vec.bit_count()
+        if count >= min_count:
+            singles.append(CountedItemset((i,), count))
     levels: list[FrequentLevel] = []
     current = FrequentLevel(1, tuple(singles))
 
@@ -128,17 +145,13 @@ def mine_frequent(
         if max_size is not None and current.k >= max_size:
             break
         kept = []
-        prefix: tuple[int, ...] = ()
-        vec = 0
-        for cand in generate_candidates(current, leaf_from=leaf_from):
-            left = cand[:-1]
-            if left != prefix:
-                vec = index[left[0]]
-                for i in left[1:]:
-                    vec &= index[i]
-                prefix = left
-            count = (vec & index[cand[-1]]).bit_count()
-            if count >= min_count:
-                kept.append(CountedItemset(cand, count))
+        for left, ys in _joins(current, leaf_from):
+            vec = index[left[0]]
+            for i in left[1:]:
+                vec &= index[i]
+            for y in ys:
+                count = (vec & index[y]).bit_count()
+                if count >= min_count:
+                    kept.append(CountedItemset(left + (y,), count))
         current = FrequentLevel(current.k + 1, tuple(kept))
     return levels

@@ -33,6 +33,14 @@ def make_catalog():
     )
 
 
+def facility_catalog(n_items):
+    """One single-item facility attribute per item, so any mask in range is valid."""
+    return ItemCatalog(tuple(
+        AttributeDef(f"f{i}", AttributeKind.BINARY, ItemClass.FACILITY, ("yes",))
+        for i in range(n_items)
+    ))
+
+
 class TestPercent:
     def test_rejects_bad_ratios(self):
         with pytest.raises(ValueError):
@@ -90,6 +98,38 @@ class TestCatalog:
         assert catalog.item_pair(4) == ("facility", "has_door")
         assert catalog.resolve_pair(("facility", "has_door")) == 4
         assert catalog.resolve_pair(("color", "blue")) == 1
+
+    def test_a_facility_pair_resolves_only_to_a_facility_item(self):
+        # member=yes is a demographic item; ("facility", "member") names none
+        catalog = ItemCatalog((
+            AttributeDef("member", AttributeKind.CATEGORICAL, ItemClass.DEMOGRAPHIC, ("yes", "no")),
+            AttributeDef("has_door", AttributeKind.BINARY, ItemClass.FACILITY, ("yes",)),
+        ))
+        with pytest.raises(KeyError) as info:
+            catalog.resolve_pair(("facility", "member"))
+        assert info.value.args == ("no facility 'member' in catalog",)
+        for catalog in (catalog, make_catalog()):
+            for i in range(catalog.n_items):
+                assert catalog.resolve_pair(catalog.item_pair(i)) == i
+
+    @pytest.mark.parametrize(
+        "lookup, says",
+        [
+            (lambda c, name: c.item_id(name, "yes"), "no item {shown}='yes' in catalog"),
+            (lambda c, name: c.item_id("color", name), "no item 'color'={shown} in catalog"),
+            (lambda c, name: c.resolve_pair((name, "red")), "no item {shown}='red' in catalog"),
+            (lambda c, name: c.resolve_pair(("facility", name)), "no facility {shown} in catalog"),
+        ],
+        ids=["item_id attribute", "item_id value", "resolve_pair attribute", "resolve_pair facility"],
+    )
+    @pytest.mark.parametrize("length", [5, 100_000])
+    def test_an_unknown_item_echoes_long_names_by_their_start(self, lookup, says, length):
+        name = "x" * length
+        with pytest.raises(KeyError) as info:
+            lookup(make_catalog(), name)
+        shown = repr(name) if length <= 40 else f"'{'x' * 20}'... (100000 characters)"
+        assert info.value.args == (says.format(shown=shown),)
+        assert len(str(info.value).encode()) < 1024
 
     def test_facility_attributes_must_be_binary(self):
         with pytest.raises(ValueError, match="facility attributes must be binary"):
@@ -232,8 +272,31 @@ class TestDatabase:
         # a 28-item catalog packs 32-bit words, which would hold bit 28
         full = Transaction("a", (1 << n_items) - 1)
         assert build_vertical_index(n_items, [full])[n_items - 1] == 1
+        self.assert_mask_refused(n_items, 1 << n_items, "sets an item id outside the catalog")
+
+    @pytest.mark.parametrize("n_items", [8, 64, 65])
+    def test_negative_mask_rejected_at_each_width(self, n_items):
+        # -1 fills every word of one 8- or 64-bit row; 65 items take two words
+        self.assert_mask_refused(n_items, -1, "has a negative membership mask")
+
+    @staticmethod
+    def assert_mask_refused(n_items, mask, says):
+        catalog = facility_catalog(n_items)
+        full = (1 << n_items) - 1
         with pytest.raises(ValueError):
-            build_vertical_index(n_items, [full, Transaction("b", 1 << n_items)])
+            build_vertical_index(n_items, [Transaction("a", full), Transaction("b", mask)])
+        with pytest.raises(ValueError, match="^a membership mask is negative or wider than the catalog$"):
+            TransactionDatabase(catalog, ["a", "b"], [full, mask])
+        with pytest.raises(ValueError, match=f"^record 'b' {says}$"):
+            TransactionDatabase.from_columns(catalog, ["a", "b"], [full, mask])
+
+    def test_negative_excluded_count_is_refused_by_every_way_in(self):
+        # from_columns catches only the constructor's mask-range refusal
+        message = "^excluded_count must be non-negative$"
+        with pytest.raises(ValueError, match=message):
+            TransactionDatabase.from_columns(make_catalog(), ["a"], [1], excluded_count=-1)
+        with pytest.raises(ValueError, match=message):
+            TransactionDatabase.build(make_catalog(), [Transaction("a", 1)], excluded_count=-1)
 
     @pytest.mark.parametrize(
         "n_items", [0, 1, 7, 8, 9, 15, 16, 17, 28, 31, 32, 33, 63, 64, 65, 128, 129]
@@ -256,11 +319,9 @@ class TestDatabase:
                     expected[i] |= 1 << j
         assert build_vertical_index(n_items, rows) == tuple(expected)
         # the constructor derives the same index from the same rows
-        catalog = ItemCatalog(tuple(
-            AttributeDef(f"f{i}", AttributeKind.BINARY, ItemClass.FACILITY, ("yes",))
-            for i in range(n_items)
-        ))
-        db = TransactionDatabase(catalog, [t.record_id for t in rows], [t.members for t in rows])
+        db = TransactionDatabase(
+            facility_catalog(n_items), [t.record_id for t in rows], [t.members for t in rows]
+        )
         assert db.vertical_index == tuple(expected)
 
     @pytest.mark.parametrize("record_ids, masks", [(["a"], [1, 1, 1]), (["a", "b", "c"], [1])])

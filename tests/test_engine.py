@@ -141,6 +141,29 @@ class TestGenerateCandidates:
                 assert set(bounded) <= set(generate_candidates(level))
                 assert all(sum(i >= leaf_from for i in cand) <= 1 for cand in bounded)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_candidates_are_exactly_the_unpruned_extensions_in_order(self, data):
+        # levels closed downward from a few random sets, plus random k-sets:
+        # many joins survive the prune and many do not
+        k = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(k, 8))
+        grown = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k), max_size=4))
+        loose = data.draw(
+            st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k), max_size=12)
+        )
+        sets = {sub for s in grown for sub in itertools.combinations(sorted(s), k)}
+        sets |= {tuple(sorted(s)) for s in loose}
+        level = FrequentLevel(k, tuple(CountedItemset(s, 1) for s in sorted(sets)))
+        leaf_from = data.draw(st.none() | st.integers(0, n))
+        expected = [
+            cand
+            for cand in itertools.combinations(range(n), k + 1)
+            if all(sub in sets for sub in itertools.combinations(cand, k))
+            and (leaf_from is None or all(i < leaf_from for i in cand[:-1]))
+        ]
+        assert generate_candidates(level, leaf_from=leaf_from) == expected
+
 
 class TestMineFrequent:
     def test_worked_example(self):
