@@ -17,6 +17,13 @@ satisfied wherever simultaneously possible; the published table is not fully
 self-consistent (four rows have a group column that contradicts the row's
 own total), so the leftovers are reported, not forced.
 
+The demographic table (each profile's row count) is the first one, in the
+search's order, under which every facility's mandatory set (its total and
+its reference rules' joint counts) has a solution. The facility searches
+decide it: a table whose mandatory sets all pass the root test of
+``_root_bounds`` is taken unless some facility's pass finds no solution,
+so no search is spent on the table alone.
+
 All searches are deterministic: cells are enumerated smallest-index-first
 and candidate values highest-first, so repeated builds are byte-identical.
 
@@ -27,8 +34,8 @@ back and matching it against the reference list is ``siterules.validation``.
 from __future__ import annotations
 
 import itertools
+import os
 from fractions import Fraction
-from importlib.resources import files
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .datamodel import ItemCatalog, ItemClass, TransactionDatabase, record
@@ -50,12 +57,19 @@ class InfeasibleFixtureError(Exception):
 # packaged data
 
 
+def _data_text(name: str) -> str:
+    # what pkgutil.get_data does, without importing pkgutil: the loader reads
+    # the file, from a directory or a zip archive alike
+    path = os.path.join(os.path.dirname(__file__), "data", name)
+    return __spec__.loader.get_data(path).decode("utf-8")
+
+
 def schema_text() -> str:
-    return (files("siterules") / "data" / "schema_appendix_a.txt").read_text("utf-8")
+    return _data_text("schema_appendix_a.txt")
 
 
 def golden_text() -> str:
-    return (files("siterules") / "data" / "appendix_b.csv").read_text("utf-8")
+    return _data_text("appendix_b.csv")
 
 
 def load_golden_rules() -> list[GoldenRule]:
@@ -237,6 +251,30 @@ def arithmetic_consistency_check(
 # deterministic integer feasibility search
 
 
+def _root_bounds(
+    caps: Sequence[int],
+    constraints: Sequence[tuple[tuple[int, ...], int]],
+) -> Optional[tuple[list[list[int]], list[int], list[int]]]:
+    """The search's state before its first node, or None when that state
+    already rules out every solution.
+
+    Returns ``by_var`` (each variable's constraint indices), ``bound`` (each
+    variable's cap tightened by the targets of its constraints) and
+    ``slack`` (each constraint's summed bounds). A constraint whose target is
+    negative or above its slack admits no solution, and None is returned.
+    """
+    by_var: list[list[int]] = [[] for _ in caps]
+    for ci, (idxs, _) in enumerate(constraints):
+        for j in idxs:
+            by_var[j].append(ci)
+    targets = [t for _, t in constraints]
+    bound = [min([cap, *map(targets.__getitem__, by_var[j])]) for j, cap in enumerate(caps)]
+    slack = [sum(map(bound.__getitem__, idxs)) for idxs, _ in constraints]
+    if any(t < 0 or t > s for t, s in zip(targets, slack)):
+        return None
+    return by_var, bound, slack
+
+
 def _iter_solutions(
     caps: Sequence[int],
     constraints: Sequence[tuple[tuple[int, ...], int]],
@@ -254,8 +292,8 @@ def _iter_solutions(
     value then lies between each constraint's remaining target less the
     slack of its other unassigned members and the smallest remaining target,
     so a constraint whose last member is assigned meets its target exactly,
-    and a node costs O(constraints of i). A constraint whose target is
-    negative or above its slack before any assignment admits no solution.
+    and a node costs O(constraints of i). The starting state and its test
+    are ``_root_bounds``: a system that fails it yields nothing.
 
     The search runs in this one loop, with an explicit state per depth:
     ``key[i]`` is None until depth i is entered, and the value in
@@ -264,37 +302,32 @@ def _iter_solutions(
     The solutions below variable i depend only on i and the remaining
     targets: bounds are fixed and the slack is a function of which variables
     are unassigned. So once a subtree has been searched to the end without
-    a solution, its ``(i, remaining)`` key goes into ``dead`` and the search
-    skips it when the key comes up again (nogood recording). Only subtrees
-    holding no solution are pruned, so the order of the solutions is
-    unchanged. ``dead`` is local to one call: a subtree left early by a
-    closed generator records nothing.
+    a solution, its remaining targets go into ``dead[i]`` and the search
+    skips the subtree when they come up again at depth i (nogood
+    recording). Only subtrees holding no solution are pruned, so the order
+    of the solutions is unchanged. ``dead`` is local to one call: a subtree
+    left early by a closed generator records nothing.
 
     A variable whose bound is 0 (an empty cell, or one in a constraint with
     target 0) is 0 in every solution, so it takes no depth: the search runs
     over the other variables only, and each solution is scattered back into
     a full-length tuple.
     """
-    n = len(caps)
-    by_var: list[list[int]] = [[] for _ in range(n)]
-    for ci, (idxs, _) in enumerate(constraints):
-        for j in idxs:
-            by_var[j].append(ci)
-    remaining = [t for _, t in constraints]
-    bound = [min([cap, *map(remaining.__getitem__, by_var[j])]) for j, cap in enumerate(caps)]
-    slack = [sum(map(bound.__getitem__, idxs)) for idxs, _ in constraints]
-    if any(r < 0 or r > s for r, s in zip(remaining, slack)):
+    root = _root_bounds(caps, constraints)
+    if root is None:
         return
-    order = [j for j in range(n) if bound[j]]
+    by_var, bound, slack = root
+    remaining = [t for _, t in constraints]
+    order = [j for j, b in enumerate(bound) if b]
     depth_own = [by_var[j] for j in order]
     depth_bound = [bound[j] for j in order]
     depths = len(order)
-    solution = [0] * n
+    solution = [0] * len(caps)
     assignment = [0] * depths
     low = [0] * depths
-    key: list[Optional[tuple[int, tuple[int, ...]]]] = [None] * depths
+    key: list[Optional[tuple[int, ...]]] = [None] * depths
     found_before = [0] * depths
-    dead: set[tuple[int, tuple[int, ...]]] = set()
+    dead: list[set[tuple[int, ...]]] = [set() for _ in range(depths)]
     found = 0
     i = 0
     while i >= 0:
@@ -309,8 +342,8 @@ def _iter_solutions(
         b = depth_bound[i]
         if key[i] is None:
             # enter depth i
-            here = (i, tuple(remaining))
-            if here in dead:
+            here = tuple(remaining)
+            if here in dead[i]:
                 i -= 1
                 continue
             found_before[i] = found
@@ -348,7 +381,7 @@ def _iter_solutions(
             slack[ci] += b
             remaining[ci] += value
         if found == found_before[i]:
-            dead.add(here)
+            dead[i].add(here)
         i -= 1
 
 
@@ -543,7 +576,7 @@ def _facility_assignment(
     mandatory: list[tuple[tuple[int, ...], int]],
     column_idxs: dict[str, tuple[int, ...]],
     sizes: Sequence[int],
-) -> tuple[tuple[int, ...], list[UnmetCell]]:
+) -> Optional[tuple[tuple[int, ...], list[UnmetCell]]]:
     """Mandatory constraints plus a greedy, deterministic pass over the
     published group cells in ``GROUP_COLUMNS`` order, each kept only if the
     set stays feasible. A cell that completes its attribute's group columns
@@ -562,6 +595,11 @@ def _facility_assignment(
     ``targets`` holds the facility's published counts. The result,
     ``current``, is the accepted set's first solution (``mandatory``'s when
     no search succeeds); unmet cells read their achieved counts from it.
+    ``mandatory`` is searched alone only when the first plan has no
+    solution, and its solution is then the fallback ``current``; when it has
+    none either, every set the pass could search contains it, and the pass
+    returns None. The first column shares its family with a later one, so
+    it is never a family conflict and the first plan is always searched.
     """
     accepted = list(mandatory)
     accepted_columns: list[str] = []
@@ -594,6 +632,10 @@ def _facility_assignment(
                 current = solution
                 unmet += conflicts
                 break
+            if current is None:
+                current = _first_solution(sizes, mandatory)
+                if current is None:
+                    return None
             solution = _first_solution(sizes, accepted + planned[:1])
             if solution is None:
                 reason = SearchInfeasible(tuple(accepted))
@@ -603,8 +645,6 @@ def _facility_assignment(
                 accepted_columns.append(column)
                 continue
         unmet.append((column, reason))
-    if current is None:
-        current = _first_solution(sizes, mandatory)
 
     unmet_cells = [
         UnmetCell(
@@ -619,17 +659,48 @@ def _facility_assignment(
     return current, unmet_cells
 
 
+def _facility_passes(
+    facilities: Sequence[str],
+    counts: StudyCounts,
+    mandatory_sets: dict[str, list[tuple[tuple[int, ...], int]]],
+    column_idxs: dict[str, tuple[int, ...]],
+    sizes: Sequence[int],
+) -> Optional[dict[str, tuple[tuple[int, ...], list[UnmetCell]]]]:
+    """Each facility's pass under the demographic table ``sizes``, or None
+    when some facility's mandatory set has no solution under it: first by
+    the root test of every set, then by a pass that finds none."""
+    if any(_root_bounds(sizes, s) is None for s in mandatory_sets.values()):
+        return None
+    passes = {}
+    for facility in facilities:
+        result = _facility_assignment(
+            facility, counts.facility_counts[facility], mandatory_sets[facility], column_idxs,
+            sizes,
+        )
+        if result is None:
+            return None
+        passes[facility] = result
+    return passes
+
+
 def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureResult:
     """Reconstruct a transaction database consistent with the published data.
 
     Demographic profiles are assigned first: the search enumerates cell-size
     tables meeting every published single and pairwise count and takes the
-    first one under which every facility's mandatory constraint set stays
-    feasible. The mandatory sets are built once, since they do not depend on
-    the table. Each facility's group columns are then decided by
+    first one under which every facility's mandatory constraint set has a
+    solution. The mandatory sets are built once, since they do not depend on
+    the table. The facility searches decide the table: a table is skipped
+    when some mandatory set fails the root test (``_root_bounds``), and
+    otherwise each facility's group columns are decided by
     ``_facility_assignment``, in one search when its columns fit together
-    (as every study facility's do). Facility bits are assigned per cell, and
-    within a cell the first rows (by record id) carry each facility.
+    (as every study facility's do). A solution of that search solves the
+    mandatory set too, so the set is searched alone only when the pass's
+    first search fails, and the table is rejected when it has no solution.
+    On the study data the first table fails one facility's root test and the
+    second is taken: 20 searches in all. Facility bits are assigned per
+    cell, and within a cell the first rows (by record id) carry each
+    facility.
     """
     catalog = counts.catalog
     cells = _demographic_cells(catalog)
@@ -648,24 +719,16 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
         f: _facility_mandatory(f, counts, rules_of.get(("facility", f), ()), cell_sets, pinned)
         for f in facilities
     }
+    column_idxs = _column_cells(cells)
     for sizes in _iter_solutions([counts.m] * len(cells), demographic):
-        if all(_first_solution(sizes, s) is not None for s in mandatory_sets.values()):
+        passes = _facility_passes(facilities, counts, mandatory_sets, column_idxs, sizes)
+        if passes is not None:
             break
     else:
         raise InfeasibleFixtureError("no demographic table admits the mandatory constraints")
 
-    column_idxs = _column_cells(cells)
-    assignments = {}
-    unmet: list[UnmetCell] = []
-    for facility in facilities:
-        targets = counts.facility_counts[facility]
-        assignment, facility_unmet = _facility_assignment(
-            facility, targets, mandatory_sets[facility], column_idxs, sizes
-        )
-        assignments[facility] = assignment
-        unmet.extend(facility_unmet)
-
-    facility_quotas = [(1 << catalog.item_id(f, "yes"), assignments[f]) for f in facilities]
+    unmet = [u for f in facilities for u in passes[f][1]]
+    facility_quotas = [(1 << catalog.item_id(f, "yes"), passes[f][0]) for f in facilities]
     record_ids: list[str] = []
     masks: list[int] = []
     for ci, cell in enumerate(cells):

@@ -141,6 +141,9 @@ class AttributeDef(Frozen):
             raise ValueError(f"attribute {_shown(name)}: binary attributes have exactly one item")
         if item_class is ItemClass.FACILITY and kind is not AttributeKind.BINARY:
             raise ValueError(f"attribute {_shown(name)}: facility attributes must be binary")
+        if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
+            # item_pair writes every facility item as ("facility", name)
+            raise ValueError("'facility' labels facility items; rename the attribute")
         _set(self, "name", name)
         _set(self, "kind", kind)
         _set(self, "item_class", item_class)

@@ -162,8 +162,6 @@ def parse_schema(text: str) -> Schema:
                 raise SchemaError(
                     f"line {lineno}: attribute name {_shown(name)} contains {char!r}"
                 )
-        if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
-            raise SchemaError(f"line {lineno}: 'facility' labels facility items; rename the attribute")
         for value in values:
             if " AND " in value + " ":  # a trailing " AND" joins into " AND AND "
                 raise SchemaError(f"line {lineno}: value {_shown(value)} contains ' AND '")

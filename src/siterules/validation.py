@@ -135,6 +135,8 @@ def validate_rows_against_golden(
     """
     if tolerance_pp < 0:
         raise ValueError("tolerance must be non-negative")
+    # a delta of d basis points is d/100 pp, so d/100 > n/q reads d*q > n*100
+    scale, limit = tolerance_pp.denominator, tolerance_pp.numerator * 100
     by_key = {row.key: row for row in rows}
     matched = []
     missing = []
@@ -145,10 +147,12 @@ def validate_rows_against_golden(
             missing.append(g)
             continue
         matched.append((g, row))
-        confidence_delta = Fraction(abs(row.confidence_bp - g.confidence_bp), 100)
-        coverage_delta = Fraction(abs(row.coverage_bp - g.support_bp), 100)
-        if confidence_delta > tolerance_pp or coverage_delta > tolerance_pp:
-            mismatches.append(MetricMismatch(g, row, confidence_delta, coverage_delta))
+        confidence_delta = abs(row.confidence_bp - g.confidence_bp)
+        coverage_delta = abs(row.coverage_bp - g.support_bp)
+        if confidence_delta * scale > limit or coverage_delta * scale > limit:
+            mismatches.append(MetricMismatch(
+                g, row, Fraction(confidence_delta, 100), Fraction(coverage_delta, 100)
+            ))
     return ValidationReport(
         tuple(matched), tuple(missing), tuple(by_key.values()), tuple(mismatches), tolerance_pp
     )

@@ -671,8 +671,11 @@ def test_each_command_loads_only_what_it_runs(fixture_dir, mined_csv, tmp_path, 
 
 
 def test_fixture_command_loads_corpus(tmp_path):
+    # the packaged data is read through the module's loader, not
+    # importlib.resources, which would bring pathlib, tempfile and zipfile
     code, loaded = _run_and_list_imports(["fixture", "--out-dir", str(tmp_path)])
     assert code == 0 and "siterules.corpus" in loaded
+    assert not {"importlib.resources", "pathlib", "tempfile"} & set(loaded)
 
 
 _PACKAGE_PROBE = (

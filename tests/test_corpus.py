@@ -92,6 +92,9 @@ class TestPaperCounts:
                 continue
             covered = [v for ms in GROUP_DEFS.values() for a, v in ms if a == attr.name]
             assert sorted(covered) == sorted(attr.values), attr.name
+        # so the first column is never a family conflict, and a facility's
+        # pass always searches its first plan
+        assert len(corpus._COLUMN_FAMILY[GROUP_COLUMNS[0]][1]) > 1
 
 
 class TestArithmeticConsistency:
@@ -194,6 +197,15 @@ def facility_systems(draw):
         moved = sum(hidden[j] for j in column_idxs[column]) + draw(st.sampled_from((0, 0, -1, 1)))
         targets[column] = max(0, moved)
     return sizes, mandatory, column_idxs, targets
+
+
+@st.composite
+def moved_mandatory_systems(draw):
+    """``facility_systems`` with each mandatory target moved by at most one,
+    so some mandatory sets have no solution."""
+    sizes, mandatory, column_idxs, targets = draw(facility_systems())
+    moved = [(idxs, max(0, t + draw(st.sampled_from((0, -1, 1))))) for idxs, t in mandatory]
+    return sizes, moved, column_idxs, targets
 
 
 def greedy_assignment(targets, mandatory, column_idxs, sizes):
@@ -417,11 +429,48 @@ class TestBuildFixture:
         for u in unmet:
             assert u.achieved == sum(assignment[j] for j in column_idxs[u.column])
 
+    @given(moved_mandatory_systems())
+    @settings(max_examples=200, deadline=None)
+    def test_no_assignment_exactly_when_the_mandatory_set_has_no_solution(self, system):
+        sizes, mandatory, column_idxs, targets = system
+        result = corpus._facility_assignment("f", targets, mandatory, column_idxs, sizes)
+        if not brute_force_solutions(sizes, mandatory):
+            assert result is None
+            return
+        assignment, unmet = result
+        expected, expected_unmet = greedy_assignment(targets, mandatory, column_idxs, sizes)
+        assert assignment == expected
+        assert [(u.column, u.reason) for u in unmet] == expected_unmet
+
+    def test_table_is_the_first_that_admits_every_mandatory_set(
+        self, counts, golden, catalog, fixture_result
+    ):
+        # the rule, written out: the first demographic table under which
+        # every facility's mandatory set has a solution
+        cells = corpus._demographic_cells(catalog)
+        demographic = corpus._demographic_constraints(counts, cells)
+        pinned = dict(demographic)
+        mandatory_sets = [
+            facility_mandatory(f, counts, golden, cells, pinned) for f in counts.facility_counts
+        ]
+        tables = corpus._iter_solutions([counts.m] * len(cells), demographic)
+        first = next(tables)
+        expected = next(
+            sizes for sizes in itertools.chain([first], tables)
+            if all(corpus._first_solution(sizes, s) is not None for s in mandatory_sets)
+        )
+        assert tuple(size for _, size in fixture_result.report.cell_sizes) == expected
+        # the first table is refused, by the root test alone
+        assert expected != first
+        assert any(corpus._root_bounds(first, s) is None for s in mandatory_sets)
+
     def test_one_assignment_search_per_facility(self, counts, golden, monkeypatch):
         # the study's group columns are decided by one search each: every
-        # column that is not a family conflict fits with all the others
+        # column that is not a family conflict fits with all the others; the
+        # rejected first table costs no search, so a build runs 20 in all
         searching = []
         searches = {}
+        calls = []
         facility_assignment, first_solution = corpus._facility_assignment, corpus._first_solution
 
         def assignment(facility, *args):
@@ -432,6 +481,7 @@ class TestBuildFixture:
                 searching.pop()
 
         def first(*args):
+            calls.append(args)
             for facility in searching:
                 searches[facility] = searches.get(facility, 0) + 1
             return first_solution(*args)
@@ -440,6 +490,7 @@ class TestBuildFixture:
         monkeypatch.setattr(corpus, "_first_solution", first)
         corpus.build_fixture(counts, golden)
         assert searches == dict.fromkeys(counts.facility_counts, 1)
+        assert len(calls) == 20
 
     def test_deterministic_rebuild(self, counts, golden, fixture_result):
         again = corpus.build_fixture(counts, golden)

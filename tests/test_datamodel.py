@@ -33,6 +33,24 @@ def make_catalog():
     )
 
 
+@st.composite
+def small_catalogs(draw):
+    """Declarations of one to four attributes, each a facility or a
+    categorical demographic, with names and values from four words:
+    "facility" and "yes" among them, so a demographic attribute can share
+    its name with the facility items' label and a value with a facility's
+    name."""
+    words = st.sampled_from(("facility", "yes", "a", "b"))
+    declared = []
+    for name in draw(st.lists(words, min_size=1, max_size=4, unique=True)):
+        if draw(st.booleans()):
+            declared.append((name, AttributeKind.BINARY, ItemClass.FACILITY, ("yes",)))
+        else:
+            values = tuple(draw(st.lists(words, min_size=1, max_size=3, unique=True)))
+            declared.append((name, AttributeKind.CATEGORICAL, ItemClass.DEMOGRAPHIC, values))
+    return declared
+
+
 def facility_catalog(n_items):
     """One single-item facility attribute per item, so any mask in range is valid."""
     return ItemCatalog(tuple(
@@ -130,6 +148,32 @@ class TestCatalog:
         shown = repr(name) if length <= 40 else f"'{'x' * 20}'... (100000 characters)"
         assert info.value.args == (says.format(shown=shown),)
         assert len(str(info.value).encode()) < 1024
+
+    @given(small_catalogs())
+    @settings(max_examples=200, deadline=None)
+    def test_item_pairs_name_each_item_once(self, declared):
+        # rule files write items as item_pair labels and read them back
+        # through resolve_pair, so a catalog the model accepts maps its items
+        # one to one onto their pairs
+        try:
+            catalog = ItemCatalog(tuple(AttributeDef(*d) for d in declared))
+        except ValueError as exc:
+            assert str(exc) == "'facility' labels facility items; rename the attribute"
+            assert ("facility", ItemClass.DEMOGRAPHIC) in [(d[0], d[2]) for d in declared]
+            return
+        pairs = [catalog.item_pair(i) for i in range(catalog.n_items)]
+        assert len(set(pairs)) == len(pairs)
+        assert [catalog.resolve_pair(pair) for pair in pairs] == list(range(catalog.n_items))
+
+    @pytest.mark.parametrize("kind, values", [
+        (AttributeKind.CATEGORICAL, ("a", "yes")),
+        (AttributeKind.BINARY, ("yes",)),
+    ])
+    def test_a_demographic_attribute_named_facility_is_refused(self, kind, values):
+        with pytest.raises(ValueError, match="^'facility' labels facility items; rename"):
+            AttributeDef("facility", kind, ItemClass.DEMOGRAPHIC, values)
+        # the facility class takes the name: its item's pair is ("facility", "facility")
+        AttributeDef("facility", AttributeKind.BINARY, ItemClass.FACILITY, ("yes",))
 
     def test_facility_attributes_must_be_binary(self):
         with pytest.raises(ValueError, match="facility attributes must be binary"):

@@ -1,9 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from siterules.ingest import GoldenRule
 from siterules.report import RULES_HEADER, render_rules
-from siterules.validation import parse_rules_csv, validate_rows_against_golden
+from siterules.validation import (
+    MetricMismatch,
+    MinedRuleRow,
+    parse_rules_csv,
+    validate_rows_against_golden,
+)
 
 TOLERANCE_PP = Fraction(11, 1000)
 
@@ -18,6 +26,22 @@ def rule_21_at(golden, confidence_bp):
     with its confidence edited."""
     (g,) = [g for g in golden if g.rule_id == 21]
     return [g._replace(confidence_bp=confidence_bp)]
+
+
+@st.composite
+def figure_deltas(draw):
+    """A tolerance in percentage points and, per rule, the signed confidence
+    and coverage deltas in basis points between a mined row and its
+    reference rule. A tolerance of whole basis points is drawn often, and
+    deltas exactly at it and one basis point either side."""
+    tolerance = draw(st.one_of(
+        st.integers(0, 20).map(lambda bp: Fraction(bp, 100)),
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    ))
+    at = int(tolerance * 100)
+    magnitude = st.one_of(st.sampled_from((at - 1, at, at + 1)), st.integers(0, 120))
+    delta = st.tuples(magnitude, st.sampled_from((-1, 1))).map(lambda d: max(d[0], 0) * d[1])
+    return tolerance, draw(st.lists(st.tuples(delta, delta), min_size=1, max_size=6))
 
 
 class TestValidation:
@@ -53,6 +77,35 @@ class TestValidation:
         assert len(report.metric_mismatches) == 1
         # the rule is still item-matched: matched + missing covers all golden
         assert len(report.matched) == 1 and not report.missing
+
+    @given(figure_deltas())
+    # --tolerance 0: any delta is a mismatch
+    @example((Fraction(0), [(0, 0), (1, 0), (0, -1)]))
+    # the default tolerance, 0.011 pp: a 1 bp delta is within it, 2 bp are not
+    @example((Fraction(11, 1000), [(1, -1), (2, 0), (0, -2)]))
+    # deltas exactly at the tolerance are within it
+    @example((Fraction(3, 100), [(3, -3), (-3, 4), (-4, 3)]))
+    @settings(max_examples=200, deadline=None)
+    def test_mismatches_are_the_fraction_comparison(self, system):
+        tolerance, deltas = system
+        golden, rows = [], []
+        for i, (d_confidence, d_coverage) in enumerate(deltas):
+            antecedent, consequent = (("age", f"v{i}"),), ("facility", "about_us")
+            g = GoldenRule(i + 1, antecedent, consequent, 5000 + 37 * i, 4000 + 11 * i)
+            golden.append(g)
+            rows.append(MinedRuleRow(
+                i + 1, antecedent, consequent, g.confidence_bp + d_confidence,
+                g.support_bp + d_coverage, 0, "rejected",
+            ))
+        expected = []
+        for g, row in zip(golden, rows):
+            confidence = abs(Fraction(row.confidence_bp - g.confidence_bp, 100))
+            coverage = abs(Fraction(row.coverage_bp - g.support_bp, 100))
+            if confidence > tolerance or coverage > tolerance:
+                expected.append(MetricMismatch(g, row, confidence, coverage))
+        report = validate_rows_against_golden(rows, golden, tolerance)
+        assert report.metric_mismatches == tuple(expected)
+        assert len(report.matched) == len(golden) and report.ok == (not expected)
 
     def test_negative_tolerance_rejected(self, golden):
         with pytest.raises(ValueError):
