@@ -30,11 +30,6 @@ def _tier(joint: int, antecedent: int) -> RuleClass:
     return RuleClass.REJECTED
 
 
-def classify_confidence(confidence: Percent) -> RuleClass:
-    """Tier for an exact confidence value; boundaries compare as rationals."""
-    return _tier(confidence.numerator, confidence.denominator)
-
-
 def classify_rules(rules: Iterable[Rule]) -> tuple[ClassifiedRule, ...]:
     """Classify every rule, preserving the input order."""
     return tuple(ClassifiedRule(r, _tier(r.joint_count, r.antecedent_count)) for r in rules)

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
 from .datamodel import ItemCatalog, ItemClass, TransactionDatabase, record
@@ -124,7 +123,9 @@ def _derived_count(bp: int, denominator: int, mode: str) -> int:
 
 
 # the furthest a consistent rule's joint may lie from an integer: 0.01, in
-# ten-thousandths (see arithmetic_consistency_check)
+# ten-thousandths. Truncating joint/n to two decimals leaves n times the
+# printed confidence less than n/10000 below the joint, under 0.01 for any
+# n <= m; a rule further off holds a transcription error.
 _MAX_DEVIATION = 100
 
 
@@ -197,54 +198,6 @@ def study_group_counts() -> StudyCounts:
             targets[column] = _derived_count(bp, group_sizes[column], "round")
         facility_counts[facility] = targets
     return StudyCounts(M_ACCESSIBLE, singles, pairs, facility_counts, group_sizes, catalog, golden)
-
-
-# ---------------------------------------------------------------------------
-# arithmetic consistency of the transcribed rules
-
-
-@record
-class ArithmeticCheckEntry(NamedTuple):
-    rule_id: int
-    antecedent_count: int
-    joint_count: int
-    deviation: Fraction
-    consistent: bool
-
-
-@record
-class ArithmeticReport(NamedTuple):
-    entries: tuple[ArithmeticCheckEntry, ...]
-
-    @property
-    def violations(self) -> tuple[ArithmeticCheckEntry, ...]:
-        return tuple(e for e in self.entries if not e.consistent)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def arithmetic_consistency_check(
-    golden: Sequence[GoldenRule], counts: StudyCounts
-) -> ArithmeticReport:
-    """Check each transcribed rule's confidence implies a near-integer joint.
-
-    The antecedent count is recovered from the rule's support column; the
-    published confidence times that count must land within 0.01 of an
-    integer, since a two-decimal truncation of a ratio with denominator at
-    most m/2 cannot stray further. Violations signal transcription errors.
-    """
-    entries = []
-    for g in golden:
-        n_antecedent, joint, deviation = _rule_counts(g, counts.m)
-        entries.append(
-            ArithmeticCheckEntry(
-                g.rule_id, n_antecedent, joint, Fraction(deviation, 10_000),
-                deviation <= _MAX_DEVIATION,
-            )
-        )
-    return ArithmeticReport(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +543,9 @@ def _facility_assignment(
     each greedy step tests a subset of that feasible set, so the greedy
     keeps exactly the plan, and the plan's first solution is its result.
     Only when there is none is the first undecided column searched alone,
-    and the pass goes on from the next one.
+    and the pass goes on from the next one. A set equal to the last one
+    whose search failed (a plan of one column, or a column whose cells and
+    target repeat the last one's) fails again without a search.
 
     ``targets`` holds the facility's published counts. The result,
     ``current``, is the accepted set's first solution (``mandatory``'s when
@@ -605,6 +560,14 @@ def _facility_assignment(
     accepted_columns: list[str] = []
     current: Optional[tuple[int, ...]] = None
     unmet: list[tuple[str, UnmetReason]] = []
+    failed = None  # the last set whose search found no solution
+
+    def search(constraints: list) -> Optional[tuple[int, ...]]:
+        nonlocal failed
+        solution = None if constraints == failed else _first_solution(sizes, constraints)
+        if solution is None:
+            failed = constraints
+        return solution
 
     def family_conflict(candidate: str, kept: list[str]) -> Optional[FamilySumConflict]:
         # a column that completes its attribute's partition must agree with the total
@@ -627,7 +590,7 @@ def _facility_assignment(
                 else:
                     conflicts.append((later, conflict))
             planned = [(column_idxs[c], targets[c]) for c in plan]
-            solution = _first_solution(sizes, accepted + planned)
+            solution = search(accepted + planned)
             if solution is not None:
                 current = solution
                 unmet += conflicts
@@ -636,7 +599,7 @@ def _facility_assignment(
                 current = _first_solution(sizes, mandatory)
                 if current is None:
                     return None
-            solution = _first_solution(sizes, accepted + planned[:1])
+            solution = search(accepted + planned[:1])
             if solution is None:
                 reason = SearchInfeasible(tuple(accepted))
             else:

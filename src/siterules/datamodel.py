@@ -5,10 +5,11 @@ Every type here is immutable after construction. Plain records are
 :func:`record`); the types that validate or compute fields are slotted
 :class:`Frozen` classes. A database keeps its rows as an id column and a
 bitmask column; ``Transaction`` is only the row input type of
-``TransactionDatabase.build``. Metric values are stored as integer count
-pairs (`Percent`) and compared by cross-multiplication, so threshold and tie
-decisions never touch floating point; floats appear only when a value is
-formatted for display.
+``TransactionDatabase.build``. A rule keeps its metrics as integer counts,
+and every threshold and tie compares those counts by cross-multiplication,
+so no decision touches floating point; a ``Percent`` is only a checked pair
+of counts that holds a threshold or a table cell until it is compared or
+formatted.
 """
 
 from __future__ import annotations
@@ -16,12 +17,8 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from functools import total_ordering
 from operator import itemgetter
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import NamedTuple, Optional, Sequence
 
 _set = object.__setattr__
 
@@ -443,9 +440,9 @@ class TransactionDatabase(Frozen):
         return len(self.record_ids)
 
 
-@total_ordering
 class Percent(Frozen):
-    """An exact ratio of counts in [0, 1], compared by cross-multiplication."""
+    """A ratio of counts in [0, 1], as its numerator and denominator; it
+    compares field-wise, like every ``Frozen`` value."""
 
     __slots__ = _fields = ("numerator", "denominator")
     numerator: int
@@ -461,38 +458,19 @@ class Percent(Frozen):
         _set(self, "numerator", numerator)
         _set(self, "denominator", denominator)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Percent):
-            return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def __lt__(self, other: object) -> bool:
-        if not isinstance(other, Percent):
-            return NotImplemented
-        return self.numerator * other.denominator < other.numerator * self.denominator
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
     @classmethod
     def from_basis_points(cls, bp: int) -> "Percent":
         """Build from hundredths of a percent (e.g. 9795 -> 97.95%)."""
         return cls(bp, 10_000)
 
-    def as_fraction(self) -> Fraction:
-        # imported here: mining and rendering compare counts, and fractions
-        # (with decimal) is a noticeable share of a command's start-up
-        from fractions import Fraction
-
-        return Fraction(self.numerator, self.denominator)
-
 
 class Rule(Frozen):
     """An antecedent => consequent implication with its exact counts.
 
-    Confidence, coverage and support all derive from the three stored counts,
-    so a rule can be re-rendered or re-thresholded without touching the
-    database it came from.
+    Confidence (joint / antecedent), coverage (antecedent / size, the
+    reference files' support column) and support (joint / size) are compared
+    and rendered from the counts, so a rule can be re-rendered or
+    re-thresholded without touching the database it came from.
     """
 
     __slots__ = _fields = ("antecedent", "consequent", "antecedent_count", "joint_count", "db_size")
@@ -527,20 +505,6 @@ class Rule(Frozen):
         _set(self, "antecedent_count", antecedent_count)
         _set(self, "joint_count", joint_count)
         _set(self, "db_size", db_size)
-
-    @property
-    def confidence(self) -> Percent:
-        return Percent(self.joint_count, self.antecedent_count)
-
-    @property
-    def coverage(self) -> Percent:
-        """Antecedent share of the database (the reference files' support column)."""
-        return Percent(self.antecedent_count, self.db_size)
-
-    @property
-    def support(self) -> Percent:
-        """Joint share of the database."""
-        return Percent(self.joint_count, self.db_size)
 
 
 class RuleClass(enum.IntEnum):

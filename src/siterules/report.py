@@ -92,12 +92,9 @@ def stats_table(
     rows = []
     for fid in catalog.ids_of_class(ItemClass.FACILITY):
         fvec = db.vertical_index[fid]
-        cells: list[Optional[Percent]] = []
-        for gvec, size in groups:
-            if size == 0:
-                cells.append(None)
-            else:
-                cells.append(Percent((fvec & gvec).bit_count(), size))
+        cells = [
+            Percent((fvec & gvec).bit_count(), size) if size else None for gvec, size in groups
+        ]
         rows.append(FrequencyRow(catalog.items[fid].attribute, tuple(cells)))
     return FrequencyTable(tuple(columns), tuple(rows))
 

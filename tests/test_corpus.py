@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -98,19 +99,23 @@ class TestPaperCounts:
 
 
 class TestArithmeticConsistency:
-    def test_all_68_rules_consistent(self, golden, counts):
-        report = corpus.arithmetic_consistency_check(golden, counts)
-        assert report.ok
-        assert len(report.entries) == 68
-        by_id = {e.rule_id: e for e in report.entries}
-        assert (by_id[23].antecedent_count, by_id[23].joint_count) == (35, 34)
-        assert (by_id[68].antecedent_count, by_id[68].joint_count) == (20, 18)
+    def test_rule_counts_of_published_rules(self, golden):
+        # rule 23: 38.46% of 91 sites is 35, and 97.14% of 35 is 34;
+        # rule 68: 21.97% of 91 is 20, and 90.00% of 20 is 18
+        by_id = {g.rule_id: g for g in golden}
+        for rule_id, expected in ((23, (35, 34)), (68, (20, 18))):
+            g = by_id[rule_id]
+            n_antecedent = (g.support_bp * 91 + 5000) // 10000
+            joint = (g.confidence_bp * n_antecedent + 5000) // 10000
+            assert (n_antecedent, joint) == expected
+            assert corpus._rule_counts(g, 91)[:2] == expected
 
-    def test_fabricated_rule_flagged(self, counts):
+    def test_fabricated_rule_refused(self, counts, golden):
+        # 93.00% of the 11 sites aged below 10 would be 10.23 sites
         fake = GoldenRule(99, (("age", "below10"),), ("facility", "about_us"), 9300, 1208)
-        report = corpus.arithmetic_consistency_check([fake], counts)
-        assert not report.ok
-        assert report.violations[0].rule_id == 99
+        message = "^rule 99: confidence implies non-integer joint count$"
+        with pytest.raises(corpus.InfeasibleFixtureError, match=message):
+            corpus.build_fixture(counts, [*golden, fake])
 
 
 class TestGoldenAsRules:
@@ -428,6 +433,24 @@ class TestBuildFixture:
         assert [(u.column, u.reason) for u in unmet] == expected_unmet
         for u in unmet:
             assert u.achieved == sum(assignment[j] for j in column_idxs[u.column])
+
+    @given(facility_systems())
+    @settings(max_examples=300, deadline=None)
+    def test_no_search_repeats_the_one_before(self, system):
+        # a set that just failed is not searched again: a plan of one column
+        # alone, or a later column whose cells and target are the same
+        sizes, mandatory, column_idxs, targets = system
+        calls = []
+        first_solution = corpus._first_solution
+
+        def first(caps, constraints):
+            calls.append((caps, list(constraints)))
+            return first_solution(caps, constraints)
+
+        with mock.patch.object(corpus, "_first_solution", first):
+            corpus._facility_assignment("f", targets, mandatory, column_idxs, sizes)
+        assert calls
+        assert not [k for k in range(1, len(calls)) if calls[k] == calls[k - 1]]
 
     @given(moved_mandatory_systems())
     @settings(max_examples=200, deadline=None)

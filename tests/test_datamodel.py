@@ -1,7 +1,6 @@
 import pickle
 import random
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -68,36 +67,30 @@ class TestPercent:
         with pytest.raises(ValueError):
             Percent(6, 5)
 
-    def test_equality_is_rational(self):
-        assert Percent(48, 49) == Percent(96, 98)
-        assert hash(Percent(48, 49)) == hash(Percent(96, 98))
-        assert Percent(1, 3) != Percent(33, 100)
+    def test_equality_is_field_wise(self):
+        # a Percent holds counts; thresholds compare them by cross-multiplication
+        assert Percent(48, 49) == Percent(48, 49)
+        assert hash(Percent(48, 49)) == hash(Percent(48, 49))
+        assert Percent(48, 49) != Percent(96, 98)
         assert Percent(1, 2) != (1, 2)
 
-    @given(
-        st.integers(0, 500), st.integers(1, 500),
-        st.integers(0, 500), st.integers(1, 500),
-    )
-    @settings(max_examples=200)
-    def test_ordering_matches_fractions(self, a, b, c, d):
-        a, c = min(a, b), min(c, d)
-        left, right = Percent(a, b), Percent(c, d)
-        assert (left < right) == (Fraction(a, b) < Fraction(c, d))
-        assert (left <= right) == (Fraction(a, b) <= Fraction(c, d))
-        assert (left == right) == (Fraction(a, b) == Fraction(c, d))
-        assert (left != right) == (Fraction(a, b) != Fraction(c, d))
-        assert (left > right) == (Fraction(a, b) > Fraction(c, d))
-        assert (left >= right) == (Fraction(a, b) >= Fraction(c, d))
-
-    def test_ordering_rejects_foreign_types(self):
+    def test_has_no_ordering(self):
         with pytest.raises(TypeError):
-            Percent(1, 2) < 3
+            Percent(1, 2) < Percent(2, 3)
         with pytest.raises(TypeError):
             Percent(1, 2) < 0.5
 
     def test_basis_points(self):
         assert Percent.from_basis_points(9795) == Percent(9795, 10_000)
-        assert Percent.from_basis_points(9500) == Percent(95, 100)
+        assert Percent.from_basis_points(9500) == Percent(9500, 10_000)
+
+    def test_basis_points_out_of_range(self):
+        assert Percent.from_basis_points(0) == Percent(0, 10_000)
+        assert Percent.from_basis_points(10_000) == Percent(10_000, 10_000)
+        with pytest.raises(ValueError):
+            Percent.from_basis_points(10_001)
+        with pytest.raises(ValueError):
+            Percent.from_basis_points(-1)
 
 
 class TestCatalog:
@@ -415,12 +408,6 @@ class TestDatabase:
 
 
 class TestRule:
-    def test_metrics_derive_from_counts(self):
-        rule = Rule((0,), (4,), 49, 48, 91)
-        assert rule.confidence == Percent(48, 49)
-        assert rule.coverage == Percent(49, 91)
-        assert rule.support == Percent(48, 91)
-
     def test_invariants(self):
         with pytest.raises(ValueError):
             Rule((0,), (0,), 5, 5, 10)  # overlap
@@ -469,19 +456,6 @@ class TestRule:
         else:
             accepted = True
         assert accepted == contract
-
-    @given(st.integers(1, 60), st.integers(0, 60), st.integers(0, 60))
-    @settings(max_examples=150)
-    def test_metric_relations(self, m, a, j):
-        a = min(a, m)
-        j = min(j, a)
-        if a == 0:
-            return
-        rule = Rule((0,), (1,), a, j, m)
-        assert rule.support <= rule.coverage
-        assert rule.support <= rule.confidence
-        product = rule.confidence.as_fraction() * rule.coverage.as_fraction()
-        assert product == rule.support.as_fraction()
 
 
 def test_rule_class_orders_by_strength():

@@ -48,7 +48,6 @@ def _records():
     mined = validation.MinedRuleRow(
         1, (("age", "young"),), ("facility", "door"), 10_000, 10_000, 10_000, "must_have"
     )
-    entry = corpus.ArithmeticCheckEntry(1, 1, 1, Fraction(0), True)
     conflict = corpus.FamilySumConflict("age", (("young", 1),), 1)
     unmet = corpus.UnmetCell("door", "young", 1, 0, conflict)
     report = corpus.ConstructionReport(1, (("age=young", 1),), 0, 1, (unmet,))
@@ -57,10 +56,9 @@ def _records():
         young, age, ItemDef("age", "young", ItemClass.DEMOGRAPHIC), catalog, txn, db,
         Percent(1, 2), rule, MiningConfig(), itemset, FrequentLevel(1, (itemset,)),
         ClassifiedRule(rule, RuleClass.MUST_HAVE), column, row, FrequencyTable((column,), (row,)),
-        Schema(catalog), golden, mined, entry, corpus.ArithmeticReport((entry,)),
-        corpus.StudyCounts(1, {}, {}, {}, {}, catalog, (golden,)), conflict,
-        corpus.SearchInfeasible((((0,), 1),)), unmet, report, corpus.FixtureResult(db, report),
-        mismatch,
+        Schema(catalog), golden, mined, corpus.StudyCounts(1, {}, {}, {}, {}, catalog, (golden,)),
+        conflict, corpus.SearchInfeasible((((0,), 1),)), unmet, report,
+        corpus.FixtureResult(db, report), mismatch,
         validation.ValidationReport(((golden, mined),), (), (), (mismatch,), Fraction(0)),
     ]
 
@@ -69,7 +67,7 @@ RECORDS = _records()
 
 
 def test_every_record_type_is_listed_once():
-    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 28
+    assert len({type(r) for r in RECORDS}) == len(RECORDS) == 26
 
 
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)

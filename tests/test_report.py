@@ -163,10 +163,45 @@ class TestRenderRules:
         rule = Rule((0,), (catalog.n_items - 1,), antecedent, joint, size)
         cells = render_rules(catalog, classify_rules([rule])).splitlines()[1].split(",")
         assert cells[3:6] == [
-            format_percent(rule.confidence, "truncate"),
-            format_percent(rule.coverage, "truncate"),
-            format_percent(rule.support, "truncate"),
+            format_percent(Percent(joint, antecedent), "truncate"),
+            format_percent(Percent(antecedent, size), "truncate"),
+            format_percent(Percent(joint, size), "truncate"),
         ]
+
+    @given(data=st.data())
+    @settings(max_examples=300)
+    def test_rendered_metrics_keep_their_relations(self, catalog, data):
+        size = data.draw(st.integers(1, 10**6), label="size")
+        antecedent = data.draw(st.integers(1, size), label="antecedent")
+        joint = data.draw(st.integers(0, antecedent), label="joint")
+        rule = Rule((0,), (catalog.n_items - 1,), antecedent, joint, size)
+        cells = render_rules(catalog, classify_rules([rule])).splitlines()[1].split(",")
+        confidence, coverage, support = (int(c.replace(".", "")) for c in cells[3:6])
+        assert (confidence, coverage, support) == (
+            10_000 * joint // antecedent,
+            10_000 * antecedent // size,
+            10_000 * joint // size,
+        )
+        assert support <= min(confidence, coverage)
+        # support = confidence * coverage exactly; each shown figure is cut
+        # below its ratio by less than 1 bp, so the product of the shown two
+        # lies within 2 bp of the shown support
+        assert abs(confidence * coverage - 10_000 * support) < 2 * 10_000
+
+    def test_mined_rows_show_the_ratios_of_their_counts(self, catalog, mined_classified):
+        rows = render_rules(catalog, mined_classified).splitlines()[1:]
+        assert len(rows) == len(mined_classified) > 0
+        for row, entry in zip(rows, mined_classified):
+            r = entry.rule
+            cells = row.split(",")
+            assert cells[3:6] == [
+                f"{n * 100 // d}.{n * 10_000 // d % 100:02d}"
+                for n, d in (
+                    (r.joint_count, r.antecedent_count),
+                    (r.antecedent_count, r.db_size),
+                    (r.joint_count, r.db_size),
+                )
+            ]
 
     def test_byte_determinism(self, catalog, mined_classified):
         a = render_rules(catalog, mined_classified)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -51,7 +52,8 @@ def brute_force_rules(masks, n_demo, n_fac, config):
                 n_ay = count(combo + (y,))
                 if n_ay < config.min_support_count:
                     continue
-                if Percent(n_ay, n_a) < config.min_confidence:
+                floor = config.min_confidence
+                if n_ay * floor.denominator < floor.numerator * n_a:
                     continue
                 out.append((combo, (y,), n_a, n_ay))
     return sorted(out)
@@ -72,7 +74,6 @@ class TestDeriveRules:
         about = catalog.item_id("about_us", "yes")
         rule = by_items[((below10,), (about,))]
         assert (rule.antecedent_count, rule.joint_count) == (11, 11)
-        assert rule.confidence == Percent(100, 100)
 
         gov = catalog.item_id("ownership", "governmental")
         rule = by_items[((gov,), (about,))]
@@ -85,7 +86,7 @@ class TestDeriveRules:
         ruleset = derive_rules(db, MiningConfig(max_antecedent_size=1))
         antecedents = {r.antecedent for r in ruleset}
         assert antecedents == {(0,), (1,)}
-        assert all(r.confidence == Percent(1, 1) for r in ruleset)
+        assert all(r.joint_count == r.antecedent_count for r in ruleset)
 
     def test_confidence_threshold_filters(self):
         # d0 in all four rows, facility in three of them
@@ -143,7 +144,7 @@ class TestDeriveRules:
         loose = derive_rules(fixture_db, MiningConfig(min_confidence=Percent(90, 100)))
         tight = derive_rules(fixture_db, MiningConfig(min_confidence=Percent(95, 100)))
         assert set(as_tuples(tight)) <= set(as_tuples(loose))
-        assert all(r.confidence >= Percent(95, 100) for r in tight)
+        assert all(r.joint_count * 100 >= 95 * r.antecedent_count for r in tight)
 
     def test_duplicating_transactions_changes_no_metric(self, fixture_db):
         catalog = fixture_db.catalog
@@ -155,41 +156,52 @@ class TestDeriveRules:
         db3 = TransactionDatabase.build(catalog, tripled)
         base = canonical_sort(derive_rules(fixture_db))
         big = canonical_sort(derive_rules(db3))
-        assert [
-            (r.antecedent, r.consequent, r.confidence, r.coverage, r.support) for r in base
-        ] == [
-            (r.antecedent, r.consequent, r.confidence, r.coverage, r.support) for r in big
-        ]
+
+        def metrics(r):
+            confidence = Fraction(r.joint_count, r.antecedent_count)
+            coverage = Fraction(r.antecedent_count, r.db_size)
+            return r.antecedent, r.consequent, confidence, coverage, confidence * coverage
+
+        assert list(map(metrics, base)) == list(map(metrics, big))
         assert render_rules(catalog, classify_rules(base)) == render_rules(
             catalog, classify_rules(big)
         )
 
 
-class TestRuleMetrics:
-    def test_published_example(self):
-        rule = Rule((0,), (9,), 35, 34, 91)
-        assert rule.confidence == Percent(34, 35)
-        assert rule.coverage == Percent(35, 91)
-        assert rule.support == Percent(34, 91)
+def confidence(rule):
+    return Fraction(rule.joint_count, rule.antecedent_count)
 
-    def test_exact_full_confidence(self):
-        assert Rule((0,), (9,), 7, 7, 91).confidence == Percent(1, 1)
 
-    def test_support_differs_from_coverage(self):
-        rule = Rule((0,), (9,), 49, 48, 91)
-        assert rule.coverage == Percent(49, 91)
-        assert rule.support == Percent(48, 91)
-        assert rule.support < rule.coverage
+class TestConfidenceFloor:
+    """``min_confidence`` is an exact ratio: a rule is kept iff its confidence
+    is at least the floor, whatever terms the floor is written in."""
 
-    def test_product_identity(self, mined_classified):
-        for entry in mined_classified:
-            r = entry.rule
-            assert (
-                r.confidence.as_fraction() * r.coverage.as_fraction()
-                == r.support.as_fraction()
-            )
-            assert r.support <= r.coverage
-            assert r.support <= r.confidence
+    @pytest.fixture(scope="class")
+    def every_rule(self, fixture_db):
+        return derive_rules(fixture_db, MiningConfig(min_confidence=Percent(0, 1)))
+
+    def test_each_floor_keeps_the_rules_at_or_above_it(self, fixture_db, every_rule):
+        ratios = sorted({confidence(r) for r in every_rule})
+        assert len(ratios) > 100 and ratios[-1] == 1
+        for ratio in ratios:
+            floor = Percent(ratio.numerator, ratio.denominator)
+            kept = derive_rules(fixture_db, MiningConfig(min_confidence=floor))
+            assert kept == tuple(r for r in every_rule if confidence(r) >= ratio)
+
+    def test_a_floor_just_above_a_rule_drops_it(self, fixture_db, every_rule):
+        # 1/(10**6 * d) above a/d: closer than any two ratios of counts <= 91
+        for ratio in sorted({confidence(r) for r in every_rule})[:-1]:
+            floor = Percent(ratio.numerator * 10**6 + 1, ratio.denominator * 10**6)
+            kept = derive_rules(fixture_db, MiningConfig(min_confidence=floor))
+            assert kept == tuple(r for r in every_rule if confidence(r) > ratio)
+
+    def test_equal_ratios_decide_alike(self, fixture_db):
+        for a, b in [(9, 10), (19, 20), (48, 49), (18, 19), (1, 1)]:
+            runs = {
+                derive_rules(fixture_db, MiningConfig(min_confidence=Percent(k * a, k * b)))
+                for k in (1, 2, 7, 10**4)
+            }
+            assert len(runs) == 1
 
 
 class TestCanonicalSort:
@@ -200,9 +212,7 @@ class TestCanonicalSort:
             Rule((2,), (9,), 11, 11, 91),   # 100%
         )
         got = canonical_sort(rules)
-        assert [r.confidence for r in got] == [
-            Percent(11, 11), Percent(48, 49), Percent(18, 20),
-        ]
+        assert [(r.joint_count, r.antecedent_count) for r in got] == [(11, 11), (48, 49), (18, 20)]
 
     def test_tie_break_by_size_then_items(self):
         rules = (
@@ -263,7 +273,8 @@ class TestCanonicalSort:
         reference = sorted(
             rules,
             key=lambda r: (
-                -r.confidence.as_fraction(), len(r.antecedent), r.antecedent, r.consequent,
+                -Fraction(r.joint_count, r.antecedent_count), len(r.antecedent), r.antecedent,
+                r.consequent,
             ),
         )
         assert canonical_sort(rules) == tuple(reference)
