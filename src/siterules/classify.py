@@ -9,13 +9,13 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .datamodel import Percent, Rule, RuleClass, record
+from .datamodel import Rule, RuleClass
 
-MUST_HAVE_FLOOR = Percent(95, 100)
-SHOULD_HAVE_FLOOR = Percent(90, 100)
+# the tier floors, in hundredths of a percent
+MUST_HAVE_BP = 9500
+SHOULD_HAVE_BP = 9000
 
 
-@record
 class ClassifiedRule(NamedTuple):
     rule: Rule
     rule_class: RuleClass
@@ -23,9 +23,9 @@ class ClassifiedRule(NamedTuple):
 
 def _tier(joint: int, antecedent: int) -> RuleClass:
     """Tier of the confidence ``joint / antecedent``, by cross-multiplication."""
-    if joint * MUST_HAVE_FLOOR.denominator >= MUST_HAVE_FLOOR.numerator * antecedent:
+    if joint * 10_000 >= MUST_HAVE_BP * antecedent:
         return RuleClass.MUST_HAVE
-    if joint * SHOULD_HAVE_FLOOR.denominator >= SHOULD_HAVE_FLOOR.numerator * antecedent:
+    if joint * 10_000 >= SHOULD_HAVE_BP * antecedent:
         return RuleClass.SHOULD_HAVE
     return RuleClass.REJECTED
 

@@ -23,7 +23,7 @@ import codecs
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .classify import classify_rules
 from .datamodel import MiningConfig, Percent, _shown
@@ -45,14 +45,14 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_ERROR = 2
 
+T = TypeVar("T")
 
-def _read(path: str) -> str:
+
+def _text(data: bytes) -> str:
     # Decoding the bytes translates no line ends: the parsers see them as
     # written, so a quoted "\r" in a record id is kept and CRLF text reaches
     # the parser unchanged. A leading BOM is dropped first, as "utf-8-sig"
     # would, so that an error's offset counts from the file's first byte.
-    with open(path, "rb") as f:
-        data = f.read()
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
     try:
         return data[bom:].decode("utf-8")
@@ -60,10 +60,20 @@ def _read(path: str) -> str:
         # lines end as the parsers' rows do: at "\n", "\r\n" or a lone "\r"
         at = bom + exc.start
         ends = data.count(b"\n", 0, at) + data.count(b"\r", 0, at) - data.count(b"\r\n", 0, at)
-        line = ends + 1
         raise ValueError(
-            f"{path}: line {line}: byte 0x{data[at]:02x} is not UTF-8 ({exc.reason})"
+            f"line {ends + 1}: byte 0x{data[at]:02x} is not UTF-8 ({exc.reason})"
         ) from None
+
+
+def _read(path: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of the text of the file ``path``, whose bytes are dropped
+    first; a refusal of the bytes or of the text names the file."""
+    try:
+        with open(path, "rb") as f:
+            text = _text(f.read())
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -77,8 +87,8 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _confidence_from_flag(raw: str) -> Percent:
     try:
         bp = parse_pct_bp(raw)
-    except ValueError:
-        raise ValueError(f"--min-conf: invalid percentage {_shown(raw)}") from None
+    except ValueError as exc:
+        raise ValueError(f"--min-conf: {exc}") from None
     if bp > 10_000:
         raise ValueError("--min-conf: confidence must be in [0,100]")
     return Percent.from_basis_points(bp)
@@ -135,8 +145,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         min_support_count=args.min_support_count,
         max_antecedent_size=args.max_antecedent,
     )
-    schema = parse_schema(_read(args.schema))
-    db = parse_transactions(schema, _read(args.data))
+    schema = _read(args.schema, parse_schema)
+    db = _read(args.data, lambda text: parse_transactions(schema, text))
     ruleset = canonical_sort(derive_rules(db, config))
     document = render_rules(schema.catalog, classify_rules(ruleset), args.format)
     _emit(document, args.out)
@@ -144,8 +154,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    schema = parse_schema(_read(args.schema))
-    db = parse_transactions(schema, _read(args.data))
+    schema = _read(args.schema, parse_schema)
+    db = _read(args.data, lambda text: parse_transactions(schema, text))
     table = stats_table(db, aggregates=study_aggregate_groups(schema.catalog))
     _emit(frequency_csv(table, mode="round"), args.out)
     return EXIT_OK
@@ -154,8 +164,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     from .validation import parse_rules_csv, validate_rows_against_golden
 
-    golden = parse_golden_rules(_read(args.golden))
-    mined = parse_rules_csv(_read(args.mined))
+    golden = _read(args.golden, parse_golden_rules)
+    mined = _read(args.mined, parse_rules_csv)
     if args.subset == "single-antecedent":
         golden = [g for g in golden if len(g.antecedent_items) == 1]
     report = validate_rows_against_golden(mined, golden, args.tolerance)

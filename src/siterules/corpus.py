@@ -37,7 +37,7 @@ import itertools
 import os
 from typing import Iterator, NamedTuple, Optional, Sequence, Union
 
-from .datamodel import ItemCatalog, ItemClass, TransactionDatabase, record
+from .datamodel import ItemCatalog, ItemClass, TransactionDatabase
 from .engine import count_support
 from .ingest import GoldenRule, parse_golden_rules, parse_schema
 from .report import GROUP_COLUMNS, GROUP_DEFS, percent_bp
@@ -146,7 +146,6 @@ def _demographic_families(catalog: ItemCatalog) -> list[tuple[str, tuple[str, ..
     ]
 
 
-@record
 class StudyCounts(NamedTuple):
     """Integer counts recovered from the published percentages, with the
     study catalog and reference rules they were read from."""
@@ -346,7 +345,6 @@ def _first_solution(caps, constraints) -> Optional[tuple[int, ...]]:
 # fixture construction
 
 
-@record
 class FamilySumConflict(NamedTuple):
     """The cell completes its attribute's group columns, and the family's
     published column counts do not sum to the facility total."""
@@ -356,7 +354,6 @@ class FamilySumConflict(NamedTuple):
     total: int
 
 
-@record
 class SearchInfeasible(NamedTuple):
     """No assignment meets the accepted constraints, each (cell indices,
     target), together with the cell's target."""
@@ -367,7 +364,6 @@ class SearchInfeasible(NamedTuple):
 UnmetReason = Union[FamilySumConflict, SearchInfeasible]
 
 
-@record
 class UnmetCell(NamedTuple):
     facility: str
     column: str
@@ -376,7 +372,6 @@ class UnmetCell(NamedTuple):
     reason: UnmetReason
 
 
-@record
 class ConstructionReport(NamedTuple):
     m: int
     cell_sizes: tuple[tuple[str, int], ...]
@@ -408,7 +403,6 @@ class ConstructionReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-@record
 class FixtureResult(NamedTuple):
     database: TransactionDatabase
     report: ConstructionReport

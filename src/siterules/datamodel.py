@@ -1,15 +1,14 @@
 """Core domain types: items, catalogs, transactions, databases, rules.
 
-Every type here is immutable after construction. Plain records are
-``NamedTuple`` classes equal only to records of their own class (see
-:func:`record`); the types that validate or compute fields are slotted
-:class:`Frozen` classes. A database keeps its rows as an id column and a
-bitmask column; ``Transaction`` is only the row input type of
-``TransactionDatabase.build``. A rule keeps its metrics as integer counts,
-and every threshold and tie compares those counts by cross-multiplication,
-so no decision touches floating point; a ``Percent`` is only a checked pair
-of counts that holds a threshold or a table cell until it is compared or
-formatted.
+Every type here is immutable after construction. Plain records are bare
+``NamedTuple`` classes, which compare and hash as tuples; the types that
+validate or compute fields are slotted :class:`Frozen` classes. A database
+keeps its rows as an id column and a bitmask column; ``Transaction`` is only
+the row input type of ``TransactionDatabase.build``. A rule keeps its
+metrics as integer counts, and every threshold and tie compares those counts
+by cross-multiplication, so no decision touches floating point; a
+``Percent`` is only the checked pair of counts that holds the mining
+confidence floor.
 """
 
 from __future__ import annotations
@@ -27,26 +26,6 @@ def _shown(raw: str) -> str:
     """An input value as an error message echoes it: whole if short, else
     its start and length."""
     return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
-
-
-def record(cls):
-    """Class decorator for a ``NamedTuple`` record: it equals only records of
-    its own class with equal fields, never a plain tuple or another record
-    type, as a frozen dataclass does. Its hash stays the hash of its fields."""
-    cls.__eq__ = _record_eq
-    cls.__ne__ = _record_ne
-    return cls
-
-
-def _record_eq(self, other):
-    if other.__class__ is self.__class__:
-        return tuple.__eq__(self, other)
-    return False if isinstance(other, tuple) else NotImplemented
-
-
-def _record_ne(self, other):
-    equal = _record_eq(self, other)
-    return equal if equal is NotImplemented else not equal
 
 
 class Frozen:
@@ -99,7 +78,6 @@ class AttributeKind(enum.Enum):
     BINARY = "binary"
 
 
-@record
 class NumericBin(NamedTuple):
     """One labelled value range; ``hi=None`` means the range is open above."""
 
@@ -149,7 +127,6 @@ class AttributeDef(Frozen):
         _set(self, "description", description)
 
 
-@record
 class ItemDef(NamedTuple):
     attribute: str
     value: str
@@ -237,7 +214,6 @@ class ItemCatalog(Frozen):
         return item
 
 
-@record
 class Transaction(NamedTuple):
     """One input row: an id plus a bitmask with bit i set iff item i is present."""
 

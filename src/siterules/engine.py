@@ -15,26 +15,20 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple, Optional
 
-from .datamodel import Frozen, TransactionDatabase, record
+from .datamodel import TransactionDatabase
 
 
-@record
 class CountedItemset(NamedTuple):
     items: tuple[int, ...]
     count: int
 
 
-class FrequentLevel(Frozen):
+class FrequentLevel(NamedTuple):
     """All frequent itemsets of one size (``itemsets``), sorted
     lexicographically by item ids."""
 
-    __slots__ = _fields = ("k", "itemsets")
     k: int
     itemsets: tuple[CountedItemset, ...]
-
-    def __init__(self, k: int, itemsets: tuple[CountedItemset, ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "itemsets", itemsets)
 
 
 def count_support(db: TransactionDatabase, items: Iterable[int]) -> int:

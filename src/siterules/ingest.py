@@ -47,7 +47,6 @@ from .datamodel import (
     NumericBin,
     TransactionDatabase,
     _shown,
-    record,
 )
 
 YES_TOKENS = frozenset({"y", "yes", "1"})
@@ -75,7 +74,6 @@ class GoldenFileError(ValueError):
     """Reference-rule CSV rejected."""
 
 
-@record
 class Schema(NamedTuple):
     """A parsed schema: its catalog holds the declaration-ordered attributes."""
 
@@ -190,10 +188,8 @@ def bin_numeric(value: float, bins: Sequence[NumericBin]) -> str:
     raise ValueError(f"value {value} falls in no bin")
 
 
-def _facility_token(cell: str) -> Optional[bool]:
+def _facility_token(cell: str) -> bool:
     token = cell.lower()
-    if not token:
-        return None
     if token in YES_TOKENS:
         return True
     if token in NO_TOKENS:
@@ -518,7 +514,10 @@ def parse_pct_bp(text: str) -> int:
     if m is None:
         raise ValueError(f"invalid percentage {_shown(text)}")
     frac = (m.group("frac") or "").ljust(2, "0")
-    return int(m.group("whole")) * 100 + int(frac)
+    try:
+        return int(m.group("whole")) * 100 + int(frac)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError(f"percentage {_shown(text)} too long") from None
 
 
 def parse_int(text: str) -> int:
@@ -529,10 +528,12 @@ def parse_int(text: str) -> int:
     """
     if _INT_RE.fullmatch(text) is None:
         raise ValueError(f"invalid integer {_shown(text)}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ValueError(f"integer {_shown(text)} too long") from None
 
 
-@record
 class GoldenRule(NamedTuple):
     """One transcribed reference rule with its published two-decimal figures.
 

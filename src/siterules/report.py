@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Literal, NamedTuple, Optional, Sequence
 
 from .classify import ClassifiedRule
-from .datamodel import ItemCatalog, ItemClass, Percent, RuleClass, TransactionDatabase, record
+from .datamodel import ItemCatalog, ItemClass, RuleClass, TransactionDatabase
 
 FormatMode = Literal["truncate", "round"]
 
@@ -31,17 +31,13 @@ def percent_bp(numerator: int, denominator: int, mode: FormatMode = "truncate") 
     raise ValueError(f"unknown format mode {mode!r}")
 
 
-def _bp_text(bp: int) -> str:
+def format_percent(numerator: int, denominator: int, mode: FormatMode = "truncate") -> str:
+    """Render ``numerator / denominator`` as a percentage with exactly two
+    decimals (:func:`percent_bp`); pure integer arithmetic either way."""
+    bp = percent_bp(numerator, denominator, mode)
     return f"{bp // 100}.{bp % 100:02d}"
 
 
-def format_percent(value: Percent, mode: FormatMode = "truncate") -> str:
-    """Render an exact ratio as a percentage with exactly two decimals
-    (:func:`percent_bp`); pure integer arithmetic either way."""
-    return _bp_text(percent_bp(value.numerator, value.denominator, mode))
-
-
-@record
 class GroupColumn(NamedTuple):
     """One frequency-table column: a label and the item ids whose union of
     transactions forms the group. Aggregates merge several items."""
@@ -50,13 +46,11 @@ class GroupColumn(NamedTuple):
     item_ids: tuple[int, ...]
 
 
-@record
 class FrequencyRow(NamedTuple):
     facility: str
-    cells: tuple[Optional[Percent], ...]
+    cells: tuple[Optional[tuple[int, int]], ...]
 
 
-@record
 class FrequencyTable(NamedTuple):
     columns: tuple[GroupColumn, ...]
     rows: tuple[FrequencyRow, ...]
@@ -68,11 +62,11 @@ def stats_table(
 ) -> FrequencyTable:
     """Per-facility presence shares: overall, then per demographic group.
 
-    The cell for facility f and group g is count(f and g) / count(g); the
-    overall column divides by the database size. A group with no members
-    yields an empty cell rather than a division by zero. ``aggregates`` adds
-    merged columns (label, item ids) whose members are the union of the
-    listed items' transactions.
+    The cell for facility f and group g is the pair (count(f and g),
+    count(g)); the overall column's group is the whole database. A group
+    with no members yields ``None``, which renders as an empty cell.
+    ``aggregates`` adds merged columns (label, item ids) whose members are
+    the union of the listed items' transactions.
     """
     if db.size == 0:
         raise ValueError("cannot tabulate an empty database")
@@ -93,7 +87,7 @@ def stats_table(
     for fid in catalog.ids_of_class(ItemClass.FACILITY):
         fvec = db.vertical_index[fid]
         cells = [
-            Percent((fvec & gvec).bit_count(), size) if size else None for gvec, size in groups
+            ((fvec & gvec).bit_count(), size) if size else None for gvec, size in groups
         ]
         rows.append(FrequencyRow(catalog.items[fid].attribute, tuple(cells)))
     return FrequencyTable(tuple(columns), tuple(rows))
@@ -111,7 +105,7 @@ def frequency_csv(table: FrequencyTable, mode: FormatMode = "round") -> str:
     header = ["facility", "total_pct"] + [col.label for col in table.columns[1:]]
     lines = [",".join(header)]
     for row in table.rows:
-        rendered = ["" if c is None else format_percent(c, mode) for c in row.cells]
+        rendered = ["" if c is None else format_percent(*c, mode) for c in row.cells]
         lines.append(",".join([row.facility] + rendered))
     return "\n".join(lines) + "\n"
 
@@ -179,9 +173,9 @@ def render_rules(
                 str(k),
                 " AND ".join([labels[i] for i in rule.antecedent]),
                 labels[rule.consequent[0]],
-                _bp_text(percent_bp(joint, antecedent)),
-                _bp_text(percent_bp(antecedent, size)),
-                _bp_text(percent_bp(joint, size)),
+                format_percent(joint, antecedent),
+                format_percent(antecedent, size),
+                format_percent(joint, size),
                 tiers[entry.rule_class],
             ]
         )

@@ -9,18 +9,19 @@ imports it inside that command's handler.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, Union
 
 from .classify import _tier
-from .datamodel import RuleClass, _shown, record
+from .datamodel import RuleClass, _shown
 from .ingest import GoldenRule, _rule_rows
 from .report import RULES_HEADER
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _CLASS_LABELS = frozenset(c.label for c in RuleClass)
 
 
-@record
 class MinedRuleRow(NamedTuple):
     """One row of a rendered rules CSV, as re-read for validation."""
 
@@ -71,15 +72,13 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
     return rows
 
 
-@record
 class MetricMismatch(NamedTuple):
     golden: GoldenRule
     mined: MinedRuleRow
-    confidence_delta_pp: Fraction
-    coverage_delta_pp: Fraction
+    confidence_delta_bp: int
+    coverage_delta_bp: int
 
 
-@record
 class ValidationReport(NamedTuple):
     matched: tuple[tuple[GoldenRule, MinedRuleRow], ...]
     missing: tuple[GoldenRule, ...]
@@ -107,8 +106,8 @@ class ValidationReport(NamedTuple):
             for mm in self.metric_mismatches:
                 lines.append(
                     f"  #{mm.golden.rule_id} {_rule_text(mm.mined)}: "
-                    f"confidence off by {float(mm.confidence_delta_pp):.4f} pp, "
-                    f"coverage off by {float(mm.coverage_delta_pp):.4f} pp"
+                    f"confidence off by {mm.confidence_delta_bp / 100:.4f} pp, "
+                    f"coverage off by {mm.coverage_delta_bp / 100:.4f} pp"
                 )
         if self.extra:
             lines.append("extra mined rules (allowed, not published):")
@@ -150,9 +149,7 @@ def validate_rows_against_golden(
         confidence_delta = abs(row.confidence_bp - g.confidence_bp)
         coverage_delta = abs(row.coverage_bp - g.support_bp)
         if confidence_delta * scale > limit or coverage_delta * scale > limit:
-            mismatches.append(MetricMismatch(
-                g, row, Fraction(confidence_delta, 100), Fraction(coverage_delta, 100)
-            ))
+            mismatches.append(MetricMismatch(g, row, confidence_delta, coverage_delta))
     return ValidationReport(
         tuple(matched), tuple(missing), tuple(by_key.values()), tuple(mismatches), tolerance_pp
     )

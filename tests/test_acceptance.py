@@ -218,7 +218,7 @@ def test_criterion_6_frequency_table_totals(announce, fixture_db, counts):
         for row in table.rows:
             published_bp = corpus._FREQUENCY_BP[row.facility][0]
             cell = row.cells[total_index]
-            rendered = format_percent(cell, "round")
+            rendered = format_percent(*cell, "round")
             published = f"{published_bp // 100}.{published_bp % 100:02d}"
             # round-formatted cell must land within 0.01 pp of the published figure
             assert abs(round(float(rendered) * 100) - published_bp) <= 1, row.facility

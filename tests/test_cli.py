@@ -268,7 +268,7 @@ class TestMineCommand:
         code = main(["mine", "--schema", str(schema), "--data", str(data)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: line 2: malformed bin '\u0660-\u0661\u0660=young'\n"
+        assert err == f"error: {schema}: line 2: malformed bin '\u0660-\u0661\u0660=young'\n"
 
     def test_utf8_bom_inputs_mine_identically(self, fixture_dir, tmp_path):
         bom_dir = tmp_path / "bom"
@@ -287,7 +287,7 @@ class TestMineCommand:
         schema = str(fixture_dir / "schema_appendix_a.txt")
         argv = ["mine", "--schema", schema, "--data", str(data), "--out", str(tmp_path / "r.csv")]
         assert main(argv) == 2
-        assert "error: line 93: field larger than field limit" in capsys.readouterr().err
+        assert f"error: {data}: line 93: field larger than field limit" in capsys.readouterr().err
 
     def test_text_format(self, fixture_dir, tmp_path):
         out = tmp_path / "rules.txt"
@@ -402,6 +402,33 @@ class TestValidateCommand:
         assert summary.startswith("matched: 68  missing: 0")
         assert summary.endswith("metric mismatches: 0")
 
+    def test_report_lists_missing_rules_and_mismatches(
+        self, mined_csv, golden_csv, tmp_path, capsys
+    ):
+        # rule 21's published 97.95 raised by 0.03 pp, and a rule the
+        # fixture does not yield
+        text = golden_csv.read_text(encoding="utf-8")
+        rule_21 = "21,ownership=governmental,facility=about_us,97.95,53.84\n"
+        assert rule_21 in text
+        edited = tmp_path / "edited_golden.csv"
+        edited.write_text(
+            text.replace(rule_21, rule_21.replace("97.95", "97.98"))
+            + "69,age=below10 AND industry=services,facility=advertising,95.00,5.00\n",
+            encoding="utf-8",
+        )
+        code = main(["validate", "--mined", str(mined_csv), "--golden", str(edited)])
+        assert code == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:5] == [
+            "matched: 68  missing: 1  extra: 120  metric mismatches: 1",
+            "missing reference rules:",
+            "  #69 age=below10 AND industry=services => facility=advertising",
+            "metric mismatches (tolerance 0.011 pp):",
+            "  #21 ownership=governmental => facility=about_us: "
+            "confidence off by 0.0300 pp, coverage off by 0.0000 pp",
+        ]
+        assert lines[5] == "extra mined rules (allowed, not published):"
+
     def test_repeated_mined_rule_names_its_row(self, golden_csv, tmp_path, capsys):
         from siterules.report import RULES_HEADER
 
@@ -425,7 +452,7 @@ class TestValidateCommand:
         code = main(["validate", "--mined", str(mined_csv), "--golden", str(repeated)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: row 70: duplicate rule")
+        assert err.startswith(f"error: {repeated}: row 70: duplicate rule")
         assert len(err.splitlines()) == 1
 
     def test_single_antecedent_subset(self, mined_csv, golden_csv, capsys):
@@ -474,7 +501,26 @@ class TestValidateCommand:
     ):
         code = validate_with_row_2(mined_csv, golden_csv, tmp_path, edit_golden, {column: cell})
         assert code == 2
-        assert capsys.readouterr().err == f"error: row 2: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'edited.csv'}: row 2: {message}\n"
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() converts any number of digits on this Python",
+    )
+    @pytest.mark.parametrize(
+        "column, says", [(0, "integer"), (3, "percentage")], ids=["rule_id", "confidence"]
+    )
+    @pytest.mark.parametrize("edit_golden", [True, False])
+    def test_a_number_too_long_for_int_names_its_cell(
+        self, mined_csv, golden_csv, tmp_path, capsys, edit_golden, column, says
+    ):
+        digits = {column: "1" * 5000}
+        code = validate_with_row_2(mined_csv, golden_csv, tmp_path, edit_golden, digits)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'edited.csv'}: row 2: "
+            f"{says} {'1' * 20!r}... (5000 characters) too long\n"
+        )
 
     @pytest.mark.parametrize(
         "antecedent, consequent, message",
@@ -495,7 +541,7 @@ class TestValidateCommand:
         edits = {1: antecedent, 2: consequent}
         code = validate_with_row_2(mined_csv, golden_csv, tmp_path, edit_golden, edits)
         assert code == 2
-        assert capsys.readouterr().err == f"error: row 2: {message}\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'edited.csv'}: row 2: {message}\n"
 
     def test_bad_tolerance(self, mined_csv, golden_csv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -672,10 +718,11 @@ def test_each_command_loads_only_what_it_runs(fixture_dir, mined_csv, tmp_path, 
 
 def test_fixture_command_loads_corpus(tmp_path):
     # the packaged data is read through the module's loader, not
-    # importlib.resources, which would bring pathlib, tempfile and zipfile
+    # importlib.resources, which would bring pathlib, tempfile and zipfile;
+    # and validation, which corpus loads, builds no Fraction
     code, loaded = _run_and_list_imports(["fixture", "--out-dir", str(tmp_path)])
     assert code == 0 and "siterules.corpus" in loaded
-    assert not {"importlib.resources", "pathlib", "tempfile"} & set(loaded)
+    assert not {"importlib.resources", "pathlib", "tempfile", "fractions"} & set(loaded)
 
 
 _PACKAGE_PROBE = (
@@ -707,3 +754,60 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_SCHEMA = 'attribute age numeric antecedent bins: 0-10=young, 11-=old\nfacility door "Door"\n'
+_DATA = "record_id,age,door\nr1,5,Y\n"
+
+
+@pytest.mark.parametrize(
+    "schema, data, flags, says",
+    [
+        (
+            _SCHEMA + "attribute size categorical antecedent bins: 0-1=a\n", _DATA, [],
+            "error: {schema}: line 3: categorical attributes take 'values:'",
+        ),
+        (
+            _SCHEMA + "attribute size numeric antecedent values: a\n", _DATA, [],
+            "error: {schema}: line 3: numeric attributes take 'bins:'",
+        ),
+        (
+            _SCHEMA + "attribute size categorical antecedent values: a, , b\n", _DATA, [],
+            "error: {schema}: line 3: empty value in list",
+        ),
+        (
+            _SCHEMA, "record_id,age,door,age\nr1,5,Y,5\n", [],
+            "error: {data}: row 1: duplicate columns in header",
+        ),
+        (
+            _SCHEMA.split("facility")[0], "record_id,age\nr1,5\n", [],
+            "error: catalog has no facility items",
+        ),
+        (
+            _SCHEMA, _DATA, ["--max-antecedent", "0"],
+            "siterules mine: error: argument --max-antecedent: must be a positive integer",
+        ),
+    ],
+    ids=["values", "bins", "empty-value", "duplicate-column", "no-facility", "max-antecedent"],
+)
+def test_mine_refusal_says_what_is_wrong(tmp_path, capsys, schema, data, flags, says):
+    paths = {"schema": tmp_path / "schema.txt", "data": tmp_path / "data.csv"}
+    paths["schema"].write_text(schema, encoding="utf-8")
+    paths["data"].write_text(data, encoding="utf-8")
+    argv = ["mine", "--schema", str(paths["schema"]), "--data", str(paths["data"]), *flags]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected a flag
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == says.format(**paths)
+
+
+@pytest.mark.parametrize("empty", ["--mined", "--golden"])
+def test_a_rule_file_without_a_header_row_is_named(mined_csv, golden_csv, tmp_path, capsys, empty):
+    files = {"--mined": mined_csv, "--golden": golden_csv}
+    files[empty] = tmp_path / "empty.csv"
+    files[empty].write_text("", encoding="utf-8")
+    code = main(["validate", *(arg for flag, path in files.items() for arg in (flag, str(path)))])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {files[empty]}: missing header row\n"

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from siterules import corpus
-from siterules.datamodel import ItemClass, Percent
+from siterules.datamodel import ItemClass
 from siterules.engine import count_support
 from siterules.ingest import GoldenRule, parse_pct_bp, parse_transactions, render_transactions_csv
 from siterules.report import GROUP_COLUMNS, GROUP_DEFS, format_percent, stats_table
@@ -56,7 +56,7 @@ class TestPaperCounts:
         # a count is accepted when its figure, rendered and read back, is bp
         count = (bp * denominator + 5000) // 10000
         expected = 0 <= count <= denominator and (
-            parse_pct_bp(format_percent(Percent(count, denominator), mode)) == bp
+            parse_pct_bp(format_percent(count, denominator, mode)) == bp
         )
         try:
             got = corpus._derived_count(bp, denominator, mode)
@@ -541,5 +541,5 @@ class TestStatsAgainstPublishedTable:
         total_index = [c.label for c in table.columns].index("total")
         for row in table.rows:
             bp = corpus._FREQUENCY_BP[row.facility][0]
-            rendered = format_percent(row.cells[total_index], "round")
+            rendered = format_percent(*row.cells[total_index], "round")
             assert rendered == f"{bp // 100}.{bp % 100:02d}", row.facility

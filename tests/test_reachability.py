@@ -26,10 +26,8 @@ NO_DEFS = {"__init__", "__main__"}
 
 # qualified name -> why no command enters it
 ALLOWED = {
-    # the value-type dunders of records and Frozen: commands compare,
-    # hash, print and pickle counts and tuples, never these values
-    "datamodel._record_eq": "record equality; tests compare records",
-    "datamodel._record_ne": "record inequality; tests compare records",
+    # the value-type dunders of Frozen: commands compare, hash, print and
+    # pickle counts and tuples, never these values
     "datamodel.Frozen._values": "the fields that equality, hashing and pickling go by",
     "datamodel.Frozen.__setattr__": "refuses assignment, which no command tries",
     "datamodel.Frozen.__delattr__": "refuses deletion, which no command tries",

@@ -43,7 +43,7 @@ def _records():
     rule = Rule((0,), (1,), 1, 1, 1)
     itemset = CountedItemset((0,), 1)
     column = GroupColumn("total", ())
-    row = FrequencyRow("door", (Percent(1, 1),))
+    row = FrequencyRow("door", ((1, 1),))
     golden = GoldenRule(1, (("age", "young"),), ("facility", "door"), 10_000, 10_000)
     mined = validation.MinedRuleRow(
         1, (("age", "young"),), ("facility", "door"), 10_000, 10_000, 10_000, "must_have"
@@ -51,7 +51,7 @@ def _records():
     conflict = corpus.FamilySumConflict("age", (("young", 1),), 1)
     unmet = corpus.UnmetCell("door", "young", 1, 0, conflict)
     report = corpus.ConstructionReport(1, (("age=young", 1),), 0, 1, (unmet,))
-    mismatch = validation.MetricMismatch(golden, mined, Fraction(0), Fraction(0))
+    mismatch = validation.MetricMismatch(golden, mined, 0, 0)
     return [
         young, age, ItemDef("age", "young", ItemClass.DEMOGRAPHIC), catalog, txn, db,
         Percent(1, 2), rule, MiningConfig(), itemset, FrequentLevel(1, (itemset,)),
@@ -70,6 +70,13 @@ def test_every_record_type_is_listed_once():
     assert len({type(r) for r in RECORDS}) == len(RECORDS) == 26
 
 
+def test_only_the_types_that_check_or_derive_fields_are_frozen():
+    frozen = {type(r).__name__ for r in RECORDS if not isinstance(r, tuple)}
+    assert frozen == {
+        "AttributeDef", "ItemCatalog", "TransactionDatabase", "Percent", "Rule", "MiningConfig",
+    }
+
+
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
 def test_records_refuse_assignment_and_deletion(rec):
     field = type(rec)._fields[0]
@@ -84,11 +91,12 @@ def test_records_refuse_assignment_and_deletion(rec):
 
 
 @pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
-def test_records_equal_only_their_own_type(rec):
+def test_records_compare_by_their_fields(rec):
     values = tuple(getattr(rec, name) for name in type(rec)._fields)
     assert rec == copy.copy(rec) == pickle.loads(pickle.dumps(rec))
-    assert rec != values and values != rec
-    assert not rec == values
+    # a NamedTuple record is the tuple of its fields; a Frozen value equals
+    # only values of its own type
+    assert (rec == values) is (values == rec) is isinstance(rec, tuple)
     assert repr(rec).startswith(f"{type(rec).__name__}({type(rec)._fields[0]}=")
 
 

@@ -8,7 +8,6 @@ from siterules.datamodel import (
     AttributeKind,
     ItemCatalog,
     ItemClass,
-    Percent,
     Rule,
     Transaction,
     TransactionDatabase,
@@ -37,19 +36,18 @@ class TestFormatPercent:
         ],
     )
     def test_examples(self, num, den, mode, expected):
-        assert format_percent(Percent(num, den), mode) == expected
+        assert format_percent(num, den, mode) == expected
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
-            format_percent(Percent(1, 2), "ceil")
+            format_percent(1, 2, "ceil")
 
     @given(st.integers(0, 400), st.integers(1, 400))
     @settings(max_examples=300)
     def test_modes_agree_within_one_ulp(self, num, den):
         num = min(num, den)
-        value = Percent(num, den)
-        trunc = format_percent(value, "truncate")
-        rounded = format_percent(value, "round")
+        trunc = format_percent(num, den, "truncate")
+        rounded = format_percent(num, den, "round")
         delta = round(abs(float(trunc) - float(rounded)), 2)
         assert delta in (0.0, 0.01)
         # exact two-decimal values must agree in both modes
@@ -64,9 +62,9 @@ class TestStatsTable:
         labels = [col.label for col in table.columns]
         total = labels.index("total")
         gov = labels.index("ownership=governmental")
-        assert format_percent(rows["contact_us"].cells[total], "round") == "97.80"
-        assert format_percent(rows["about_us"].cells[gov], "round") == "97.96"
-        assert rows["about_us"].cells[gov] == Percent(48, 49)
+        assert format_percent(*rows["contact_us"].cells[total], "round") == "97.80"
+        assert format_percent(*rows["about_us"].cells[gov], "round") == "97.96"
+        assert rows["about_us"].cells[gov] == (48, 49)
 
     def test_cell_denominators_equal_group_sizes(self, fixture_db):
         from siterules.engine import count_support
@@ -78,14 +76,14 @@ class TestStatsTable:
             else:
                 expected = count_support(fixture_db, col.item_ids)
             for row in table.rows:
-                assert row.cells[col_index].denominator == expected
+                assert row.cells[col_index][1] == expected
 
     def test_counts_recoverable_from_rendered_table(self, fixture_db):
         table = stats_table(fixture_db)
         for row in table.rows:
-            for cell in row.cells:
-                rendered = float(format_percent(cell, "round"))
-                assert round(rendered * cell.denominator / 100) == cell.numerator
+            for count, size in row.cells:
+                rendered = float(format_percent(count, size, "round"))
+                assert round(rendered * size / 100) == count
 
     def test_absent_facility_is_zero(self):
         catalog = ItemCatalog(
@@ -96,7 +94,7 @@ class TestStatsTable:
         )
         db = TransactionDatabase.build(catalog, [Transaction("r1", 0b001)])
         table = stats_table(db)
-        assert table.rows[0].cells[0] == Percent(0, 1)
+        assert table.rows[0].cells[0] == (0, 1)
 
     def test_empty_group_cell_is_blank(self):
         catalog = ItemCatalog(
@@ -163,9 +161,9 @@ class TestRenderRules:
         rule = Rule((0,), (catalog.n_items - 1,), antecedent, joint, size)
         cells = render_rules(catalog, classify_rules([rule])).splitlines()[1].split(",")
         assert cells[3:6] == [
-            format_percent(Percent(joint, antecedent), "truncate"),
-            format_percent(Percent(antecedent, size), "truncate"),
-            format_percent(Percent(joint, size), "truncate"),
+            format_percent(joint, antecedent, "truncate"),
+            format_percent(antecedent, size, "truncate"),
+            format_percent(joint, size, "truncate"),
         ]
 
     @given(data=st.data())

@@ -222,7 +222,8 @@ def test_a_padded_percentage_is_rejected(work, data):
     cells[col] = data.draw(st.sampled_from(["\u3000{}", "{}\u3000"])).format(cells[col])
     lines[k] = ",".join(cells)
     code, _, err = run_on(directory, {**texts, name: "\n".join(lines)}, "validate")
-    assert (code, err) == (2, f"error: row {k + 1}: invalid percentage {cells[col]!r}\n")
+    path = directory / f"{name}.txt"
+    assert (code, err) == (2, f"error: {path}: row {k + 1}: invalid percentage {cells[col]!r}\n")
 
 
 @pytest.mark.parametrize("name", ["golden", "mined"])
@@ -244,7 +245,7 @@ def test_a_rule_the_template_cannot_produce_is_rejected(work, name, antecedent, 
     lines[1] = ",".join(cells)
     code, _, err = run_on(directory, {**texts, name: "\n".join(lines)}, "validate")
     assert_clean_end(code, err)
-    assert code == 2 and err.startswith("error: row 2: ")
+    assert code == 2 and err.startswith(f"error: {directory / f'{name}.txt'}: row 2: ")
 
 
 
@@ -271,7 +272,7 @@ def set_text(text, lineno, old, new):
     return "\n".join(lines)
 
 
-# (input edited, its edit, what the one error line says after "error: ");
+# (input edited, its edit, what the one error line says after "error: PATH: ");
 # each edit puts a value of 100,000 characters (1,000 digits for a rule_id,
 # which int() must convert to reach the check) where a reader echoes it
 LONG_CELLS = {
@@ -364,7 +365,7 @@ def test_a_long_cell_is_echoed_by_its_start(work, case):
     code, _, err = run_on(directory, {**texts, name: edited}, READERS[name][0])
     assert_clean_end(code, err)
     assert code == 2
-    assert err.startswith(f"error: {says}")
+    assert err.startswith(f"error: {directory / f'{name}.txt'}: {says}")
     assert len(err.encode()) < 1024 and " characters)" in err
 
 

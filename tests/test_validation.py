@@ -99,9 +99,9 @@ class TestValidation:
             ))
         expected = []
         for g, row in zip(golden, rows):
-            confidence = abs(Fraction(row.confidence_bp - g.confidence_bp, 100))
-            coverage = abs(Fraction(row.coverage_bp - g.support_bp, 100))
-            if confidence > tolerance or coverage > tolerance:
+            confidence = abs(row.confidence_bp - g.confidence_bp)
+            coverage = abs(row.coverage_bp - g.support_bp)
+            if Fraction(max(confidence, coverage), 100) > tolerance:
                 expected.append(MetricMismatch(g, row, confidence, coverage))
         report = validate_rows_against_golden(rows, golden, tolerance)
         assert report.metric_mismatches == tuple(expected)
