@@ -26,8 +26,9 @@ import sys
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
 
 from .classify import classify_rules
-from .datamodel import MiningConfig, Percent, _shown
+from .datamodel import ItemClass, MiningConfig, Percent, TransactionDatabase, _shown
 from .ingest import (
+    Schema,
     parse_golden_rules,
     parse_int,
     parse_pct_bp,
@@ -84,6 +85,29 @@ def _emit(text: str, out: Optional[str]) -> None:
             f.write(text)
 
 
+def _rule_schema(text: str) -> Schema:
+    """``parse_schema`` of ``text``, refusing a catalog with no demographic
+    or no facility items: no rule can be mined from it."""
+    schema = parse_schema(text)
+    for item_class in (ItemClass.DEMOGRAPHIC, ItemClass.FACILITY):
+        if not schema.catalog.ids_of_class(item_class):
+            raise ValueError(f"catalog has no {item_class.value} items")
+    return schema
+
+
+def _parse_data(schema: Schema, refusal: str) -> Callable[[str], TransactionDatabase]:
+    """``parse_transactions`` under ``schema``, refusing an empty database with
+    ``refusal``."""
+
+    def parse(text: str) -> TransactionDatabase:
+        db = parse_transactions(schema, text)
+        if db.size == 0:
+            raise ValueError(refusal)
+        return db
+
+    return parse
+
+
 def _confidence_from_flag(raw: str) -> Percent:
     try:
         bp = parse_pct_bp(raw)
@@ -97,12 +121,8 @@ def _confidence_from_flag(raw: str) -> Percent:
 def _positive_int(raw: str) -> int:
     try:
         value = parse_int(raw)
-    except ValueError:
-        digits = raw[1:] if raw[:1] in "+-" else raw
-        if digits.isascii() and digits.isdigit():
-            # int() converts at most sys.get_int_max_str_digits() digits
-            raise argparse.ArgumentTypeError(f"too long: {_shown(raw)}") from None
-        raise argparse.ArgumentTypeError(f"not an integer: {_shown(raw)}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -145,8 +165,8 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         min_support_count=args.min_support_count,
         max_antecedent_size=args.max_antecedent,
     )
-    schema = _read(args.schema, parse_schema)
-    db = _read(args.data, lambda text: parse_transactions(schema, text))
+    schema = _read(args.schema, _rule_schema)
+    db = _read(args.data, _parse_data(schema, "cannot derive rules from an empty database"))
     ruleset = canonical_sort(derive_rules(db, config))
     document = render_rules(schema.catalog, classify_rules(ruleset), args.format)
     _emit(document, args.out)
@@ -155,7 +175,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     schema = _read(args.schema, parse_schema)
-    db = _read(args.data, lambda text: parse_transactions(schema, text))
+    db = _read(args.data, _parse_data(schema, "cannot tabulate an empty database"))
     table = stats_table(db, aggregates=study_aggregate_groups(schema.catalog))
     _emit(frequency_csv(table, mode="round"), args.out)
     return EXIT_OK

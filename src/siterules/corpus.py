@@ -12,17 +12,15 @@ definition of its group columns (``report.GROUP_DEFS``).
 ``build_fixture`` reconstructs a 91-row database that reproduces every count
 those published figures pin down exactly: single and pairwise demographic
 group sizes, the joint count implied by each reference rule, and each
-facility's overall count. The remaining per-group frequency cells are
-satisfied wherever simultaneously possible; the published table is not fully
-self-consistent (four rows have a group column that contradicts the row's
-own total), so the leftovers are reported, not forced.
+facility's overall count. Every published per-group frequency cell holds too,
+except where an attribute's published columns do not sum to the facility
+total (four rows of the table): that family's last column is listed as a
+family-sum conflict, not forced. A facility whose other cells admit no
+assignment is an error that names it.
 
 The demographic table (each profile's row count) is the first one, in the
-search's order, under which every facility's mandatory set (its total and
-its reference rules' joint counts) has a solution. The facility searches
-decide it: a table whose mandatory sets all pass the root test of
-``_root_bounds`` is taken unless some facility's pass finds no solution,
-so no search is spent on the table alone.
+search's order, under which every facility's mandatory set (its total and its
+reference rules' joint counts) has a solution; the plan searches decide it.
 
 All searches are deterministic: cells are enumerated smallest-index-first
 and candidate values highest-first, so repeated builds are byte-identical.
@@ -35,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from typing import Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .datamodel import ItemCatalog, ItemClass, TransactionDatabase
 from .engine import count_support
@@ -346,7 +344,7 @@ def _first_solution(caps, constraints) -> Optional[tuple[int, ...]]:
 
 
 class FamilySumConflict(NamedTuple):
-    """The cell completes its attribute's group columns, and the family's
+    """The cell is its attribute's last group column, and the family's
     published column counts do not sum to the facility total."""
 
     attribute: str
@@ -354,22 +352,12 @@ class FamilySumConflict(NamedTuple):
     total: int
 
 
-class SearchInfeasible(NamedTuple):
-    """No assignment meets the accepted constraints, each (cell indices,
-    target), together with the cell's target."""
-
-    accepted: tuple[tuple[tuple[int, ...], int], ...]
-
-
-UnmetReason = Union[FamilySumConflict, SearchInfeasible]
-
-
 class UnmetCell(NamedTuple):
     facility: str
     column: str
     target: int
     achieved: int
-    reason: UnmetReason
+    reason: FamilySumConflict
 
 
 class ConstructionReport(NamedTuple):
@@ -500,10 +488,10 @@ def _facility_mandatory(
     return list(by_cells.items())
 
 
-# each group column's attribute, and that attribute's columns in GROUP_COLUMNS order
-_COLUMN_FAMILY = {
-    column: (attr, tuple(c for c, m in GROUP_DEFS.items() if m[0][0] == attr))
-    for column, ((attr, _), *_) in GROUP_DEFS.items()
+# each demographic attribute's group columns, in GROUP_COLUMNS order
+_FAMILIES = {
+    attr: tuple(c for c in GROUP_COLUMNS if GROUP_DEFS[c][0][0] == attr)
+    for attr in dict.fromkeys(GROUP_DEFS[c][0][0] for c in GROUP_COLUMNS)
 }
 
 
@@ -517,147 +505,54 @@ def _column_cells(cells: Sequence[tuple[tuple[str, str], ...]]) -> dict[str, tup
     }
 
 
-def _facility_assignment(
-    facility: str,
-    targets: dict[str, int],
-    mandatory: list[tuple[tuple[int, ...], int]],
-    column_idxs: dict[str, tuple[int, ...]],
-    sizes: Sequence[int],
-) -> Optional[tuple[tuple[int, ...], list[UnmetCell]]]:
-    """Mandatory constraints plus a greedy, deterministic pass over the
-    published group cells in ``GROUP_COLUMNS`` order, each kept only if the
-    set stays feasible. A cell that completes its attribute's group columns
-    and disagrees with the facility total is a family conflict, left out
-    without a search.
+Constraints = list[tuple[tuple[int, ...], int]]
 
-    One search decides the whole pass when it can. The plan is the first
-    undecided column and every later one the greedy keeps if each search
-    succeeds: all but the family conflicts, each decided with the earlier
-    planned columns kept. If the accepted set plus the plan has a solution,
-    each greedy step tests a subset of that feasible set, so the greedy
-    keeps exactly the plan, and the plan's first solution is its result.
-    Only when there is none is the first undecided column searched alone,
-    and the pass goes on from the next one. A set equal to the last one
-    whose search failed (a plan of one column, or a column whose cells and
-    target repeat the last one's) fails again without a search.
 
-    ``targets`` holds the facility's published counts. The result,
-    ``current``, is the accepted set's first solution (``mandatory``'s when
-    no search succeeds); unmet cells read their achieved counts from it.
-    ``mandatory`` is searched alone only when the first plan has no
-    solution, and its solution is then the fallback ``current``; when it has
-    none either, every set the pass could search contains it, and the pass
-    returns None. The first column shares its family with a later one, so
-    it is never a family conflict and the first plan is always searched.
-    """
-    accepted = list(mandatory)
-    accepted_columns: list[str] = []
-    current: Optional[tuple[int, ...]] = None
-    unmet: list[tuple[str, UnmetReason]] = []
-    failed = None  # the last set whose search found no solution
-
-    def search(constraints: list) -> Optional[tuple[int, ...]]:
-        nonlocal failed
-        solution = None if constraints == failed else _first_solution(sizes, constraints)
-        if solution is None:
-            failed = constraints
-        return solution
-
-    def family_conflict(candidate: str, kept: list[str]) -> Optional[FamilySumConflict]:
-        # a column that completes its attribute's partition must agree with the total
-        attr, family = _COLUMN_FAMILY[candidate]
-        if all(c in kept for c in family if c != candidate):
-            published = tuple((c, targets[c]) for c in family)
-            if sum(count for _, count in published) != targets["total"]:
-                return FamilySumConflict(attr, published, targets["total"])
-        return None
-
-    for k, column in enumerate(GROUP_COLUMNS):
-        reason: Optional[UnmetReason] = family_conflict(column, accepted_columns)
-        if reason is None:
-            plan = [column]
-            conflicts = []
-            for later in GROUP_COLUMNS[k + 1:]:
-                conflict = family_conflict(later, accepted_columns + plan)
-                if conflict is None:
-                    plan.append(later)
-                else:
-                    conflicts.append((later, conflict))
-            planned = [(column_idxs[c], targets[c]) for c in plan]
-            solution = search(accepted + planned)
-            if solution is not None:
-                current = solution
-                unmet += conflicts
-                break
-            if current is None:
-                current = _first_solution(sizes, mandatory)
-                if current is None:
-                    return None
-            solution = search(accepted + planned[:1])
-            if solution is None:
-                reason = SearchInfeasible(tuple(accepted))
-            else:
-                current = solution
-                accepted.append(planned[0])
-                accepted_columns.append(column)
-                continue
-        unmet.append((column, reason))
-
-    unmet_cells = [
-        UnmetCell(
-            facility,
-            column,
-            targets[column],
-            sum(current[ci] for ci in column_idxs[column]),
-            reason,
-        )
-        for column, reason in unmet
-    ]
-    return current, unmet_cells
+def _facility_plan(
+    targets: dict[str, int], mandatory: Constraints, column_idxs: dict[str, tuple[int, ...]]
+) -> tuple[Constraints, list[FamilySumConflict]]:
+    """The facility's mandatory set plus each published group column, in
+    ``GROUP_COLUMNS`` order, but the last column of each attribute whose
+    published columns do not sum to the facility total: those are returned as
+    family-sum conflicts. ``targets`` holds the facility's published counts."""
+    left_out = {}
+    for attr, family in _FAMILIES.items():
+        published = tuple((c, targets[c]) for c in family)
+        if sum(count for _, count in published) != targets["total"]:
+            left_out[family[-1]] = FamilySumConflict(attr, published, targets["total"])
+    plan = mandatory + [(column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in left_out]
+    return plan, [left_out[c] for c in GROUP_COLUMNS if c in left_out]
 
 
 def _facility_passes(
-    facilities: Sequence[str],
-    counts: StudyCounts,
-    mandatory_sets: dict[str, list[tuple[tuple[int, ...], int]]],
-    column_idxs: dict[str, tuple[int, ...]],
+    plans: dict[str, tuple[Constraints, list[FamilySumConflict]]],
+    mandatory_sets: dict[str, Constraints],
     sizes: Sequence[int],
-) -> Optional[dict[str, tuple[tuple[int, ...], list[UnmetCell]]]]:
-    """Each facility's pass under the demographic table ``sizes``, or None
-    when some facility's mandatory set has no solution under it: first by
-    the root test of every set, then by a pass that finds none."""
+) -> Optional[dict[str, Optional[tuple[int, ...]]]]:
+    """Each facility's first plan solution under the demographic table
+    ``sizes`` (None where the plan has none), or None when a mandatory set has
+    none: it fails the root test, or its plan and then itself find none."""
     if any(_root_bounds(sizes, s) is None for s in mandatory_sets.values()):
         return None
     passes = {}
-    for facility in facilities:
-        result = _facility_assignment(
-            facility, counts.facility_counts[facility], mandatory_sets[facility], column_idxs,
-            sizes,
-        )
-        if result is None:
+    for facility, (plan, _) in plans.items():
+        solution = _first_solution(sizes, plan)
+        if solution is None and _first_solution(sizes, mandatory_sets[facility]) is None:
             return None
-        passes[facility] = result
+        passes[facility] = solution
     return passes
 
 
 def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureResult:
     """Reconstruct a transaction database consistent with the published data.
 
-    Demographic profiles are assigned first: the search enumerates cell-size
-    tables meeting every published single and pairwise count and takes the
-    first one under which every facility's mandatory constraint set has a
-    solution. The mandatory sets are built once, since they do not depend on
-    the table. The facility searches decide the table: a table is skipped
-    when some mandatory set fails the root test (``_root_bounds``), and
-    otherwise each facility's group columns are decided by
-    ``_facility_assignment``, in one search when its columns fit together
-    (as every study facility's do). A solution of that search solves the
-    mandatory set too, so the set is searched alone only when the pass's
-    first search fails, and the table is rejected when it has no solution.
-    On the study data the first table fails one facility's root test and the
-    second is taken: 20 searches in all. Facility bits are assigned per
-    cell, and within a cell the first rows (by record id) carry each
-    facility.
+    The demographic table is the first cell-size table, in the search's order,
+    that meets every published single and pairwise count and under which every
+    facility's mandatory set has a solution (``_facility_passes``). On the
+    study data the second table is taken, after 20 searches, one per facility
+    plan. Raises :class:`InfeasibleFixtureError` naming the facilities whose
+    plan has no solution under it. Within a cell, the first rows (by record
+    id) carry each facility.
     """
     catalog = counts.catalog
     cells = _demographic_cells(catalog)
@@ -677,15 +572,29 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
         for f in facilities
     }
     column_idxs = _column_cells(cells)
+    plans = {
+        f: _facility_plan(counts.facility_counts[f], mandatory_sets[f], column_idxs)
+        for f in facilities
+    }
     for sizes in _iter_solutions([counts.m] * len(cells), demographic):
-        passes = _facility_passes(facilities, counts, mandatory_sets, column_idxs, sizes)
-        if passes is not None:
+        solutions = _facility_passes(plans, mandatory_sets, sizes)
+        if solutions is not None:
             break
     else:
         raise InfeasibleFixtureError("no demographic table admits the mandatory constraints")
+    failed = [f for f, solution in solutions.items() if solution is None]
+    if failed:
+        raise InfeasibleFixtureError(
+            f"the published group columns admit no assignment for: {', '.join(failed)}"
+        )
 
-    unmet = [u for f in facilities for u in passes[f][1]]
-    facility_quotas = [(1 << catalog.item_id(f, "yes"), passes[f][0]) for f in facilities]
+    unmet = []
+    for f in facilities:
+        for conflict in plans[f][1]:
+            column, target = conflict.columns[-1]
+            achieved = sum(solutions[f][ci] for ci in column_idxs[column])
+            unmet.append(UnmetCell(f, column, target, achieved, conflict))
+    facility_quotas = [(1 << catalog.item_id(f, "yes"), solutions[f]) for f in facilities]
     record_ids: list[str] = []
     masks: list[int] = []
     for ci, cell in enumerate(cells):

@@ -228,12 +228,10 @@ def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -
     if not value:
         raise DataError(f"row {rowno}: empty value for attribute {_shown(attr.name)}")
     if attr.kind is AttributeKind.NUMERIC:
-        if _INT_RE.fullmatch(value) is None:
-            raise _cell_error(rowno, attr, f"unparseable integer {_shown(value)}")
         try:
-            number = int(value)
-        except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise _cell_error(rowno, attr, f"integer {_shown(value)} too long") from None
+            number = parse_int(value)
+        except ValueError as exc:
+            raise _cell_error(rowno, attr, str(exc)) from None
         try:
             label = bin_numeric(number, attr.bins)
         except ValueError:

@@ -207,7 +207,7 @@ class TestMineCommand:
             run_mine(fixture_dir, tmp_path / "x.csv", flag, raw)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"argument {flag}: not an integer: {raw!r}" in err
+        assert f"argument {flag}: invalid integer {raw!r}" in err
         assert "_positive_int" not in err
 
     @pytest.mark.skipif(
@@ -221,7 +221,9 @@ class TestMineCommand:
             run_mine(fixture_dir, tmp_path / "x.csv", flag, raw)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert err.endswith(f"argument {flag}: too long: {raw[:20]!r}... ({len(raw)} characters)\n")
+        assert err.endswith(
+            f"argument {flag}: integer {raw[:20]!r}... ({len(raw)} characters) too long\n"
+        )
         assert len(err.encode()) < 1024
 
     def test_consequent_attribute_schema_is_usage_error(self, tmp_path, capsys):
@@ -781,14 +783,25 @@ _DATA = "record_id,age,door\nr1,5,Y\n"
         ),
         (
             _SCHEMA.split("facility")[0], "record_id,age\nr1,5\n", [],
-            "error: catalog has no facility items",
+            "error: {schema}: catalog has no facility items",
+        ),
+        (
+            'facility door "Door"\n', "record_id,door\nr1,Y\n", [],
+            "error: {schema}: catalog has no demographic items",
+        ),
+        (
+            _SCHEMA, "record_id,age,door\n", [],
+            "error: {data}: cannot derive rules from an empty database",
         ),
         (
             _SCHEMA, _DATA, ["--max-antecedent", "0"],
             "siterules mine: error: argument --max-antecedent: must be a positive integer",
         ),
     ],
-    ids=["values", "bins", "empty-value", "duplicate-column", "no-facility", "max-antecedent"],
+    ids=[
+        "values", "bins", "empty-value", "duplicate-column", "no-facility", "no-demographic",
+        "empty-data", "max-antecedent",
+    ],
 )
 def test_mine_refusal_says_what_is_wrong(tmp_path, capsys, schema, data, flags, says):
     paths = {"schema": tmp_path / "schema.txt", "data": tmp_path / "data.csv"}
@@ -801,6 +814,14 @@ def test_mine_refusal_says_what_is_wrong(tmp_path, capsys, schema, data, flags, 
         code = exc.code
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == says.format(**paths)
+
+
+def test_stats_refusal_of_an_empty_database_names_the_file(tmp_path, capsys):
+    schema, data = tmp_path / "schema.txt", tmp_path / "data.csv"
+    schema.write_text(_SCHEMA, encoding="utf-8")
+    data.write_text("record_id,age,door\n", encoding="utf-8")
+    assert main(["stats", "--schema", str(schema), "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {data}: cannot tabulate an empty database\n"
 
 
 @pytest.mark.parametrize("empty", ["--mined", "--golden"])

@@ -1,5 +1,6 @@
+import inspect
 import itertools
-from unittest import mock
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -93,9 +94,10 @@ class TestPaperCounts:
                 continue
             covered = [v for ms in GROUP_DEFS.values() for a, v in ms if a == attr.name]
             assert sorted(covered) == sorted(attr.values), attr.name
-        # so the first column is never a family conflict, and a facility's
-        # pass always searches its first plan
-        assert len(corpus._COLUMN_FAMILY[GROUP_COLUMNS[0]][1]) > 1
+        # the plan reads each attribute's columns in GROUP_COLUMNS order
+        families = corpus._FAMILIES
+        assert [c for family in families.values() for c in family] == list(GROUP_COLUMNS)
+        assert all(GROUP_DEFS[c][0][0] == attr for attr, cs in families.items() for c in cs)
 
 
 class TestArithmeticConsistency:
@@ -213,32 +215,27 @@ def moved_mandatory_systems(draw):
     return sizes, moved, column_idxs, targets
 
 
-def greedy_assignment(targets, mandatory, column_idxs, sizes):
-    """The column-by-column greedy, by brute force: in ``GROUP_COLUMNS``
-    order, a column is left out for a family conflict (it completes its
-    attribute's kept columns, whose targets do not sum to the total) or when
-    the accepted set plus it has no solution. Returns the highest solution of
-    the accepted set and the (column, reason) pairs left out."""
-
-    def highest(constraints):
-        solutions = brute_force_solutions(sizes, constraints)
-        return solutions[-1] if solutions else None
-
-    accepted, kept, unmet = list(mandatory), [], []
-    for column in GROUP_COLUMNS:
-        attr = GROUP_DEFS[column][0][0]
+def family_conflicts(targets):
+    """The last column of each attribute whose published columns do not sum
+    to the facility total, with its family-sum conflict, in
+    ``GROUP_COLUMNS`` order."""
+    left_out = {}
+    for attr in {members[0][0] for members in GROUP_DEFS.values()}:
         family = [c for c in GROUP_COLUMNS if GROUP_DEFS[c][0][0] == attr]
         published = tuple((c, targets[c]) for c in family)
-        constraint = (column_idxs[column], targets[column])
-        completes = all(c in kept for c in family if c != column)
-        if completes and sum(t for _, t in published) != targets["total"]:
-            unmet.append((column, corpus.FamilySumConflict(attr, published, targets["total"])))
-        elif highest(accepted + [constraint]) is None:
-            unmet.append((column, corpus.SearchInfeasible(tuple(accepted))))
-        else:
-            accepted.append(constraint)
-            kept.append(column)
-    return highest(accepted), unmet
+        if sum(t for _, t in published) != targets["total"]:
+            left_out[family[-1]] = corpus.FamilySumConflict(attr, published, targets["total"])
+    return {c: left_out[c] for c in GROUP_COLUMNS if c in left_out}
+
+
+def expected_plan(targets, mandatory, column_idxs):
+    """The plan, written out: the mandatory set plus every group column in
+    ``GROUP_COLUMNS`` order but the family-sum conflicts, with those."""
+    left_out = family_conflicts(targets)
+    plan = list(mandatory) + [
+        (column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in left_out
+    ]
+    return plan, list(left_out.values())
 
 
 class TestSearch:
@@ -375,18 +372,14 @@ class TestBuildFixture:
             ("load_time", "above30"): conflict("age", tuple(zip(age, (9, 31, 40))), 79),
         }
 
-    def test_unreachable_column_is_search_infeasible(self, counts, golden, catalog, fixture_result):
+    def test_unreachable_column_is_an_error(self, counts, golden):
         # 50 governmental sites with about_us, in a group of 49
-        targets = dict(counts.facility_counts["about_us"], governmental=50)
-        cells = corpus._demographic_cells(catalog)
-        sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
-        pinned = dict(corpus._demographic_constraints(counts, cells))
-        mandatory = facility_mandatory("about_us", counts, golden, cells, pinned)
-        _, unmet = corpus._facility_assignment(
-            "about_us", targets, mandatory, corpus._column_cells(cells), sizes
-        )
-        assert [(u.column, u.target, u.achieved) for u in unmet] == [("governmental", 50, 48)]
-        assert unmet[0].reason == corpus.SearchInfeasible(tuple(mandatory))
+        facility_counts = dict(counts.facility_counts)
+        facility_counts["about_us"] = dict(facility_counts["about_us"], governmental=50)
+        edited = counts._replace(facility_counts=facility_counts)
+        message = "^the published group columns admit no assignment for: about_us$"
+        with pytest.raises(corpus.InfeasibleFixtureError, match=message):
+            corpus.build_fixture(edited, golden)
 
     def test_unpinned_antecedent_group_rejected(self, counts, golden, catalog):
         # no demographic count pins a three-item group, so no table would fix its size
@@ -397,73 +390,72 @@ class TestBuildFixture:
         with pytest.raises(corpus.InfeasibleFixtureError, match="rule 99: the demographic counts"):
             facility_mandatory("about_us", counts, [*golden, extra], cells, pinned)
 
-    def test_warm_start_matches_a_fresh_search(self, counts, golden, catalog, fixture_result):
-        cells = corpus._demographic_cells(catalog)
-        sizes = tuple(size for _, size in fixture_result.report.cell_sizes)
-        column_idxs = corpus._column_cells(cells)
-        pinned = dict(corpus._demographic_constraints(counts, cells))
-        for facility, targets in counts.facility_counts.items():
-            mandatory = facility_mandatory(facility, counts, golden, cells, pinned)
-            assignment, unmet = corpus._facility_assignment(
-                facility, targets, mandatory, column_idxs, sizes
-            )
-            skipped = {u.column for u in unmet}
-            accepted = mandatory + [
-                (column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in skipped
-            ]
-            assert assignment == corpus._first_solution(sizes, accepted), facility
-
     @given(facility_systems())
-    # every column is out of reach, so no search succeeds and the result is
-    # the mandatory set's first solution
+    @settings(max_examples=200, deadline=None)
+    def test_plan_is_every_column_but_the_family_conflicts(self, system):
+        sizes, mandatory, column_idxs, targets = system
+        plan = corpus._facility_plan(targets, mandatory, column_idxs)
+        assert plan == expected_plan(targets, mandatory, column_idxs)
+
+    @given(moved_mandatory_systems())
+    # every column is out of reach, so the plan has no solution and the
+    # mandatory set alone is searched
     @example((
         (1, 1),
         [((0, 1), 1)],
         dict.fromkeys(GROUP_COLUMNS, ()),
         dict.fromkeys(["total", *GROUP_COLUMNS], 1),
     ))
-    @settings(max_examples=200, deadline=None)
-    def test_assignment_matches_the_column_by_column_greedy(self, system):
-        sizes, mandatory, column_idxs, targets = system
-        assignment, unmet = corpus._facility_assignment(
-            "f", targets, mandatory, column_idxs, sizes
-        )
-        expected, expected_unmet = greedy_assignment(targets, mandatory, column_idxs, sizes)
-        assert assignment == expected
-        assert [(u.column, u.reason) for u in unmet] == expected_unmet
-        for u in unmet:
-            assert u.achieved == sum(assignment[j] for j in column_idxs[u.column])
-
-    @given(facility_systems())
     @settings(max_examples=300, deadline=None)
-    def test_no_search_repeats_the_one_before(self, system):
-        # a set that just failed is not searched again: a plan of one column
-        # alone, or a later column whose cells and target are the same
+    def test_pass_is_the_highest_plan_solution(self, system):
+        # None, rejecting the table, exactly when the mandatory set has no
+        # solution; else the plan's highest solution, or None when it has none
         sizes, mandatory, column_idxs, targets = system
-        calls = []
-        first_solution = corpus._first_solution
-
-        def first(caps, constraints):
-            calls.append((caps, list(constraints)))
-            return first_solution(caps, constraints)
-
-        with mock.patch.object(corpus, "_first_solution", first):
-            corpus._facility_assignment("f", targets, mandatory, column_idxs, sizes)
-        assert calls
-        assert not [k for k in range(1, len(calls)) if calls[k] == calls[k - 1]]
-
-    @given(moved_mandatory_systems())
-    @settings(max_examples=200, deadline=None)
-    def test_no_assignment_exactly_when_the_mandatory_set_has_no_solution(self, system):
-        sizes, mandatory, column_idxs, targets = system
-        result = corpus._facility_assignment("f", targets, mandatory, column_idxs, sizes)
+        plan = corpus._facility_plan(targets, mandatory, column_idxs)
+        passes = corpus._facility_passes({"f": plan}, {"f": mandatory}, sizes)
         if not brute_force_solutions(sizes, mandatory):
-            assert result is None
+            assert passes is None
             return
-        assignment, unmet = result
-        expected, expected_unmet = greedy_assignment(targets, mandatory, column_idxs, sizes)
-        assert assignment == expected
-        assert [(u.column, u.reason) for u in unmet] == expected_unmet
+        solutions = brute_force_solutions(sizes, plan[0])
+        assert passes == {"f": solutions[-1] if solutions else None}
+
+    def test_every_one_cell_edit_meets_its_cells_or_names_the_facility(self, counts, golden):
+        # each group cell of each facility moved by one: the build either
+        # meets every published cell but the family-sum conflicts, recounted
+        # on the database, or refuses naming the edited facility
+        refused = 0
+        for facility, column, step in itertools.product(
+            counts.facility_counts, GROUP_COLUMNS, (-1, 1)
+        ):
+            facility_counts = dict(counts.facility_counts)
+            moved = facility_counts[facility][column] + step
+            facility_counts[facility] = dict(facility_counts[facility], **{column: moved})
+            edited = counts._replace(facility_counts=facility_counts)
+            try:
+                result = corpus.build_fixture(edited, golden)
+            except corpus.InfeasibleFixtureError as exc:
+                assert str(exc).endswith(f"for: {facility}"), (facility, column, step)
+                refused += 1
+                continue
+            db, catalog = result.database, result.database.catalog
+            unmet = {(u.facility, u.column): u for u in result.report.unmet_cells}
+            expected = set()
+            for f, targets in facility_counts.items():
+                fid = catalog.item_id(f, "yes")
+                for c, conflict in family_conflicts(targets).items():
+                    expected.add((f, c))
+                    assert unmet[(f, c)].reason == conflict
+                for c in GROUP_COLUMNS:
+                    achieved = sum(
+                        count_support(db, (fid, catalog.item_id(*pair))) for pair in GROUP_DEFS[c]
+                    )
+                    if (f, c) in unmet:
+                        assert unmet[(f, c)].achieved == achieved
+                    else:
+                        assert achieved == targets[c], (facility, column, step, f, c)
+            assert set(unmet) == expected
+        # 37 edits leave their facility's plan with no solution; 243 build
+        assert refused == 37
 
     def test_table_is_the_first_that_admits_every_mandatory_set(
         self, counts, golden, catalog, fixture_result
@@ -488,32 +480,48 @@ class TestBuildFixture:
         assert any(corpus._root_bounds(first, s) is None for s in mandatory_sets)
 
     def test_one_assignment_search_per_facility(self, counts, golden, monkeypatch):
-        # the study's group columns are decided by one search each: every
-        # column that is not a family conflict fits with all the others; the
-        # rejected first table costs no search, so a build runs 20 in all
-        searching = []
-        searches = {}
-        calls = []
-        facility_assignment, first_solution = corpus._facility_assignment, corpus._first_solution
+        # every study plan has a solution under the table taken, and the
+        # rejected first table costs no search, so a build runs 20 in all:
+        # each facility's plan, once
+        plans, calls = [], []
+        facility_plan, first_solution = corpus._facility_plan, corpus._first_solution
 
-        def assignment(facility, *args):
-            searching.append(facility)
-            try:
-                return facility_assignment(facility, *args)
-            finally:
-                searching.pop()
+        def plan(*args):
+            result = facility_plan(*args)
+            plans.append(result[0])
+            return result
 
-        def first(*args):
-            calls.append(args)
-            for facility in searching:
-                searches[facility] = searches.get(facility, 0) + 1
-            return first_solution(*args)
+        def first(caps, constraints):
+            calls.append(constraints)
+            return first_solution(caps, constraints)
 
-        monkeypatch.setattr(corpus, "_facility_assignment", assignment)
+        monkeypatch.setattr(corpus, "_facility_plan", plan)
         monkeypatch.setattr(corpus, "_first_solution", first)
         corpus.build_fixture(counts, golden)
-        assert searches == dict.fromkeys(counts.facility_counts, 1)
-        assert len(calls) == 20
+        assert len(calls) == len(counts.facility_counts) == 20
+        assert calls == plans
+
+    def test_search_loop_turns(self, counts, golden):
+        # the table search and the 20 plan searches together: a change to
+        # the search's pruning or to what it is asked moves this count
+        lines, start = inspect.getsourcelines(corpus._iter_solutions)
+        loop = start + [line.strip() for line in lines].index("while i >= 0:")
+        code = corpus._iter_solutions.__code__
+        turns = 0
+
+        def count_turns(frame, event, arg):
+            nonlocal turns
+            if event == "line" and frame.f_lineno == loop:
+                turns += 1
+            return count_turns
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: count_turns if frame.f_code is code else None)
+        try:
+            corpus.build_fixture(counts, golden)
+        finally:
+            sys.settrace(previous)
+        assert turns == 8297
 
     def test_deterministic_rebuild(self, counts, golden, fixture_result):
         again = corpus.build_fixture(counts, golden)

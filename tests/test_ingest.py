@@ -235,7 +235,7 @@ class TestParseTransactions:
             (["c1,private,5,Y,N", "c2,private,5,Y,N", "c1,private,5,Y,N", "c3"],
              "row 4: duplicate record_id 'c1'"),
             # within a row's cells, some already seen, the first bad one is named
-            (["c1,private,5,Y,N", "c2,private,x,Y,maybe"], "row 3, column 'age': unparseable integer 'x'"),
+            (["c1,private,5,Y,N", "c2,private,x,Y,maybe"], "row 3, column 'age': invalid integer 'x'"),
             (["c1,private,5,Y,N", "c2,communal,x,Y,N"],
              "row 3, column 'ownership': value 'communal' not in schema"),
             (["c1,private,5,Y,N", "c2,private,x,Y,"], "row 3: facility cells must be all present or all empty"),
@@ -263,12 +263,12 @@ class TestParseTransactions:
             parse_transactions(small_schema, rows_to_csv(["c1,,5,Y,N"]))
 
     def test_unparseable_number(self, small_schema):
-        with pytest.raises(DataError, match="unparseable integer"):
+        with pytest.raises(DataError, match="^row 2, column 'age': invalid integer 'old'$"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,old,Y,N"]))
 
     @pytest.mark.parametrize("age", ["1_0", "\u0661\u0660", "\u300025", "25\xa0"])
     def test_non_ascii_digits_rejected(self, small_schema, age):
-        with pytest.raises(DataError, match=r"row 2, column 'age': unparseable integer"):
+        with pytest.raises(DataError, match=r"row 2, column 'age': invalid integer"):
             parse_transactions(small_schema, rows_to_csv([f"c1,private,{age},Y,N"]))
 
     def test_overlong_field_names_its_line(self, small_schema):

@@ -303,7 +303,7 @@ LONG_CELLS = {
         "row 2, column 'about_us': unrecognized yes/no token",
     ),
     "integer": (
-        "data", lambda t: set_cells(t, "age", X), "row 2, column 'age': unparseable integer",
+        "data", lambda t: set_cells(t, "age", X), "row 2, column 'age': invalid integer",
     ),
     "value": (
         "data", lambda t: set_cells(t, "ownership", X), "row 2, column 'ownership': value",
