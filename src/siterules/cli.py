@@ -85,14 +85,19 @@ def _emit(text: str, out: Optional[str]) -> None:
             f.write(text)
 
 
-def _rule_schema(text: str) -> Schema:
-    """``parse_schema`` of ``text``, refusing a catalog with no demographic
-    or no facility items: no rule can be mined from it."""
-    schema = parse_schema(text)
-    for item_class in (ItemClass.DEMOGRAPHIC, ItemClass.FACILITY):
-        if not schema.catalog.ids_of_class(item_class):
-            raise ValueError(f"catalog has no {item_class.value} items")
-    return schema
+def _schema_with(*needed: ItemClass) -> Callable[[str], Schema]:
+    """``parse_schema``, refusing a catalog with no items of a class in
+    ``needed``: ``mine`` needs both classes to mine a rule, and ``stats``
+    needs facility items for a row."""
+
+    def parse(text: str) -> Schema:
+        schema = parse_schema(text)
+        for item_class in needed:
+            if not schema.catalog.ids_of_class(item_class):
+                raise ValueError(f"catalog has no {item_class.value} items")
+        return schema
+
+    return parse
 
 
 def _parse_data(schema: Schema, refusal: str) -> Callable[[str], TransactionDatabase]:
@@ -165,7 +170,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         min_support_count=args.min_support_count,
         max_antecedent_size=args.max_antecedent,
     )
-    schema = _read(args.schema, _rule_schema)
+    schema = _read(args.schema, _schema_with(ItemClass.DEMOGRAPHIC, ItemClass.FACILITY))
     db = _read(args.data, _parse_data(schema, "cannot derive rules from an empty database"))
     ruleset = canonical_sort(derive_rules(db, config))
     document = render_rules(schema.catalog, classify_rules(ruleset), args.format)
@@ -174,7 +179,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    schema = _read(args.schema, parse_schema)
+    schema = _read(args.schema, _schema_with(ItemClass.FACILITY))
     db = _read(args.data, _parse_data(schema, "cannot tabulate an empty database"))
     table = stats_table(db, aggregates=study_aggregate_groups(schema.catalog))
     _emit(frequency_csv(table, mode="round"), args.out)

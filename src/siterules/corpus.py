@@ -204,14 +204,14 @@ def study_group_counts() -> StudyCounts:
 def _root_bounds(
     caps: Sequence[int],
     constraints: Sequence[tuple[tuple[int, ...], int]],
-) -> Optional[tuple[list[list[int]], list[int], list[int]]]:
+) -> Optional[tuple[list[list[int]], list[int]]]:
     """The search's state before its first node, or None when that state
     already rules out every solution.
 
-    Returns ``by_var`` (each variable's constraint indices), ``bound`` (each
-    variable's cap tightened by the targets of its constraints) and
-    ``slack`` (each constraint's summed bounds). A constraint whose target is
-    negative or above its slack admits no solution, and None is returned.
+    Returns ``by_var`` (each variable's constraint indices) and ``bound``
+    (each variable's cap tightened by the targets of its constraints). A
+    constraint whose target is negative or above its slack (the summed
+    bounds of its members) admits no solution, and None is returned.
     """
     by_var: list[list[int]] = [[] for _ in caps]
     for ci, (idxs, _) in enumerate(constraints):
@@ -219,60 +219,77 @@ def _root_bounds(
             by_var[j].append(ci)
     targets = [t for _, t in constraints]
     bound = [min([cap, *map(targets.__getitem__, by_var[j])]) for j, cap in enumerate(caps)]
-    slack = [sum(map(bound.__getitem__, idxs)) for idxs, _ in constraints]
-    if any(t < 0 or t > s for t, s in zip(targets, slack)):
-        return None
-    return by_var, bound, slack
+    for idxs, t in constraints:
+        if t < 0 or t > sum(map(bound.__getitem__, idxs)):
+            return None
+    return by_var, bound
 
 
 def _iter_solutions(
     caps: Sequence[int],
     constraints: Sequence[tuple[tuple[int, ...], int]],
 ) -> Iterator[tuple[int, ...]]:
-    """Yield all non-negative integer assignments meeting every constraint.
+    """Yield all non-negative integer assignments meeting every constraint,
+    in lexicographically descending order: the root test of
+    ``_root_bounds``, then ``_search`` from the root it computes. A system
+    that fails the root test yields nothing."""
+    root = _root_bounds(caps, constraints)
+    if root is not None:
+        yield from _search(root, constraints)
+
+
+def _search(
+    root: tuple[list[list[int]], list[int]],
+    constraints: Sequence[tuple[tuple[int, ...], int]],
+) -> Iterator[tuple[int, ...]]:
+    """Yield every solution of ``constraints`` below ``root``, the state
+    ``_root_bounds`` computed for them.
 
     Each constraint is (variable index set, exact target sum). Variables are
     assigned in index order, candidate values highest-first, so solutions
     arrive in lexicographically descending order.
 
     A variable's bound is its cap tightened by the targets of its
-    constraints. ``slack[ci]`` is the sum of those bounds over constraint
-    ci's unassigned members; entering variable i subtracts its bound from
-    each of its constraints' slack and leaving adds it back. Variable i's
-    value then lies between each constraint's remaining target less the
-    slack of its other unassigned members and the smallest remaining target,
-    so a constraint whose last member is assigned meets its target exactly,
-    and a node costs O(constraints of i). The starting state and its test
-    are ``_root_bounds``: a system that fails it yields nothing.
+    constraints. The slack of constraint ci at the depth of variable i is
+    the sum of those bounds over ci's members assigned deeper; since the
+    order is fixed, it depends only on the depth, so ``depth_slack`` holds
+    it once per depth for each constraint of the depth's variable. Variable
+    i's value lies between each constraint's remaining target less that
+    slack and the smallest remaining target, so a constraint whose last
+    member is assigned meets its target exactly, and a node costs
+    O(constraints of i).
 
     The search runs in this one loop, with an explicit state per depth:
     ``key[i]`` is None until depth i is entered, and the value in
     ``assignment[i]`` steps down to ``low[i]`` before the depth is left.
 
     The solutions below variable i depend only on i and the remaining
-    targets: bounds are fixed and the slack is a function of which variables
-    are unassigned. So once a subtree has been searched to the end without
-    a solution, its remaining targets go into ``dead[i]`` and the search
-    skips the subtree when they come up again at depth i (nogood
-    recording). Only subtrees holding no solution are pruned, so the order
-    of the solutions is unchanged. ``dead`` is local to one call: a subtree
-    left early by a closed generator records nothing.
+    targets, since bounds and slacks are fixed per depth. So once a subtree
+    has been searched to the end without a solution, its remaining targets
+    go into ``dead[i]`` and the search skips the subtree when they come up
+    again at depth i (nogood recording). Only subtrees holding no solution
+    are pruned, so the order of the solutions is unchanged. ``dead`` is
+    local to one call: a subtree left early by a closed generator records
+    nothing.
 
     A variable whose bound is 0 (an empty cell, or one in a constraint with
     target 0) is 0 in every solution, so it takes no depth: the search runs
     over the other variables only, and each solution is scattered back into
     a full-length tuple.
     """
-    root = _root_bounds(caps, constraints)
-    if root is None:
-        return
-    by_var, bound, slack = root
+    by_var, bound = root
     remaining = [t for _, t in constraints]
     order = [j for j, b in enumerate(bound) if b]
     depth_own = [by_var[j] for j in order]
     depth_bound = [bound[j] for j in order]
     depths = len(order)
-    solution = [0] * len(caps)
+    depth_slack: list[list[tuple[int, int]]] = [[] for _ in range(depths)]
+    below = [0] * len(constraints)
+    for i in reversed(range(depths)):
+        depth_slack[i] = [(ci, below[ci]) for ci in depth_own[i]]
+        for ci in depth_own[i]:
+            below[ci] += depth_bound[i]
+    solution = [0] * len(bound)
     assignment = [0] * depths
     low = [0] * depths
     key: list[Optional[tuple[int, ...]]] = [None] * depths
@@ -288,55 +305,47 @@ def _iter_solutions(
             yield tuple(solution)
             i -= 1
             continue
-        own = depth_own[i]
-        b = depth_bound[i]
         if key[i] is None:
             # enter depth i
             here = tuple(remaining)
             if here in dead[i]:
                 i -= 1
                 continue
-            found_before[i] = found
-            hi = b
+            hi = depth_bound[i]
             lo = 0
-            for ci in own:
-                slack[ci] -= b
+            for ci, slack in depth_slack[i]:
                 rem = remaining[ci]
                 if rem < hi:
                     hi = rem
-                if rem - slack[ci] > lo:
-                    lo = rem - slack[ci]
-            if hi >= lo:
-                key[i] = here
-                low[i] = lo
-                assignment[i] = hi
-                for ci in own:
-                    remaining[ci] -= hi
-                i += 1
+                if rem - slack > lo:
+                    lo = rem - slack
+            if hi < lo:
+                # no value fits: leave depth i at once
+                dead[i].add(here)
+                i -= 1
                 continue
-            value = 0  # no value fits: leave depth i at once
-        else:
-            value = assignment[i]
-            if value > low[i]:
-                assignment[i] = value - 1
-                for ci in own:
-                    remaining[ci] += 1
-                i += 1
-                continue
-            here = key[i]
-            key[i] = None
-            assignment[i] = 0
+            key[i] = here
+            found_before[i] = found
+            low[i] = lo
+            assignment[i] = hi
+            for ci in depth_own[i]:
+                remaining[ci] -= hi
+            i += 1
+            continue
+        value = assignment[i]
+        if value > low[i]:
+            assignment[i] = value - 1
+            for ci in depth_own[i]:
+                remaining[ci] += 1
+            i += 1
+            continue
         # leave depth i
-        for ci in own:
-            slack[ci] += b
+        for ci in depth_own[i]:
             remaining[ci] += value
         if found == found_before[i]:
-            dead[i].add(here)
+            dead[i].add(key[i])
+        key[i] = None
         i -= 1
-
-
-def _first_solution(caps, constraints) -> Optional[tuple[int, ...]]:
-    return next(_iter_solutions(caps, constraints), None)
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +523,30 @@ def _facility_plan(
     """The facility's mandatory set plus each published group column, in
     ``GROUP_COLUMNS`` order, but the last column of each attribute whose
     published columns do not sum to the facility total: those are returned as
-    family-sum conflicts. ``targets`` holds the facility's published counts."""
+    family-sum conflicts. ``targets`` holds the facility's published counts.
+
+    The mandatory set's first constraint, its total, is left out when the
+    columns of an attribute in the plan partition exactly its cells and their
+    targets sum to its target. The plan then implies it: its remaining target
+    is always the sum of those columns', so it never narrows a cell's range
+    and adds nothing to a nogood key, and the search visits the same nodes in
+    the same order without it.
+    """
     left_out = {}
     for attr, family in _FAMILIES.items():
         published = tuple((c, targets[c]) for c in family)
         if sum(count for _, count in published) != targets["total"]:
             left_out[family[-1]] = FamilySumConflict(attr, published, targets["total"])
-    plan = mandatory + [(column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in left_out]
-    return plan, [left_out[c] for c in GROUP_COLUMNS if c in left_out]
+    (total_idxs, total), *rules = mandatory
+    implied = any(
+        family[-1] not in left_out
+        and sorted(j for c in family for j in column_idxs[c]) == sorted(total_idxs)
+        and sum(targets[c] for c in family) == total
+        for family in _FAMILIES.values()
+    )
+    columns = [(column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in left_out]
+    conflicts = [left_out[c] for c in GROUP_COLUMNS if c in left_out]
+    return (rules if implied else mandatory) + columns, conflicts
 
 
 def _facility_passes(
@@ -531,13 +556,27 @@ def _facility_passes(
 ) -> Optional[dict[str, Optional[tuple[int, ...]]]]:
     """Each facility's first plan solution under the demographic table
     ``sizes`` (None where the plan has none), or None when a mandatory set has
-    none: it fails the root test, or its plan and then itself find none."""
-    if any(_root_bounds(sizes, s) is None for s in mandatory_sets.values()):
-        return None
+    none: it fails the root test, or its plan and then itself find none.
+
+    Each plan's root test runs once, and its root is handed to ``_search``.
+    A plan holds its mandatory set (or, with the total left out, implies it)
+    under bounds no looser, so a plan that passes the root test implies that
+    its set does: the set's own root test runs only where its plan's fails.
+    Every root test runs before any search, so a table refused by one costs
+    no search.
+    """
+    roots = {}
+    for facility, (plan, _) in plans.items():
+        root = _root_bounds(sizes, plan)
+        if root is None and _root_bounds(sizes, mandatory_sets[facility]) is None:
+            return None
+        roots[facility] = root
     passes = {}
     for facility, (plan, _) in plans.items():
-        solution = _first_solution(sizes, plan)
-        if solution is None and _first_solution(sizes, mandatory_sets[facility]) is None:
+        root = roots[facility]
+        solution = None if root is None else next(_search(root, plan), None)
+        mandatory = mandatory_sets[facility]
+        if solution is None and next(_iter_solutions(sizes, mandatory), None) is None:
             return None
         passes[facility] = solution
     return passes
@@ -550,9 +589,11 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
     that meets every published single and pairwise count and under which every
     facility's mandatory set has a solution (``_facility_passes``). On the
     study data the second table is taken, after 20 searches, one per facility
-    plan. Raises :class:`InfeasibleFixtureError` naming the facilities whose
-    plan has no solution under it. Within a cell, the first rows (by record
-    id) carry each facility.
+    plan, and 29 root tests: the table search's own, eight on the first table
+    (six plans pass, then the seventh plan and its mandatory set fail), and
+    one per plan on the second. Raises :class:`InfeasibleFixtureError` naming
+    the facilities whose plan has no solution under it. Within a cell, the
+    first rows (by record id) carry each facility.
     """
     catalog = counts.catalog
     cells = _demographic_cells(catalog)

@@ -816,6 +816,23 @@ def test_mine_refusal_says_what_is_wrong(tmp_path, capsys, schema, data, flags, 
     assert capsys.readouterr().err.splitlines()[-1] == says.format(**paths)
 
 
+def test_stats_refuses_a_schema_with_no_facility_items(tmp_path, capsys):
+    # a table with no rows would not tell the user what is wrong
+    schema, data = tmp_path / "schema.txt", tmp_path / "data.csv"
+    schema.write_text(_SCHEMA.split("facility")[0], encoding="utf-8")
+    data.write_text("record_id,age\nr1,5\n", encoding="utf-8")
+    assert main(["stats", "--schema", str(schema), "--data", str(data)]) == 2
+    assert capsys.readouterr().err == f"error: {schema}: catalog has no facility items\n"
+
+
+def test_stats_on_a_schema_with_no_demographic_items_prints_the_total(tmp_path, capsys):
+    schema, data = tmp_path / "schema.txt", tmp_path / "data.csv"
+    schema.write_text('facility door "Door"\n', encoding="utf-8")
+    data.write_text("record_id,door\nr1,Y\nr2,N\n", encoding="utf-8")
+    assert main(["stats", "--schema", str(schema), "--data", str(data)]) == 0
+    assert capsys.readouterr().out == "facility,total_pct\ndoor,50.00\n"
+
+
 def test_stats_refusal_of_an_empty_database_names_the_file(tmp_path, capsys):
     schema, data = tmp_path / "schema.txt", tmp_path / "data.csv"
     schema.write_text(_SCHEMA, encoding="utf-8")

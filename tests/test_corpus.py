@@ -228,13 +228,27 @@ def family_conflicts(targets):
     return {c: left_out[c] for c in GROUP_COLUMNS if c in left_out}
 
 
+def total_is_implied(targets, mandatory, column_idxs):
+    """Whether some attribute with no family-sum conflict has columns that
+    cover each cell of the mandatory total once and sum to its target."""
+    (total_idxs, total), left_out = mandatory[0], family_conflicts(targets)
+    for attr in {members[0][0] for members in GROUP_DEFS.values()}:
+        family = [c for c in GROUP_COLUMNS if GROUP_DEFS[c][0][0] == attr]
+        if set(family) & set(left_out):
+            continue
+        covered = [j for c in family for j in column_idxs[c]]
+        if sorted(covered) == sorted(total_idxs) and sum(targets[c] for c in family) == total:
+            return True
+    return False
+
+
 def expected_plan(targets, mandatory, column_idxs):
-    """The plan, written out: the mandatory set plus every group column in
-    ``GROUP_COLUMNS`` order but the family-sum conflicts, with those."""
+    """The plan, written out: the mandatory set, less its total where the
+    plan implies it, plus every group column in ``GROUP_COLUMNS`` order but
+    the family-sum conflicts, with those."""
     left_out = family_conflicts(targets)
-    plan = list(mandatory) + [
-        (column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in left_out
-    ]
+    kept = mandatory[1:] if total_is_implied(targets, mandatory, column_idxs) else mandatory
+    plan = list(kept) + [(column_idxs[c], targets[c]) for c in GROUP_COLUMNS if c not in left_out]
     return plan, list(left_out.values())
 
 
@@ -397,6 +411,29 @@ class TestBuildFixture:
         plan = corpus._facility_plan(targets, mandatory, column_idxs)
         assert plan == expected_plan(targets, mandatory, column_idxs)
 
+    @given(st.one_of(facility_systems(), moved_mandatory_systems()))
+    # the ownership columns partition both cells and their targets sum to the
+    # published total, 0, but not to the mandatory total, 1: left out, the
+    # total would let (0, 0) solve a plan that has no solution
+    @example((
+        (1, 1),
+        [((0, 1), 1)],
+        {**dict.fromkeys(GROUP_COLUMNS, ()), "governmental": (0,), "private_semiprivate": (1,)},
+        dict.fromkeys(["total", *GROUP_COLUMNS], 0),
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_total_is_left_out_only_where_the_plan_implies_it(self, system):
+        sizes, mandatory, column_idxs, targets = system
+        plan, _ = corpus._facility_plan(targets, mandatory, column_idxs)
+        if total_is_implied(targets, mandatory, column_idxs):
+            assert plan[: len(mandatory) - 1] == mandatory[1:]
+            assert brute_force_solutions(sizes, plan) == brute_force_solutions(
+                sizes, [mandatory[0], *plan]
+            )
+        else:
+            # a family's columns miss a cell, or sum to another target
+            assert plan[: len(mandatory)] == mandatory
+
     @given(moved_mandatory_systems())
     # every column is out of reach, so the plan has no solution and the
     # mandatory set alone is searched
@@ -472,7 +509,7 @@ class TestBuildFixture:
         first = next(tables)
         expected = next(
             sizes for sizes in itertools.chain([first], tables)
-            if all(corpus._first_solution(sizes, s) is not None for s in mandatory_sets)
+            if all(next(corpus._iter_solutions(sizes, s), None) is not None for s in mandatory_sets)
         )
         assert tuple(size for _, size in fixture_result.report.cell_sizes) == expected
         # the first table is refused, by the root test alone
@@ -481,38 +518,58 @@ class TestBuildFixture:
 
     def test_one_assignment_search_per_facility(self, counts, golden, monkeypatch):
         # every study plan has a solution under the table taken, and the
-        # rejected first table costs no search, so a build runs 20 in all:
-        # each facility's plan, once
+        # rejected first table costs no search, so a build starts the search
+        # loop 21 times: the table search, then each facility's plan, once
         plans, calls = [], []
-        facility_plan, first_solution = corpus._facility_plan, corpus._first_solution
+        facility_plan, search = corpus._facility_plan, corpus._search
 
         def plan(*args):
             result = facility_plan(*args)
             plans.append(result[0])
             return result
 
-        def first(caps, constraints):
+        def searched(root, constraints):
             calls.append(constraints)
-            return first_solution(caps, constraints)
+            return search(root, constraints)
 
         monkeypatch.setattr(corpus, "_facility_plan", plan)
-        monkeypatch.setattr(corpus, "_first_solution", first)
+        monkeypatch.setattr(corpus, "_search", searched)
         corpus.build_fixture(counts, golden)
-        assert len(calls) == len(counts.facility_counts) == 20
-        assert calls == plans
+        assert len(plans) == len(counts.facility_counts) == 20
+        assert calls[1:] == plans
+
+    def test_root_tests_per_build(self, counts, golden, monkeypatch):
+        # the table search's, then per table one per plan, and a mandatory
+        # set's only where its plan's fails: six plans pass on the first
+        # table, the seventh fails and so does its set, and the 20 plans
+        # pass on the second
+        tested = []
+        root_bounds = corpus._root_bounds
+
+        def root(caps, constraints):
+            result = root_bounds(caps, constraints)
+            tested.append(result is not None)
+            return result
+
+        monkeypatch.setattr(corpus, "_root_bounds", root)
+        corpus.build_fixture(counts, golden)
+        assert tested == [True] * 7 + [False] * 2 + [True] * 20
 
     def test_search_loop_turns(self, counts, golden):
         # the table search and the 20 plan searches together: a change to
-        # the search's pruning or to what it is asked moves this count
-        lines, start = inspect.getsourcelines(corpus._iter_solutions)
-        loop = start + [line.strip() for line in lines].index("while i >= 0:")
-        code = corpus._iter_solutions.__code__
-        turns = 0
+        # the search's pruning or to what it is asked moves these counts
+        lines, start = inspect.getsourcelines(corpus._search)
+        stripped = [line.strip() for line in lines]
+        loop = start + stripped.index("while i >= 0:")
+        entry = start + stripped.index("here = tuple(remaining)")
+        code = corpus._search.__code__
+        turns = entries = 0
 
         def count_turns(frame, event, arg):
-            nonlocal turns
-            if event == "line" and frame.f_lineno == loop:
-                turns += 1
+            nonlocal turns, entries
+            if event == "line":
+                turns += frame.f_lineno == loop
+                entries += frame.f_lineno == entry
             return count_turns
 
         previous = sys.gettrace()
@@ -521,7 +578,7 @@ class TestBuildFixture:
             corpus.build_fixture(counts, golden)
         finally:
             sys.settrace(previous)
-        assert turns == 8297
+        assert (turns, entries) == (8297, 4286)
 
     def test_deterministic_rebuild(self, counts, golden, fixture_result):
         again = corpus.build_fixture(counts, golden)
