@@ -558,26 +558,33 @@ def _facility_passes(
     ``sizes`` (None where the plan has none), or None when a mandatory set has
     none: it fails the root test, or its plan and then itself find none.
 
-    Each plan's root test runs once, and its root is handed to ``_search``.
+    Each root test runs at most once, and its root is handed to ``_search``.
     A plan holds its mandatory set (or, with the total left out, implies it)
     under bounds no looser, so a plan that passes the root test implies that
-    its set does: the set's own root test runs only where its plan's fails.
-    Every root test runs before any search, so a table refused by one costs
-    no search.
+    its set does: the set's own root test runs only where its plan's fails,
+    or where its plan's search finds nothing. The plans' root tests, and the
+    sets' where a plan's fails, run before any search, so a table refused by
+    one costs no search.
     """
     roots = {}
     for facility, (plan, _) in plans.items():
         root = _root_bounds(sizes, plan)
-        if root is None and _root_bounds(sizes, mandatory_sets[facility]) is None:
+        set_root = None if root is not None else _root_bounds(sizes, mandatory_sets[facility])
+        if root is None and set_root is None:
             return None
-        roots[facility] = root
+        roots[facility] = root, set_root
     passes = {}
     for facility, (plan, _) in plans.items():
-        root = roots[facility]
+        root, set_root = roots[facility]
         solution = None if root is None else next(_search(root, plan), None)
-        mandatory = mandatory_sets[facility]
-        if solution is None and next(_iter_solutions(sizes, mandatory), None) is None:
-            return None
+        if solution is None:
+            mandatory = mandatory_sets[facility]
+            if set_root is None:
+                searched = _iter_solutions(sizes, mandatory)
+            else:
+                searched = _search(set_root, mandatory)
+            if next(searched, None) is None:
+                return None
         passes[facility] = solution
     return passes
 
@@ -650,7 +657,9 @@ def build_fixture(counts: StudyCounts, golden: Sequence[GoldenRule]) -> FixtureR
                     members |= bit
             record_ids.append(f"C{len(record_ids) + 1:03d}")
             masks.append(members)
-    db = TransactionDatabase.from_columns(catalog, record_ids, masks, excluded_count=0)
+    # the ids are distinct, and each row sets one item of each demographic
+    # attribute: the rows are what the constructor trusts them to be
+    db = TransactionDatabase(catalog, record_ids, masks)
 
     _verify_fixture(db, counts, golden)
     report = ConstructionReport(
@@ -677,7 +686,9 @@ def _verify_fixture(
         if count_support(db, (catalog.item_id(facility, "yes"),)) != targets["total"]:
             raise InfeasibleFixtureError(f"fixture lost facility total for {facility}")
     for g in golden:
-        antecedent = [catalog.resolve_pair(p) for p in g.antecedent_items]
+        # build_fixture refused a consequent that names no facility
+        items = [catalog.item_id(*p) for p in g.antecedent_items]
+        items.append(catalog.item_id(g.consequent_item[1], "yes"))
         _, joint, _ = _rule_counts(g, counts.m)
-        if count_support(db, antecedent + [catalog.resolve_pair(g.consequent_item)]) != joint:
+        if count_support(db, items) != joint:
             raise InfeasibleFixtureError(f"fixture lost the joint count of rule {g.rule_id}")

@@ -3,12 +3,12 @@
 Every type here is immutable after construction. Plain records are bare
 ``NamedTuple`` classes, which compare and hash as tuples; the types that
 validate or compute fields are slotted :class:`Frozen` classes. A database
-keeps its rows as an id column and a bitmask column; ``Transaction`` is only
-the row input type of ``TransactionDatabase.build``. A rule keeps its
-metrics as integer counts, and every threshold and tie compares those counts
-by cross-multiplication, so no decision touches floating point; a
-``Percent`` is only the checked pair of counts that holds the mining
-confidence floor.
+keeps its rows as an id column and a bitmask column, and its constructor is
+the one way to build it; ``Transaction`` is only the row input type of
+``TransactionDatabase.build``. A rule keeps its metrics as integer counts,
+and every threshold and tie compares those counts by cross-multiplication,
+so no decision touches floating point; a ``Percent`` is only the checked
+pair of counts that holds the mining confidence floor.
 """
 
 from __future__ import annotations
@@ -87,7 +87,14 @@ class NumericBin(NamedTuple):
 
 
 class AttributeDef(Frozen):
-    """A declared attribute; expands to one item per value (or bin label)."""
+    """A declared attribute; expands to one item per value (or bin label).
+
+    ``ingest.parse_schema`` builds every attribute a command reads, and its
+    grammar gives each one a name, at least one value, the bins of a numeric
+    attribute as its values, and the single value "yes" of a binary facility.
+    The constructor refuses what that grammar lets through: a repeated value,
+    and a demographic attribute named "facility".
+    """
 
     __slots__ = _fields = ("name", "kind", "item_class", "values", "bins", "description")
     name: str
@@ -101,21 +108,8 @@ class AttributeDef(Frozen):
         self, name: str, kind: AttributeKind, item_class: ItemClass, values: tuple[str, ...],
         bins: tuple[NumericBin, ...] = (), description: str = "",
     ) -> None:
-        if not name:
-            raise ValueError("attribute name must be non-empty")
-        if not values:
-            raise ValueError(f"attribute {_shown(name)} declares no values")
         if len(set(values)) != len(values):
             raise ValueError(f"attribute {_shown(name)} has duplicate values")
-        if kind is AttributeKind.NUMERIC:
-            if tuple(b.label for b in bins) != values:
-                raise ValueError(f"attribute {_shown(name)}: bin labels must match values")
-        elif bins:
-            raise ValueError(f"attribute {_shown(name)}: only numeric attributes take bins")
-        if kind is AttributeKind.BINARY and len(values) != 1:
-            raise ValueError(f"attribute {_shown(name)}: binary attributes have exactly one item")
-        if item_class is ItemClass.FACILITY and kind is not AttributeKind.BINARY:
-            raise ValueError(f"attribute {_shown(name)}: facility attributes must be binary")
         if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
             # item_pair writes every facility item as ("facility", name)
             raise ValueError("'facility' labels facility items; rename the attribute")
@@ -149,9 +143,7 @@ class ItemCatalog(Frozen):
     items: tuple[ItemDef, ...]
 
     def __init__(self, attributes: tuple[AttributeDef, ...]) -> None:
-        names = [a.name for a in attributes]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate attribute names in catalog")
+        # ingest.parse_schema refuses a repeated attribute name
         items: list[ItemDef] = []
         for wanted in (ItemClass.DEMOGRAPHIC, ItemClass.FACILITY):
             for attr in attributes:
@@ -167,19 +159,10 @@ class ItemCatalog(Frozen):
         return len(self.items)
 
     def item_id(self, attribute: str, value: str) -> int:
-        try:
-            return self._index[(attribute, value)]
-        except KeyError:
-            raise KeyError(f"no item {_shown(attribute)}={_shown(value)} in catalog") from None
+        return self._index[(attribute, value)]
 
     def has_item(self, attribute: str, value: str) -> bool:
         return (attribute, value) in self._index
-
-    def attribute(self, name: str) -> AttributeDef:
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise KeyError(f"no attribute {_shown(name)} in catalog")
 
     def ids_of_class(self, item_class: ItemClass) -> tuple[int, ...]:
         return tuple(i for i, it in enumerate(self.items) if it.item_class is item_class)
@@ -202,17 +185,6 @@ class ItemCatalog(Frozen):
         attr, value = self.item_pair(item_id)
         return f"{attr}={value}"
 
-    def resolve_pair(self, pair: tuple[str, str]) -> int:
-        """Item id for a ``(attribute, value)`` pair in item_pair convention;
-        ``("facility", name)`` resolves only to a facility attribute's item."""
-        attr, value = pair
-        if attr != "facility":
-            return self.item_id(attr, value)
-        item = self._index.get((value, "yes"))
-        if item is None or self.items[item].item_class is not ItemClass.FACILITY:
-            raise KeyError(f"no facility {_shown(value)} in catalog")
-        return item
-
 
 class Transaction(NamedTuple):
     """One input row: an id plus a bitmask with bit i set iff item i is present."""
@@ -226,12 +198,7 @@ def build_vertical_index(n_items: int, transactions: Sequence[Transaction]) -> t
     return _transpose(n_items, list(map(itemgetter(1), transactions)))
 
 
-class _MaskOutOfRange(ValueError):
-    """:func:`_transpose` met a mask outside ``[0, 2**n_items)``."""
-
-    def __init__(self) -> None:
-        super().__init__("a membership mask is negative or wider than the catalog")
-
+_MASK_OUT_OF_RANGE = "a membership mask is negative or wider than the catalog"
 
 # an array typecode for each unsigned word size in bytes; 'L' wins over an
 # equally wide 'Q', since array('L', ...) converts Python ints faster
@@ -256,14 +223,11 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
 
     A mask outside ``[0, 2**n_items)`` raises ``ValueError``: packing refuses
     one that is negative or wider than its row's words, and the padding
-    items from ``n_items`` up to the words' width must read back empty.
+    items from ``n_items`` up to the words' width must read back empty. An
+    empty catalog takes one word a row, so it holds only the mask 0.
     """
-    if not n_items:
-        if any(masks):
-            raise _MaskOutOfRange
-        return ()
     width = next((w for w in (8, 16, 32) if n_items <= w), 64)
-    words = -(-n_items // width)
+    words = max(1, -(-n_items // width))
     word_bytes = width // 8
     typecode = _TYPECODES[word_bytes]
     row_bytes = word_bytes * words
@@ -277,7 +241,7 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
         else:
             rows = b"".join([mask.to_bytes(row_bytes, "little") for mask in masks])
     except OverflowError:
-        raise _MaskOutOfRange from None
+        raise ValueError(_MASK_OUT_OF_RANGE) from None
     rows += bytes(row_bytes * (n_rows - len(masks)))
     bits = int.from_bytes(rows, "little")
     k = width // 2
@@ -296,41 +260,8 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
         for i in range(width * words)
     )
     if any(vectors[n_items:]):
-        raise _MaskOutOfRange
+        raise ValueError(_MASK_OUT_OF_RANGE)
     return vectors[:n_items]
-
-
-def _overlapping(index: Sequence[int], item_ids: Sequence[int]) -> bool:
-    """Whether some transaction holds two of ``item_ids``."""
-    union = 0
-    for i in item_ids:
-        union |= index[i]
-    return sum(index[i].bit_count() for i in item_ids) != union.bit_count()
-
-
-def _raise_first_invalid(
-    n_items: int, exclusive: Sequence[Sequence[int]], record_ids: Sequence[str], masks: Sequence[int]
-) -> None:
-    """Raise ``ValueError`` for the first record that repeats an id, has a negative mask,
-    sets an item outside the catalog, or sets two items of one ``exclusive`` group."""
-    seen: set[str] = set()
-    exclusive_masks = [sum(1 << i for i in ids) for ids in exclusive]
-    for record_id, members in zip(record_ids, masks):
-        if record_id in seen:
-            raise ValueError(f"duplicate record_id {_shown(record_id)}")
-        seen.add(record_id)
-        if members < 0:
-            raise ValueError(f"record {_shown(record_id)} has a negative membership mask")
-        if members.bit_length() > n_items:
-            raise ValueError(f"record {_shown(record_id)} sets an item id outside the catalog")
-        for mask in exclusive_masks:
-            if (members & mask).bit_count() > 1:
-                raise ValueError(f"record {_shown(record_id)} sets multiple values of one attribute")
-
-
-def _check_lengths(record_ids: Sequence[str], masks: Sequence[int]) -> None:
-    if len(record_ids) != len(masks):
-        raise ValueError(f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks")
 
 
 class TransactionDatabase(Frozen):
@@ -339,9 +270,10 @@ class TransactionDatabase(Frozen):
 
     The constructor refuses columns of different lengths and any mask outside
     ``[0, 2**n_items)`` (the transpose meets each one), and trusts the rest of
-    its rows: distinct ids and at most one item per non-binary attribute;
-    :meth:`from_columns` checks them. Equality, repr and pickling go by the
-    rows.
+    its rows: distinct ids and at most one item per non-binary attribute,
+    which both of its callers make so (``ingest`` checks the ids and sets one
+    bit per column, and ``corpus`` numbers its rows and sets one item of each
+    attribute). Equality, repr and pickling go by the rows.
     ``excluded_count`` records input rows dropped before the build (e.g.
     unreachable websites); they never enter any count or the size ``m``.
     """
@@ -362,7 +294,10 @@ class TransactionDatabase(Frozen):
             raise ValueError("excluded_count must be non-negative")
         record_ids = tuple(record_ids)
         masks = tuple(masks)
-        _check_lengths(record_ids, masks)
+        if len(record_ids) != len(masks):
+            raise ValueError(
+                f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks"
+            )
         _set(self, "catalog", catalog)
         _set(self, "record_ids", record_ids)
         _set(self, "masks", masks)
@@ -370,41 +305,12 @@ class TransactionDatabase(Frozen):
         _set(self, "vertical_index", _transpose(catalog.n_items, masks))
 
     @classmethod
-    def from_columns(
-        cls, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
-        excluded_count: int = 0,
-    ) -> "TransactionDatabase":
-        """Check an id column and a mask column, and build their database.
-
-        The checks run on whole columns: equal lengths and distinct ids, then
-        the constructor's mask range, then, on the built index, no two items of
-        one non-binary attribute in a transaction. Only when one fails are the
-        rows scanned, to name the first offending record.
-        """
-        _check_lengths(record_ids, masks)
-        exclusive = [
-            catalog.ids_of_attribute(attr.name)
-            for attr in catalog.attributes
-            if attr.kind is not AttributeKind.BINARY
-        ]
-        if len(set(record_ids)) == len(record_ids):
-            try:
-                db = cls(catalog, record_ids, masks, excluded_count)
-            except _MaskOutOfRange:
-                pass
-            else:
-                if not any(_overlapping(db.vertical_index, ids) for ids in exclusive):
-                    return db
-        _raise_first_invalid(catalog.n_items, exclusive, record_ids, masks)
-
-    @classmethod
     def build(
         cls, catalog: ItemCatalog, transactions: Sequence[Transaction], excluded_count: int = 0
     ) -> "TransactionDatabase":
-        """:meth:`from_columns` over rows given as :class:`Transaction` objects."""
-        record_ids = list(map(itemgetter(0), transactions))
-        masks = list(map(itemgetter(1), transactions))
-        return cls.from_columns(catalog, record_ids, masks, excluded_count)
+        """The database of rows given as :class:`Transaction` objects."""
+        return cls(catalog, list(map(itemgetter(0), transactions)),
+                   list(map(itemgetter(1), transactions)), excluded_count)
 
     @property
     def transactions(self) -> tuple[Transaction, ...]:
@@ -440,47 +346,22 @@ class Percent(Frozen):
         return cls(bp, 10_000)
 
 
-class Rule(Frozen):
+class Rule(NamedTuple):
     """An antecedent => consequent implication with its exact counts.
 
     Confidence (joint / antecedent), coverage (antecedent / size, the
     reference files' support column) and support (joint / size) are compared
     and rendered from the counts, so a rule can be re-rendered or
     re-thresholded without touching the database it came from.
+    ``rules.derive_rules`` builds every rule: each side strictly increasing,
+    the sides disjoint, and 0 < joint <= antecedent <= size.
     """
 
-    __slots__ = _fields = ("antecedent", "consequent", "antecedent_count", "joint_count", "db_size")
     antecedent: tuple[int, ...]
     consequent: tuple[int, ...]
     antecedent_count: int
     joint_count: int
     db_size: int
-
-    def __init__(
-        self, antecedent: tuple[int, ...], consequent: tuple[int, ...],
-        antecedent_count: int, joint_count: int, db_size: int,
-    ) -> None:
-        for side in (antecedent, consequent):
-            # strictly increasing: the side is its own items, deduplicated and
-            # sorted; its first item is then its least
-            if sorted(set(side)) != list(side) or (side and side[0] < 0):
-                raise ValueError("rule sides must be strictly increasing item id tuples")
-        if not consequent:
-            raise ValueError("rule consequent must be non-empty")
-        if not set(antecedent).isdisjoint(consequent):
-            raise ValueError("antecedent and consequent must be disjoint")
-        if not 0 <= joint_count <= antecedent_count <= db_size:
-            raise ValueError(
-                f"counts must satisfy 0 <= joint <= antecedent <= size, got "
-                f"{joint_count}/{antecedent_count}/{db_size}"
-            )
-        if antecedent_count == 0:
-            raise ValueError("rules require a non-empty antecedent cover")
-        _set(self, "antecedent", antecedent)
-        _set(self, "consequent", consequent)
-        _set(self, "antecedent_count", antecedent_count)
-        _set(self, "joint_count", joint_count)
-        _set(self, "db_size", db_size)
 
 
 class RuleClass(enum.IntEnum):
@@ -495,27 +376,14 @@ class RuleClass(enum.IntEnum):
         return self.name.lower()
 
 
-class MiningConfig(Frozen):
+class MiningConfig(NamedTuple):
     """Thresholds for deriving demographic => single-facility rules.
 
     The defaults reproduce the study setting: antecedents of at most two
     items, confidence at least 90%, and no support floor beyond requiring the
-    joint itemset to occur at all.
+    joint itemset to occur at all. ``mine`` refuses a count flag below 1.
     """
 
-    __slots__ = _fields = ("min_confidence", "min_support_count", "max_antecedent_size")
-    min_confidence: Percent
-    min_support_count: int
-    max_antecedent_size: int
-
-    def __init__(
-        self, min_confidence: Percent = Percent(90, 100), min_support_count: int = 1,
-        max_antecedent_size: int = 2,
-    ) -> None:
-        if min_support_count < 1:
-            raise ValueError("min_support_count must be at least 1")
-        if max_antecedent_size < 1:
-            raise ValueError("max_antecedent_size must be at least 1")
-        _set(self, "min_confidence", min_confidence)
-        _set(self, "min_support_count", min_support_count)
-        _set(self, "max_antecedent_size", max_antecedent_size)
+    min_confidence: Percent = Percent(90, 100)
+    min_support_count: int = 1
+    max_antecedent_size: int = 2

@@ -32,20 +32,11 @@ class FrequentLevel(NamedTuple):
 
 
 def count_support(db: TransactionDatabase, items: Iterable[int]) -> int:
-    """Number of transactions containing every item of ``items``.
-
-    The empty itemset is contained in every transaction, so its count is the
-    database size.
-    """
-    ids = tuple(items)
-    n = db.catalog.n_items
-    for i in ids:
-        if not 0 <= i < n:
-            raise ValueError(f"item id {i} outside catalog of size {n}")
-    if not ids:
-        return db.size
-    vec = db.vertical_index[ids[0]]
-    for i in ids[1:]:
+    """Number of transactions containing every item of ``items``, catalog
+    item ids. The empty itemset is contained in every transaction, so its
+    count is the database size."""
+    vec = (1 << db.size) - 1
+    for i in items:
         vec &= db.vertical_index[i]
     return vec.bit_count()
 
@@ -120,11 +111,10 @@ def mine_frequent(
     least ``leaf_from`` (necessarily their last) are mined; these are exactly
     the frequent itemsets of that shape. The shape is anti-monotone: every
     subset of such an itemset has it too, so the subset prune stays exact.
+
+    ``min_count`` is at least 1, which ``mine`` makes sure of; at 0 every
+    itemset would be frequent.
     """
-    if db.size == 0:
-        raise ValueError("cannot mine an empty database")
-    if min_count < 1:
-        raise ValueError("min_count must be at least 1")
     index = db.vertical_index
     singles = []
     for i, vec in enumerate(index):

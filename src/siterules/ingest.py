@@ -372,16 +372,16 @@ def _read_rows(
         raise DataError("missing header row")
     if not header or header[0] != "record_id":
         raise DataError("row 1: first column must be 'record_id'")
-    declared = {a.name for a in catalog.attributes}
+    declared = {a.name: a for a in catalog.attributes}
     for col in header[1:]:
         if col not in declared:
             raise DataError(f"row 1: unknown column {_shown(col)}")
-    missing = declared - set(header[1:])
+    missing = declared.keys() - set(header[1:])
     if missing:
         raise DataError(f"row 1: missing columns: {', '.join(map(_shown, sorted(missing)))}")
     if len(header) != len(declared) + 1:
         raise DataError("row 1: duplicate columns in header")
-    attr_by_col = [catalog.attribute(col) for col in header[1:]]
+    attr_by_col = [declared[col] for col in header[1:]]
     facility_cols = [k for k, a in enumerate(attr_by_col) if a.kind is AttributeKind.BINARY]
     tables: list[dict[str, int]] = [{} for _ in attr_by_col]
     lookup = dict.__getitem__

@@ -26,9 +26,7 @@ def percent_bp(numerator: int, denominator: int, mode: FormatMode = "truncate") 
     scaled = 10_000 * numerator
     if mode == "truncate":
         return scaled // denominator
-    if mode == "round":
-        return (2 * scaled + denominator) // (2 * denominator)
-    raise ValueError(f"unknown format mode {mode!r}")
+    return (2 * scaled + denominator) // (2 * denominator)
 
 
 def format_percent(numerator: int, denominator: int, mode: FormatMode = "truncate") -> str:
@@ -66,10 +64,9 @@ def stats_table(
     count(g)); the overall column's group is the whole database. A group
     with no members yields ``None``, which renders as an empty cell.
     ``aggregates`` adds merged columns (label, item ids) whose members are
-    the union of the listed items' transactions.
+    the union of the listed items' transactions. The database is non-empty:
+    ``stats`` refuses an empty one.
     """
-    if db.size == 0:
-        raise ValueError("cannot tabulate an empty database")
     catalog = db.catalog
     columns = [GroupColumn("total", ())]
     columns += [
@@ -182,8 +179,6 @@ def render_rules(
     if fmt == "csv":
         lines = [",".join(RULES_HEADER)] + [",".join(row) for row in rows]
         return "\n".join(lines) + "\n"
-    if fmt != "text":
-        raise ValueError(f"unknown rule format {fmt!r}")
     widths = [
         max([len(RULES_HEADER[c])] + [len(row[c]) for row in rows])
         for c in range(len(RULES_HEADER))

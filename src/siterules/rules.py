@@ -28,16 +28,12 @@ def derive_rules(
     is bounded at the first facility id: only all-demographic itemsets (the
     antecedents) and those with one facility item, last (the joint itemsets),
     are counted.
+
+    The database is non-empty and its catalog holds items of both classes:
+    ``mine`` refuses any other input before it mines.
     """
-    if db.size == 0:
-        raise ValueError("cannot derive rules from an empty database")
     catalog = db.catalog
-    if not catalog.ids_of_class(ItemClass.DEMOGRAPHIC):
-        raise ValueError("catalog has no demographic items")
-    facility_ids = catalog.ids_of_class(ItemClass.FACILITY)
-    if not facility_ids:
-        raise ValueError("catalog has no facility items")
-    first_facility = facility_ids[0]
+    first_facility = catalog.ids_of_class(ItemClass.FACILITY)[0]
 
     # a transaction holds at most one item of each demographic attribute, so
     # no antecedent is longer than the number of those attributes

@@ -130,10 +130,9 @@ def validate_rows_against_golden(
     consequent; the match is clean when the row's two-decimal confidence and
     coverage sit within ``tolerance_pp`` percentage points of the published
     figures. Surplus mined rules are listed, never failed: the reference
-    list only covers what its authors printed.
+    list only covers what its authors printed. ``tolerance_pp`` is
+    non-negative: ``--tolerance`` refuses a negative one.
     """
-    if tolerance_pp < 0:
-        raise ValueError("tolerance must be non-negative")
     # a delta of d basis points is d/100 pp, so d/100 > n/q reads d*q > n*100
     scale, limit = tolerance_pp.denominator, tolerance_pp.numerator * 100
     by_key = {row.key: row for row in rows}

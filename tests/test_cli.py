@@ -797,10 +797,14 @@ _DATA = "record_id,age,door\nr1,5,Y\n"
             _SCHEMA, _DATA, ["--max-antecedent", "0"],
             "siterules mine: error: argument --max-antecedent: must be a positive integer",
         ),
+        (
+            _SCHEMA, _DATA, ["--min-support-count", "0"],
+            "siterules mine: error: argument --min-support-count: must be a positive integer",
+        ),
     ],
     ids=[
         "values", "bins", "empty-value", "duplicate-column", "no-facility", "no-demographic",
-        "empty-data", "max-antecedent",
+        "empty-data", "max-antecedent", "min-support-count",
     ],
 )
 def test_mine_refusal_says_what_is_wrong(tmp_path, capsys, schema, data, flags, says):
@@ -814,6 +818,16 @@ def test_mine_refusal_says_what_is_wrong(tmp_path, capsys, schema, data, flags, 
         code = exc.code
     assert code == 2
     assert capsys.readouterr().err.splitlines()[-1] == says.format(**paths)
+
+
+def test_mine_refuses_an_unknown_format(capsys):
+    # argparse's choices are the only formats render_rules is asked for
+    with pytest.raises(SystemExit) as exc:
+        main(["mine", "--schema", "s.txt", "--data", "d.csv", "--format", "xml"])
+    assert exc.value.code == 2
+    assert "siterules mine: error: argument --format: invalid choice: 'xml'" in (
+        capsys.readouterr().err
+    )
 
 
 def test_stats_refuses_a_schema_with_no_facility_items(tmp_path, capsys):

@@ -55,7 +55,8 @@ class TestParseSchema:
     def test_facility_sugar(self, small_schema):
         catalog = small_schema.catalog
         assert catalog.item_id("about_us", "yes") == 6
-        assert catalog.attribute("about_us").description == "About Us page"
+        (about_us,) = [a for a in catalog.attributes if a.name == "about_us"]
+        assert about_us.description == "About Us page"
 
     def test_demographics_precede_facilities(self, small_schema):
         classes = [it.item_class for it in small_schema.catalog.items]
@@ -375,7 +376,8 @@ def reference_rows(schema, text):
     records = csv_rows(text, DataError)
     header = next(records, None)
     _read_rows(catalog, header, iter(()), list)
-    attrs = [catalog.attribute(col) for col in header[1:]]
+    by_name = {attr.name: attr for attr in catalog.attributes}
+    attrs = [by_name[col] for col in header[1:]]
     facility = [k for k, attr in enumerate(attrs) if attr.kind is AttributeKind.BINARY]
     record_ids, masks, seen, excluded = [], [], set(), 0
     for rowno, row in enumerate(records, start=2):

@@ -7,7 +7,8 @@ edit, the command must end in exit 0, 1 or 2 with no traceback; an exit 2
 must say what went wrong on one line; and what ``mine`` writes must read
 back through ``validate``'s reader. A digit from another script in a number,
 an ideographic space around a rule-file percentage, or a rule that the
-demographic => facility template cannot produce, must be rejected.
+demographic => facility template cannot produce, must be rejected. Each
+refusal of an input file is pinned by its whole message.
 
 Two properties hold the fast paths to the plain ones they replace: ``main``
 against a parse through the full ``build_parser()`` tree, and the rule-list
@@ -383,6 +384,135 @@ def test_a_long_tolerance_is_echoed_by_its_start(work, raw, says):
     assert code == 2
     assert err.splitlines()[-1].endswith(f"{says}: {raw[:20]!r}... (400 characters)")
     assert len(err.encode()) < 1024
+
+
+INDUSTRY = "attribute industry categorical antecedent values: products, services"
+
+
+def declare(line):
+    """The study schema with its industry line (line 5) replaced by ``line``."""
+    return lambda t: set_text(t, 5, INDUSTRY, line)
+
+
+def set_header(old, new):
+    return lambda t: set_text(t, 1, old, new)
+
+
+# (input edited, its edit, the whole error line after "error: PATH: ") for
+# each refusal of an input file: the library builds its attributes, rows and
+# rules from what these readers pass, and checks none of it again
+REFUSALS = {
+    # a schema
+    "no-attributes": ("schema", lambda t: "# nothing declared\n", "no attributes declared"),
+    "attribute-syntax": ("schema", declare("attribute industry"),
+                         "line 5: malformed attribute declaration"),
+    "attribute-kind": ("schema", declare("attribute industry weird antecedent values: a"),
+                       "line 5: unknown attribute kind 'weird'"),
+    "categorical-consequent": (
+        "schema", declare("attribute industry categorical consequent values: a"),
+        "line 5: consequents are declared with 'facility'",
+    ),
+    "class-keyword": ("schema", declare("attribute industry categorical sideways values: a"),
+                      "line 5: unknown class keyword 'sideways'"),
+    "malformed-bin": ("schema", declare("attribute industry numeric antecedent bins: x"),
+                      "line 5: malformed bin 'x'"),
+    "empty-bin": ("schema", declare("attribute industry numeric antecedent bins: 10-5=a"),
+                  "line 5: bin '10-5=a' is empty"),
+    "overlapping-bins": (
+        "schema", declare("attribute industry numeric antecedent bins: 0-10=a, 5-20=b"),
+        "line 5: bins must be ordered and non-overlapping",
+    ),
+    "attribute-name": ("schema", declare("attribute a=b categorical antecedent values: x"),
+                       "line 5: attribute name 'a=b' contains '='"),
+    "value-with-AND": ("schema", declare("attribute industry categorical antecedent values: a AND b"),
+                       "line 5: value 'a AND b' contains ' AND '"),
+    "repeated-values": ("schema", declare("attribute industry categorical antecedent values: a, a"),
+                        "line 5: attribute 'industry' has duplicate values"),
+    "repeated-bin-labels": (
+        "schema", declare("attribute industry numeric antecedent bins: 0-10=a, 11-=a"),
+        "line 5: attribute 'industry' has duplicate values",
+    ),
+    "facility-attribute": ("schema", declare("attribute facility categorical antecedent values: a"),
+                           "line 5: 'facility' labels facility items; rename the attribute"),
+    "repeated-attribute": ("schema", declare("attribute age categorical antecedent values: a"),
+                           "line 5: duplicate attribute 'age'"),
+    "facility-syntax": ("schema", declare("facility industry"),
+                        "line 5: malformed facility declaration"),
+    "declaration": ("schema", declare("thing industry"), "line 5: unrecognized declaration 'thing'"),
+    # a transaction CSV
+    "no-header": ("data", lambda t: "", "missing header row"),
+    "first-column": ("data", set_header("record_id", "id"), "row 1: first column must be 'record_id'"),
+    "unknown-column": ("data", set_header("industry", "bogus"), "row 1: unknown column 'bogus'"),
+    "missing-column": ("data", set_header(",personnel_login", ""),
+                       "row 1: missing columns: 'personnel_login'"),
+    "repeated-record_id": ("data", lambda t: set_cells(t, "record_id", "C001", rows=(3,)),
+                           "row 3: duplicate record_id 'C001'"),
+    "cell-count": ("data", lambda t: set_cells(t, "personnel_login", "Y,Y"),
+                   "row 2: expected 24 cells, got 25"),
+    "empty-record_id": ("data", lambda t: set_cells(t, "record_id", ""), "row 2: empty record_id"),
+    "padded-record_id": (
+        "data", lambda t: set_cells(t, "record_id", "\u00a0C001"),
+        "row 2: record_id '\\xa0C001' has padding other than ASCII whitespace",
+    ),
+    "value": ("data", lambda t: set_cells(t, "ownership", "nowhere"),
+              "row 2, column 'ownership': value 'nowhere' not in schema"),
+    "empty-value": ("data", lambda t: set_cells(t, "ownership", ""),
+                    "row 2: empty value for attribute 'ownership'"),
+    "integer": ("data", lambda t: set_cells(t, "age", "abc"),
+                "row 2, column 'age': invalid integer 'abc'"),
+    "integer-in-no-bin": ("data", lambda t: set_cells(t, "age", "-5"),
+                          "row 2, column 'age': value '-5' falls in no bin"),
+    "yes/no-token": ("data", lambda t: set_cells(t, "load_time", "maybe"),
+                     "row 2, column 'load_time': unrecognized yes/no token 'maybe'"),
+    "partial-facility-row": ("data", lambda t: set_cells(t, "load_time", ""),
+                             "row 2: facility cells must be all present or all empty"),
+    # the reference rules
+    "golden-header": (
+        "golden", lambda t: set_text(t, 1, "support_pct", "support"),
+        "expected header rule_id,antecedent,consequent,confidence_pct,support_pct",
+    ),
+    "rule_id": ("golden", lambda t: set_cells(t, "rule_id", "x"), "row 2: invalid integer 'x'"),
+    "item": ("golden", lambda t: set_cells(t, "antecedent", "age"), "row 2: malformed item 'age'"),
+    "repeated-item": ("golden", lambda t: set_cells(t, "antecedent", "age=below10 AND age=below10"),
+                      "row 2: malformed antecedent (repeated item)"),
+    "facility-antecedent": ("golden", lambda t: set_cells(t, "antecedent", "facility=about_us"),
+                            "row 2: facility item in the antecedent"),
+    "repeated-antecedent-attribute": (
+        "golden", lambda t: set_cells(t, "antecedent", "age=below10 AND age=above30"),
+        "row 2: antecedent repeats an attribute",
+    ),
+    "demographic-consequent": ("golden", lambda t: set_cells(t, "consequent", "age=below10"),
+                               "row 2: consequent 'age=below10' is not a facility item"),
+    "confidence-below-90": ("golden", lambda t: set_cells(t, "confidence_pct", "80.00"),
+                            "row 2: confidence below 90"),
+    "confidence-above-100": ("golden", lambda t: set_cells(t, "confidence_pct", "150.00"),
+                             "row 2: confidence above 100"),
+    "zero-support": ("golden", lambda t: set_cells(t, "support_pct", "0.00"),
+                     "row 2: support out of range"),
+    "golden-cell-count": ("golden", lambda t: set_cells(t, "support_pct", "12.08,extra"),
+                          "row 2: expected 5 cells"),
+    # the rules mine writes
+    "coverage-above-100": ("mined", lambda t: set_cells(t, "coverage_pct", "150.00"),
+                           "row 2: coverage above 100"),
+    "support-above-coverage": ("mined", lambda t: set_cells(t, "support_pct", "50.00"),
+                               "row 2: support above coverage"),
+    "class": ("mined", lambda t: set_cells(t, "class", "bogus"), "row 2: unknown class 'bogus'"),
+    "class-mismatch": (
+        "mined", lambda t: set_cells(t, "class", "should_have"),
+        "row 2: class 'should_have' does not match confidence 100.00 (must_have)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_an_input_refusal_names_its_file_and_fault(work, case):
+    directory, texts = work
+    name, edit, says = REFUSALS[case]
+    edited = edit(texts[name])
+    assert edited != texts[name]
+    code, out, err = run_on(directory, {**texts, name: edited}, READERS[name][0])
+    assert (code, out) == (2, "")
+    assert err == f"error: {directory / f'{name}.txt'}: {says}\n"
 
 
 def full_tree_main(argv):

@@ -107,10 +107,6 @@ class TestValidation:
         assert report.metric_mismatches == tuple(expected)
         assert len(report.matched) == len(golden) and report.ok == (not expected)
 
-    def test_negative_tolerance_rejected(self, golden):
-        with pytest.raises(ValueError):
-            validate_rows_against_golden([], golden, Fraction(-1))
-
     def test_rows_roundtrip_through_rendered_csv(self, catalog, mined_classified, golden):
         doc = render_rules(catalog, mined_classified)
         rows = parse_rules_csv(doc)
