@@ -475,7 +475,12 @@ def _facility_mandatory(
     demographic cell's items. ``pinned`` maps the cell indices of each
     demographic constraint to its target; every rule's antecedent group must
     be one of them, at the size its published support implies, so the set
-    holds under every demographic table."""
+    holds under every demographic table. A pinned group other than the whole
+    table is the cells of one demographic item or pair, and each study
+    attribute has two values or more, so no other antecedent has those
+    cells: two rules of one facility with one group would be one rule
+    twice, which the reference reader refuses, and no group gets two
+    targets."""
     by_cells: dict[tuple[int, ...], int] = {
         tuple(range(len(cell_sets))): counts.facility_counts[facility]["total"]
     }
@@ -492,8 +497,7 @@ def _facility_mandatory(
             raise InfeasibleFixtureError(
                 f"rule {g.rule_id}: confidence implies non-integer joint count"
             )
-        if by_cells.setdefault(idxs, joint) != joint:
-            raise InfeasibleFixtureError(f"rule {g.rule_id}: conflicting joint targets")
+        by_cells[idxs] = joint
     return list(by_cells.items())
 
 

@@ -36,6 +36,7 @@ import csv
 import functools
 import io
 import itertools
+import operator
 import re
 from typing import Any, Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
@@ -364,9 +365,12 @@ def _read_rows(
     no other padding. Within that check each column keeps a table from raw
     cell to item bit, filled by :func:`_cell_bit` the first time a cell is
     seen; empty cells never enter a table, so a row holding one takes the
-    checked path. Record ids, those of excluded rows included, are hashed
-    once as a whole column; only when that finds a repeat, or a row is
-    rejected, are they scanned in order, so the first failing row is named.
+    checked path. Record ids, those of excluded rows included, are first
+    compared in one ordered pass: ids that strictly ascend repeat none.
+    Only ids that do not ascend are hashed as a whole column, and only when
+    that finds a repeat, or a row is rejected, are they scanned in order, so
+    the first failing row is named. Excluded rows are counted and filtered
+    out only when the checked path met an excluded tail.
     """
     if header is None:
         raise DataError("missing header row")
@@ -413,6 +417,7 @@ def _read_rows(
     record_ids: list[str] = []
     masks: list[Optional[int]] = []
     append_id, append_mask = record_ids.append, masks.append
+    any_excluded = False
     try:
         for raw_id, sep, tail in rows:
             members = memo.get(tail, _UNSEEN)
@@ -442,12 +447,15 @@ def _read_rows(
                 # is never kept: such a line must reach the cell count check
                 if tail:
                     memo[tail] = members
+                # a memo hit gives None only for a tail first met here
+                any_excluded |= members is None
             append_mask(members)
     except DataError as exc:
         raise _duplicate_id(record_ids) or exc from None
-    if len(set(record_ids)) != len(record_ids):
+    ascending = all(map(operator.lt, record_ids, itertools.islice(record_ids, 1, None)))
+    if not ascending and len(set(record_ids)) != len(record_ids):
         raise _duplicate_id(record_ids) from None
-    excluded = masks.count(None)
+    excluded = masks.count(None) if any_excluded else 0
     if excluded:
         record_ids = [rid for rid, mask in zip(record_ids, masks) if mask is not None]
         masks = [mask for mask in masks if mask is not None]

@@ -69,6 +69,40 @@ class TestFixtureCommand:
         assert capsys.readouterr().err == "error: no database meets the constraints\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "added, about_us_total, message",
+        [
+            # 13.18% of 91 sites is 12, one more than the 11 aged below 10
+            (["69,age=below10 AND industry=products,facility=site_map,100.00,13.18"], None,
+             "pair count 12 exceeds its marginal ('age', 'below10')"),
+            # 1.09% is one site each, but 11 sites are aged below 10
+            (["69,age=below10 AND industry=products,facility=site_map,100.00,1.09",
+              "70,age=below10 AND industry=services,facility=site_map,100.00,1.09"], None,
+             "pairwise counts for ('age', 'below10') sum to 2, expected 11"),
+            # 25 private sites aged 11-29 and 20 governmental ones, of 35
+            (["69,age=11-29 AND ownership=private,facility=site_map,100.00,27.47"], None,
+             "pairwise counts for ('age', '11-29') overshoot 35"),
+            (["69,age=below10,facility=bogus,100.00,12.08"], None,
+             "reference rules name unknown facilities: ['bogus']"),
+            # 7.69% is 7 sites with about_us, but rule 21 puts 48 among the
+            # 49 governmental ones, whatever the table
+            ([], 769, "no demographic table admits the mandatory constraints"),
+        ],
+    )
+    def test_an_edited_figure_is_refused(
+        self, tmp_path, capsys, monkeypatch, added, about_us_total, message
+    ):
+        import siterules.corpus as corpus
+
+        text = corpus.golden_text() + "".join(rule + "\n" for rule in added)
+        monkeypatch.setattr(corpus, "golden_text", lambda: text)
+        if about_us_total is not None:
+            row = corpus._FREQUENCY_BP["about_us"]
+            monkeypatch.setitem(corpus._FREQUENCY_BP, "about_us", (about_us_total, *row[1:]))
+        assert main(["fixture", "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_each_packaged_file_is_parsed_once(self, tmp_path, monkeypatch):
         # every module that imported a parser by name gets the counting wrapper
         import siterules.cli as cli

@@ -240,11 +240,15 @@ class TestParseTransactions:
             (["c1,private,5,Y,N", "c2,communal,x,Y,N"],
              "row 3, column 'ownership': value 'communal' not in schema"),
             (["c1,private,5,Y,N", "c2,private,x,Y,"], "row 3: facility cells must be all present or all empty"),
+            # an excluded row's id is in the id column, ascending or not
+            (["c1,private,5,Y,N", "c2,private,5,Y,N", "c1,,,,"], "row 4: duplicate record_id 'c1'"),
+            (["c1,private,5,Y,N", "c2,,,,", "c2,private,5,Y,N"], "row 4: duplicate record_id 'c2'"),
         ],
     )
     def test_first_failing_row_is_named(self, small_schema, rows, message):
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             parse_transactions(small_schema, rows_to_csv(rows))
+        assert outcome(lambda: reference_rows(small_schema, rows_to_csv(rows))) == message
 
     def test_quoted_newline_kept_in_record_id(self, small_schema):
         text = rows_to_csv(['"a\nb",private,5,Y,N', "ab,private,6,Y,N"])
@@ -440,8 +444,12 @@ def row_texts(draw):
     facility cells empty; some are rejected cells, lines short or long by a
     cell, blank lines or a soup of those characters. Lines end in ``\\n``,
     ``\\r\\n`` or ``\\r``, the last one possibly in nothing. About half the
-    texts draw no quote, NUL or bare ``\\r``, so both row sources read them."""
+    texts draw no quote, NUL or bare ``\\r``, so both row sources read them,
+    and about half draw zero-padded ascending ids, now and then one repeated,
+    so the ordered id check passes as well as fails."""
     plain = draw(st.booleans())
+    ascending = draw(st.booleans())
+    next_id = 0
 
     def allowed(options):
         return [o for o in options if not plain or not set(o) & set('"\0\r')]
@@ -458,7 +466,13 @@ def row_texts(draw):
             lines.append("".join(draw(st.lists(st.sampled_from(allowed(SOUP))))))
         else:
             odd = draw(st.integers(0, 9)) == 0
-            record_id = pick(ODD_IDS) if odd else f"c{draw(st.integers(0, 30))}"
+            if odd:
+                record_id = pick(ODD_IDS)
+            elif ascending:
+                next_id += draw(st.sampled_from([0, 1, 1, 1, 1, 1, 2, 3]))
+                record_id = f"c{next_id:02d}"
+            else:
+                record_id = f"c{draw(st.integers(0, 30))}"
             cells = [record_id] + [
                 pick(bad) if draw(st.integers(0, 29)) == 0 else pick(good) for good, bad in COLUMN_CELLS
             ]
@@ -475,6 +489,46 @@ def row_texts(draw):
 class TestRowSources:
     """The plain route (split lines) and the ``csv.reader`` route must give
     the same columns or the same error, and both the oracle's."""
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            # ascending but for one repeat: the ordered pass fails, the set names it
+            (["c01", "c01", "c02", "c03"], "row 3: duplicate record_id 'c01'"),
+            (["c01", "c02", "c03", "c02", "c04", "c05"], "row 5: duplicate record_id 'c02'"),
+            (["c01", "c02", "c03", "c04", "c01"], "row 6: duplicate record_id 'c01'"),
+            (["c01", "c02", "c03", "c03", "c04"], "row 5: duplicate record_id 'c03'"),
+            (["c01", "c02", "c03", "c04", "c04"], "row 6: duplicate record_id 'c04'"),
+            # distinct ids that do not ascend go through the set and pass
+            (["c05", "c04", "c03", "c02", "c01"], None),
+            (["c01", "c03", "c02", "c04"], None),
+            (["c10", "c09", "c10"], "row 4: duplicate record_id 'c10'"),
+            # ascending as strings, not as numbers
+            (["c1", "c10", "c2"], None),
+            (["c01"], None),
+            ([], None),
+        ],
+    )
+    def test_ordered_and_unordered_ids_match_the_oracle(self, ids, message):
+        schema = parse_schema(SMALL_SCHEMA)
+        text = rows_to_csv([f"{record_id},private,5,Y,N" for record_id in ids])
+        expected = outcome(lambda: reference_rows(schema, text))
+        if message is None:
+            assert expected[0] == ids
+        else:
+            assert expected == message
+        assert outcome(lambda: parse_transactions(schema, text)) == expected
+        assert outcome(lambda: _parse_csv(schema.catalog, text)) == expected
+
+    def test_an_excluded_tail_first_met_late_is_counted_through_the_memo(self):
+        schema = parse_schema(SMALL_SCHEMA)
+        rows = [f"c{k:02d},private,5,Y,N" for k in range(1, 6)]
+        rows += ["c06,,,,", "c07,private,5,Y,N", "c08,,,,", "c09,,,,"]
+        text = rows_to_csv(rows)
+        expected = outcome(lambda: reference_rows(schema, text))
+        assert expected[0] == ["c01", "c02", "c03", "c04", "c05", "c07"] and expected[2] == 3
+        assert outcome(lambda: parse_transactions(schema, text)) == expected
+        assert outcome(lambda: _parse_csv(schema.catalog, text)) == expected
 
     @given(row_texts())
     @example(HEADER + "\nc1,private,5,Y,N\n\nc2,private,5,Y,N\n")  # blank line in the middle

@@ -42,7 +42,7 @@ NO_DEFS = {"__init__", "__main__"}
 # why no command runs the statements of a group
 _FIGURES = (
     "a check of the packaged figures: only an edit of them fails it, and no "
-    "command-line input edits them (test_corpus edits some)"
+    "command-line input edits them (test_corpus and test_cli edit some)"
 )
 _PLAN_FAILS = "only an edited figure leaves a plan with no solution (test_corpus)"
 _SELF_CHECK = "a check that the built fixture keeps a count it was built to meet"
@@ -82,8 +82,6 @@ ALLOWED = {
     ("corpus._facility_mandatory",
      'raise InfeasibleFixtureError( f"rule {g.rule_id}: confidence implies non-integer joint '
      'count" )'): _FIGURES,
-    ("corpus._facility_mandatory",
-     'raise InfeasibleFixtureError(f"rule {g.rule_id}: conflicting joint targets")'): _FIGURES,
     ("corpus.build_fixture",
      'raise InfeasibleFixtureError(f"reference rules name unknown facilities: '
      '{sorted(unknown)}")'): _FIGURES,
