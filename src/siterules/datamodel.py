@@ -1,14 +1,15 @@
 """Core domain types: items, catalogs, transactions, databases, rules.
 
-Every type here is immutable after construction. Plain records are bare
-``NamedTuple`` classes, which compare and hash as tuples; the types that
-validate or compute fields are slotted :class:`Frozen` classes. A database
-keeps its rows as an id column and a bitmask column, and its constructor is
-the one way to build it; ``Transaction`` is only the row input type of
-``TransactionDatabase.build``. A rule keeps its metrics as integer counts,
-and every threshold and tie compares those counts by cross-multiplication,
-so no decision touches floating point; a ``Percent`` is only the checked
-pair of counts that holds the mining confidence floor.
+Records are bare ``NamedTuple`` classes, which compare, hash and pickle as
+the tuple of their fields. The two types that derive fields from their
+arguments, :class:`ItemCatalog` and :class:`TransactionDatabase`, are plain
+slotted classes: they compare by identity, and they pickle by their slots.
+A database keeps its rows as an id column and a bitmask column, and its
+constructor is the one way to build it; ``Transaction`` is only the row
+input type of ``TransactionDatabase.build``. A rule keeps its metrics as
+integer counts, and every threshold and tie compares those counts by
+cross-multiplication, so no decision touches floating point; a ``Percent``
+is only the pair of counts that holds the mining confidence floor.
 """
 
 from __future__ import annotations
@@ -19,50 +20,11 @@ from array import array
 from operator import itemgetter
 from typing import NamedTuple, Optional, Sequence
 
-_set = object.__setattr__
-
 
 def _shown(raw: str) -> str:
     """An input value as an error message echoes it: whole if short, else
     its start and length."""
     return repr(raw) if len(raw) <= 40 else f"{raw[:20]!r}... ({len(raw)} characters)"
-
-
-class Frozen:
-    """Base of the slotted value types that validate or compute fields.
-
-    A subclass sets its slots in ``__init__`` with ``object.__setattr__``;
-    afterwards assigning or deleting an attribute raises ``AttributeError``.
-    Repr, equality, hashing and pickling go by the constructor fields named
-    in ``_fields``, in order, as a frozen dataclass's do.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __reduce__(self):
-        return (type(self), self._values())
 
 
 class ItemClass(enum.Enum):
@@ -86,39 +48,21 @@ class NumericBin(NamedTuple):
     label: str
 
 
-class AttributeDef(Frozen):
+class AttributeDef(NamedTuple):
     """A declared attribute; expands to one item per value (or bin label).
 
-    ``ingest.parse_schema`` builds every attribute a command reads, and its
-    grammar gives each one a name, at least one value, the bins of a numeric
-    attribute as its values, and the single value "yes" of a binary facility.
-    The constructor refuses what that grammar lets through: a repeated value,
-    and a demographic attribute named "facility".
+    ``ingest.parse_schema`` builds every attribute a command reads: each has
+    a name, distinct values (the bin labels of a numeric attribute, the
+    single value "yes" of a binary facility), and a demographic one is not
+    named "facility".
     """
 
-    __slots__ = _fields = ("name", "kind", "item_class", "values", "bins", "description")
     name: str
     kind: AttributeKind
     item_class: ItemClass
     values: tuple[str, ...]
-    bins: tuple[NumericBin, ...]
-    description: str
-
-    def __init__(
-        self, name: str, kind: AttributeKind, item_class: ItemClass, values: tuple[str, ...],
-        bins: tuple[NumericBin, ...] = (), description: str = "",
-    ) -> None:
-        if len(set(values)) != len(values):
-            raise ValueError(f"attribute {_shown(name)} has duplicate values")
-        if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
-            # item_pair writes every facility item as ("facility", name)
-            raise ValueError("'facility' labels facility items; rename the attribute")
-        _set(self, "name", name)
-        _set(self, "kind", kind)
-        _set(self, "item_class", item_class)
-        _set(self, "values", values)
-        _set(self, "bins", bins)
-        _set(self, "description", description)
+    bins: tuple[NumericBin, ...] = ()
+    description: str = ""
 
 
 class ItemDef(NamedTuple):
@@ -127,20 +71,15 @@ class ItemDef(NamedTuple):
     item_class: ItemClass
 
 
-class ItemCatalog(Frozen):
+class ItemCatalog:
     """The fixed item universe.
 
     Items are laid out demographic-first: every demographic attribute's items
     (in declaration order), then every facility attribute's items. An item's
-    id is its position in that layout and never changes. Catalogs compare by
-    their attributes and are not hashable.
+    id is its position in that layout and never changes.
     """
 
     __slots__ = ("attributes", "items", "_index")
-    _fields = ("attributes",)
-    __hash__ = None
-    attributes: tuple[AttributeDef, ...]
-    items: tuple[ItemDef, ...]
 
     def __init__(self, attributes: tuple[AttributeDef, ...]) -> None:
         # ingest.parse_schema refuses a repeated attribute name
@@ -149,10 +88,9 @@ class ItemCatalog(Frozen):
             for attr in attributes:
                 if attr.item_class is wanted:
                     items.extend(ItemDef(attr.name, v, wanted) for v in attr.values)
-        index = {(it.attribute, it.value): iid for iid, it in enumerate(items)}
-        _set(self, "attributes", attributes)
-        _set(self, "items", tuple(items))
-        _set(self, "_index", index)
+        self.attributes = attributes
+        self.items = tuple(items)
+        self._index = {(it.attribute, it.value): iid for iid, it in enumerate(items)}
 
     @property
     def n_items(self) -> int:
@@ -264,8 +202,8 @@ def _transpose(n_items: int, masks: Sequence[int]) -> tuple[int, ...]:
     return vectors[:n_items]
 
 
-class TransactionDatabase(Frozen):
-    """An immutable transaction set (``record_ids[j]`` with bitmask ``masks[j]``)
+class TransactionDatabase:
+    """A transaction set (``record_ids[j]`` with bitmask ``masks[j]``)
     plus the per-item vertical index that the constructor derives from it.
 
     The constructor refuses columns of different lengths and any mask outside
@@ -273,18 +211,12 @@ class TransactionDatabase(Frozen):
     its rows: distinct ids and at most one item per non-binary attribute,
     which both of its callers make so (``ingest`` checks the ids and sets one
     bit per column, and ``corpus`` numbers its rows and sets one item of each
-    attribute). Equality, repr and pickling go by the rows.
-    ``excluded_count`` records input rows dropped before the build (e.g.
-    unreachable websites); they never enter any count or the size ``m``.
+    attribute). ``excluded_count`` records input rows dropped before the
+    build (e.g. unreachable websites); they never enter any count or the
+    size ``m``. The constructor sets every field, and nothing assigns one later.
     """
 
     __slots__ = ("catalog", "record_ids", "masks", "excluded_count", "vertical_index")
-    _fields = ("catalog", "record_ids", "masks", "excluded_count")
-    catalog: ItemCatalog
-    record_ids: tuple[str, ...]
-    masks: tuple[int, ...]
-    excluded_count: int
-    vertical_index: tuple[int, ...]
 
     def __init__(
         self, catalog: ItemCatalog, record_ids: Sequence[str], masks: Sequence[int],
@@ -298,11 +230,11 @@ class TransactionDatabase(Frozen):
             raise ValueError(
                 f"column lengths differ: {len(record_ids)} record ids, {len(masks)} masks"
             )
-        _set(self, "catalog", catalog)
-        _set(self, "record_ids", record_ids)
-        _set(self, "masks", masks)
-        _set(self, "excluded_count", excluded_count)
-        _set(self, "vertical_index", _transpose(catalog.n_items, masks))
+        self.catalog = catalog
+        self.record_ids = record_ids
+        self.masks = masks
+        self.excluded_count = excluded_count
+        self.vertical_index = _transpose(catalog.n_items, masks)
 
     @classmethod
     def build(
@@ -322,23 +254,15 @@ class TransactionDatabase(Frozen):
         return len(self.record_ids)
 
 
-class Percent(Frozen):
-    """A ratio of counts in [0, 1], as its numerator and denominator; it
-    compares field-wise, like every ``Frozen`` value."""
+class Percent(NamedTuple):
+    """A ratio of counts in [0, 1], as its numerator and denominator.
 
-    __slots__ = _fields = ("numerator", "denominator")
+    ``cli`` builds one from ``--min-conf``, which reads no sign and refuses
+    a confidence above 100.
+    """
+
     numerator: int
     denominator: int
-
-    def __init__(self, numerator: int, denominator: int) -> None:
-        if denominator <= 0:
-            raise ValueError("denominator must be positive")
-        if not 0 <= numerator <= denominator:
-            raise ValueError(
-                f"numerator must lie in [0, denominator], got {numerator}/{denominator}"
-            )
-        _set(self, "numerator", numerator)
-        _set(self, "denominator", denominator)
 
     @classmethod
     def from_basis_points(cls, bp: int) -> "Percent":

@@ -164,14 +164,17 @@ def parse_schema(text: str) -> Schema:
         for value in values:
             if " AND " in value + " ":  # a trailing " AND" joins into " AND AND "
                 raise SchemaError(f"line {lineno}: value {_shown(value)} contains ' AND '")
-        try:
-            attr = AttributeDef(name, kind, item_class, values, bins, description)
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from None
-        if attr.name in seen:
-            raise SchemaError(f"line {lineno}: duplicate attribute {_shown(attr.name)}")
-        seen.add(attr.name)
-        attributes.append(attr)
+        if len(set(values)) != len(values):
+            raise SchemaError(f"line {lineno}: attribute {_shown(name)} has duplicate values")
+        if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
+            # item_pair writes every facility item as ("facility", name)
+            raise SchemaError(
+                f"line {lineno}: 'facility' labels facility items; rename the attribute"
+            )
+        if name in seen:
+            raise SchemaError(f"line {lineno}: duplicate attribute {_shown(name)}")
+        seen.add(name)
+        attributes.append(AttributeDef(name, kind, item_class, values, bins, description))
     if not attributes:
         raise SchemaError("no attributes declared")
     return Schema(ItemCatalog(tuple(attributes)))
@@ -485,10 +488,9 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
 
     Numeric cells are written as a representative integer of the transaction's
     bin, so re-parsing reproduces the same membership bits. Excluded rows are
-    regenerated as all-empty rows named ``__excluded_k`` (skipping any name
-    already used as a record id) to preserve the excluded count. Each cell is
-    one lookup of the mask's bits in its column's table; a mask that sets two
-    items of one attribute, which the database never holds, has no entry.
+    counted by the parser and are not rendered. Each cell is one lookup of
+    the mask's bits in its column's table; a mask that sets two items of one
+    attribute, which the database never holds, has no entry.
     """
     catalog = db.catalog
     header = ["record_id"] + [a.name for a in catalog.attributes]
@@ -502,11 +504,6 @@ def render_transactions_csv(db: TransactionDatabase) -> str:
     for record_id, mask in zip(db.record_ids, db.masks):
         cells = [record_id, *[table[mask & bits] for bits, table in columns]]
         (quote_all if "\r" in record_id else writer).writerow(cells)
-    taken = set(db.record_ids)
-    names = (f"__excluded_{k}" for k in itertools.count(1))
-    fresh = (name for name in names if name not in taken)
-    for name in itertools.islice(fresh, db.excluded_count):
-        writer.writerow([name] + [""] * (len(header) - 1))
     return out.getvalue()
 
 

@@ -205,6 +205,8 @@ class TestMineCommand:
             ("abc", "--min-conf: invalid percentage 'abc'"),
             ("90.125", "--min-conf: invalid percentage '90.125'"),
             ("100.01", "--min-conf: confidence must be in [0,100]"),
+            # the only guard of Percent's range, with the check above
+            ("-1", "--min-conf: invalid percentage '-1'"),
             # digits outside ASCII (Arabic-Indic, fullwidth), which int() accepts
             ("\u0669\u0665", "--min-conf: invalid percentage '\u0669\u0665'"),
             ("\uff19\uff10.\uff15", "--min-conf: invalid percentage '\uff19\uff10.\uff15'"),

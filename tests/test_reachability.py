@@ -46,7 +46,6 @@ _FIGURES = (
 )
 _PLAN_FAILS = "only an edited figure leaves a plan with no solution (test_corpus)"
 _SELF_CHECK = "a check that the built fixture keeps a count it was built to meet"
-_DUNDER = "a value-type dunder of Frozen: commands never compare, hash, print or pickle one"
 _PERFBENCH = "perfbench/workloads.py calls it, and the benchmark is changed apart"
 _CONSTRUCTOR = (
     "the constructor's refusal, kept so that a database is always what its columns say; "
@@ -105,20 +104,6 @@ ALLOWED = {
     ("corpus._verify_fixture",
      'raise InfeasibleFixtureError(f"fixture lost the joint count of rule {g.rule_id}")'):
         _SELF_CHECK,
-    ("datamodel.Frozen._values", "return tuple([getattr(self, name) for name in self._fields])"):
-        _DUNDER,
-    ("datamodel.Frozen.__setattr__", 'raise AttributeError(f"cannot assign to field {name!r}")'):
-        _DUNDER,
-    ("datamodel.Frozen.__delattr__", 'raise AttributeError(f"cannot delete field {name!r}")'):
-        _DUNDER,
-    ("datamodel.Frozen.__repr__",
-     'fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)'): _DUNDER,
-    ("datamodel.Frozen.__repr__", 'return f"{type(self).__qualname__}({fields})"'): _DUNDER,
-    ("datamodel.Frozen.__eq__", "if other.__class__ is not self.__class__:"): _DUNDER,
-    ("datamodel.Frozen.__eq__", "return NotImplemented"): _DUNDER,
-    ("datamodel.Frozen.__eq__", "return self._values() == other._values()"): _DUNDER,
-    ("datamodel.Frozen.__hash__", "return hash(self._values())"): _DUNDER,
-    ("datamodel.Frozen.__reduce__", "return (type(self), self._values())"): _DUNDER,
     ("datamodel._transpose", "packed.byteswap()"): "runs only on a big-endian machine",
     ("datamodel._transpose", "except OverflowError:"): _CONSTRUCTOR,
     ("datamodel._transpose", "raise ValueError(_MASK_OUT_OF_RANGE) from None"): _CONSTRUCTOR,
@@ -135,17 +120,8 @@ ALLOWED = {
      "list(map(itemgetter(1), transactions)), excluded_count)"): _PERFBENCH,
     ("datamodel.TransactionDatabase.transactions",
      "return tuple(map(Transaction, self.record_ids, self.masks))"): _PERFBENCH,
-    ("datamodel.Percent.__init__", 'raise ValueError("denominator must be positive")'):
-        "the denominators are 10,000 from --min-conf and 100 in the default floor",
-    ("datamodel.Percent.__init__",
-     'raise ValueError( f"numerator must lie in [0, denominator], got '
-     '{numerator}/{denominator}" )'):
-        "--min-conf reads no sign and refuses a confidence above 100 first",
     ("engine.generate_candidates",
      "return [left + (y,) for left, ys in _joins(level, leaf_from) for y in ys]"): _PERFBENCH,
-    ("ingest.render_transactions_csv", 'writer.writerow([name] + [""] * (len(header) - 1))'):
-        "writes back the rows parse_transactions excluded, so that rendering inverts parsing; "
-        "the fixture, the only database a command renders, excludes none",
 }
 
 

@@ -70,14 +70,54 @@ def test_every_record_type_is_listed_once():
     assert len({type(r) for r in RECORDS}) == len(RECORDS) == 25
 
 
-def test_only_the_types_that_check_or_derive_fields_are_frozen():
-    frozen = {type(r).__name__ for r in RECORDS if not isinstance(r, tuple)}
-    assert frozen == {"AttributeDef", "ItemCatalog", "TransactionDatabase", "Percent"}
+TUPLES = [r for r in RECORDS if isinstance(r, tuple)]
+CATALOG, DB = (r for r in RECORDS if not isinstance(r, tuple))
+# the records whose fields hold a catalog or a database, which a copy
+# compares through their columns
+HOLDERS = {"Schema", "StudyCounts", "FixtureResult"}
 
 
-@pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
-def test_records_refuse_assignment_and_deletion(rec):
-    field = type(rec)._fields[0]
+def _pickled(protocol):
+    return lambda value: pickle.loads(pickle.dumps(value, protocol))
+
+
+# copy, and every pickle protocol that keeps slots: protocols 0 and 1 refuse
+# a slotted class that defines no __getstate__
+CLONES = {
+    "copy": copy.copy,
+    **{f"pickle{p}": _pickled(p) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+def test_only_the_types_that_derive_fields_are_not_tuples():
+    assert [type(CATALOG), type(DB)] == [ItemCatalog, TransactionDatabase]
+
+
+def assert_same(value, again):
+    """``again`` holds what ``value`` holds: a catalog or a database by its
+    columns, and anything else by ``==``."""
+    assert type(again) is type(value)
+    if isinstance(value, ItemCatalog):
+        assert again.attributes == value.attributes
+        assert again.items == value.items
+        for iid, item in enumerate(value.items):
+            assert again.item_id(item.attribute, item.value) == iid
+    elif isinstance(value, TransactionDatabase):
+        assert_same(value.catalog, again.catalog)
+        assert again.record_ids == value.record_ids
+        assert again.masks == value.masks
+        assert again.excluded_count == value.excluded_count
+        assert again.vertical_index == value.vertical_index
+    elif type(value).__name__ in HOLDERS:
+        for field, held in zip(value, again):
+            assert_same(field, held)
+    else:
+        assert again == value
+
+
+@pytest.mark.parametrize("rec", TUPLES, ids=lambda r: type(r).__name__)
+def test_tuple_records_refuse_assignment_and_deletion(rec):
+    field = rec._fields[0]
     before = getattr(rec, field)
     with pytest.raises(AttributeError):
         setattr(rec, field, None)
@@ -88,22 +128,53 @@ def test_records_refuse_assignment_and_deletion(rec):
     assert getattr(rec, field) is before
 
 
-@pytest.mark.parametrize("rec", RECORDS, ids=lambda r: type(r).__name__)
-def test_records_compare_by_their_fields(rec):
-    values = tuple(getattr(rec, name) for name in type(rec)._fields)
-    assert rec == copy.copy(rec) == pickle.loads(pickle.dumps(rec))
-    # a NamedTuple record is the tuple of its fields; a Frozen value equals
-    # only values of its own type
-    assert (rec == values) is (values == rec) is isinstance(rec, tuple)
-    assert repr(rec).startswith(f"{type(rec).__name__}({type(rec)._fields[0]}=")
+@pytest.mark.parametrize("rec", TUPLES, ids=lambda r: type(r).__name__)
+def test_tuple_records_are_the_tuple_of_their_fields(rec):
+    values = tuple(getattr(rec, name) for name in rec._fields)
+    assert rec == values and values == rec
+    try:
+        expected = hash(values)
+    except TypeError:  # a field holds a dict
+        with pytest.raises(TypeError):
+            hash(rec)
+    else:
+        assert hash(rec) == expected
+    assert repr(rec).startswith(f"{type(rec).__name__}({rec._fields[0]}=")
+    for clone in CLONES.values():
+        assert_same(rec, clone(rec))
 
 
-def test_hashable_records_hash_their_fields():
-    rule = Rule((0, 2), (5,), 4, 3, 9)
-    assert hash(rule) == hash(((0, 2), (5,), 4, 3, 9))
-    assert hash(Transaction("r1", 3)) == hash(("r1", 3))
-    with pytest.raises(TypeError):
-        hash(ItemCatalog(()))
+@pytest.mark.parametrize("obj", [CATALOG, DB], ids=lambda o: type(o).__name__)
+def test_derived_types_have_no_dict_and_refuse_a_new_attribute(obj):
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(AttributeError):
+        obj.extra = None
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_a_database_survives_pickle_and_copy(clone):
+    db = TransactionDatabase(CATALOG, ["r1", "r2", "r3"], [0b11, 0b01, 0b10], excluded_count=2)
+    again = clone(db)
+    assert again is not db
+    assert_same(db, again)
+    assert again.vertical_index == (0b011, 0b101)
+    assert again.catalog.item_id("door", "yes") == 1
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES)
+def test_a_catalog_survives_pickle_and_copy(clone):
+    # copying a database or a Schema shares its catalog, so copy the catalog itself
+    again = clone(CATALOG)
+    assert again is not CATALOG
+    assert_same(CATALOG, again)
+    assert again.item_pair(1) == ("facility", "door")
+    assert not again.has_item("age", "old")
+
+
+def test_derived_types_compare_and_hash_by_identity():
+    assert DB == DB and DB != copy.copy(DB)
+    assert CATALOG != ItemCatalog(CATALOG.attributes)
+    assert len({DB, copy.copy(DB)}) == 2
 
 
 def test_cli_import_leaves_out_dataclasses():
