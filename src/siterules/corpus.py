@@ -583,11 +583,10 @@ def _facility_passes(
         solution = None if root is None else next(_search(root, plan), None)
         if solution is None:
             mandatory = mandatory_sets[facility]
-            if set_root is None:
-                searched = _iter_solutions(sizes, mandatory)
-            else:
-                searched = _search(set_root, mandatory)
-            if next(searched, None) is None:
+            # a plan that passed its root test left the set's to run here,
+            # and the set passes it too
+            set_root = set_root or _root_bounds(sizes, mandatory)
+            if next(_search(set_root, mandatory), None) is None:
                 return None
         passes[facility] = solution
     return passes

@@ -63,18 +63,6 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 _ASCII_SPACE = " \t\n\r\v\f"
 
 
-class SchemaError(ValueError):
-    """Schema file rejected; the message carries the offending line number."""
-
-
-class DataError(ValueError):
-    """The transaction CSV was rejected; the message carries the offending row."""
-
-
-class GoldenFileError(ValueError):
-    """Reference-rule CSV rejected."""
-
-
 class Schema(NamedTuple):
     """A parsed schema: its catalog holds the declaration-ordered attributes."""
 
@@ -86,20 +74,20 @@ def _parse_bins(body: str, lineno: int) -> tuple[NumericBin, ...]:
     for part in (p.strip() for p in body.split(",")):
         m = _BIN_RE.match(part)
         if m is None:
-            raise SchemaError(f"line {lineno}: malformed bin {_shown(part)}")
+            raise ValueError(f"line {lineno}: malformed bin {_shown(part)}")
         try:
             lo = int(m.group("lo"))
             hi = int(m.group("hi")) if m.group("hi") else None
         except ValueError:  # more digits than sys.get_int_max_str_digits()
-            raise SchemaError(
+            raise ValueError(
                 f"line {lineno}: bin {_shown(m['label'])} has a bound too long"
             ) from None
         if hi is not None and hi < lo:
-            raise SchemaError(f"line {lineno}: bin {_shown(part)} is empty")
+            raise ValueError(f"line {lineno}: bin {_shown(part)} is empty")
         bins.append(NumericBin(lo, hi, m.group("label")))
     for prev, cur in zip(bins, bins[1:]):
         if prev.hi is None or cur.lo <= prev.hi:
-            raise SchemaError(f"line {lineno}: bins must be ordered and non-overlapping")
+            raise ValueError(f"line {lineno}: bins must be ordered and non-overlapping")
     return tuple(bins)
 
 
@@ -120,36 +108,36 @@ def parse_schema(text: str) -> Schema:
         if line.startswith("attribute"):
             m = _ATTR_RE.match(line)
             if m is None:
-                raise SchemaError(f"line {lineno}: malformed attribute declaration")
+                raise ValueError(f"line {lineno}: malformed attribute declaration")
             name, kind_word, cls_word = m.group("name"), m.group("kind"), m.group("cls")
             if kind_word not in ("categorical", "numeric"):
-                raise SchemaError(f"line {lineno}: unknown attribute kind {_shown(kind_word)}")
+                raise ValueError(f"line {lineno}: unknown attribute kind {_shown(kind_word)}")
             if cls_word == "consequent":
-                raise SchemaError(f"line {lineno}: consequents are declared with 'facility'")
+                raise ValueError(f"line {lineno}: consequents are declared with 'facility'")
             if cls_word != "antecedent":
-                raise SchemaError(f"line {lineno}: unknown class keyword {_shown(cls_word)}")
+                raise ValueError(f"line {lineno}: unknown class keyword {_shown(cls_word)}")
             item_class = ItemClass.DEMOGRAPHIC
             if kind_word == "categorical":
                 if m.group("list") != "values":
-                    raise SchemaError(f"line {lineno}: categorical attributes take 'values:'")
+                    raise ValueError(f"line {lineno}: categorical attributes take 'values:'")
                 kind = AttributeKind.CATEGORICAL
                 values = tuple(v.strip() for v in m.group("body").split(","))
                 if any(not v for v in values):
-                    raise SchemaError(f"line {lineno}: empty value in list")
+                    raise ValueError(f"line {lineno}: empty value in list")
             else:
                 if m.group("list") != "bins":
-                    raise SchemaError(f"line {lineno}: numeric attributes take 'bins:'")
+                    raise ValueError(f"line {lineno}: numeric attributes take 'bins:'")
                 kind = AttributeKind.NUMERIC
                 bins = _parse_bins(m.group("body"), lineno)
                 values = tuple(b.label for b in bins)
         elif line.startswith("facility"):
             m = _FACILITY_RE.match(line)
             if m is None:
-                raise SchemaError(f"line {lineno}: malformed facility declaration")
+                raise ValueError(f"line {lineno}: malformed facility declaration")
             name, kind, item_class = m.group("name"), AttributeKind.BINARY, ItemClass.FACILITY
             values, description = ("yes",), m.group("desc")
         else:
-            raise SchemaError(
+            raise ValueError(
                 f"line {lineno}: unrecognized declaration {_shown(line.split()[0])}"
             )
         # Rule files write an item as attribute=value, join antecedent items
@@ -158,93 +146,72 @@ def parse_schema(text: str) -> Schema:
         # read as a quoted field.
         for char in ',="':
             if char in name:
-                raise SchemaError(
+                raise ValueError(
                     f"line {lineno}: attribute name {_shown(name)} contains {char!r}"
                 )
         for value in values:
             if " AND " in value + " ":  # a trailing " AND" joins into " AND AND "
-                raise SchemaError(f"line {lineno}: value {_shown(value)} contains ' AND '")
+                raise ValueError(f"line {lineno}: value {_shown(value)} contains ' AND '")
         if len(set(values)) != len(values):
-            raise SchemaError(f"line {lineno}: attribute {_shown(name)} has duplicate values")
+            raise ValueError(f"line {lineno}: attribute {_shown(name)} has duplicate values")
         if item_class is ItemClass.DEMOGRAPHIC and name == "facility":
             # item_pair writes every facility item as ("facility", name)
-            raise SchemaError(
+            raise ValueError(
                 f"line {lineno}: 'facility' labels facility items; rename the attribute"
             )
         if name in seen:
-            raise SchemaError(f"line {lineno}: duplicate attribute {_shown(name)}")
+            raise ValueError(f"line {lineno}: duplicate attribute {_shown(name)}")
         seen.add(name)
         attributes.append(AttributeDef(name, kind, item_class, values, bins, description))
     if not attributes:
-        raise SchemaError("no attributes declared")
+        raise ValueError("no attributes declared")
     return Schema(ItemCatalog(tuple(attributes)))
 
 
-def bin_numeric(value: float, bins: Sequence[NumericBin]) -> str:
-    """Label of the unique bin containing ``value``.
-
-    Bin endpoints are inclusive on both sides, so integer-year bins partition
-    the integers but leave fractional values between bins unassigned.
-    """
-    for b in bins:
-        if b.lo <= value and (b.hi is None or value <= b.hi):
-            return b.label
-    raise ValueError(f"value {value} falls in no bin")
-
-
-def _facility_token(cell: str) -> bool:
-    token = cell.lower()
-    if token in YES_TOKENS:
-        return True
-    if token in NO_TOKENS:
-        return False
-    raise ValueError(f"unrecognized yes/no token {_shown(cell)}")
-
-
-def csv_rows(text: str, error: type[ValueError]) -> Iterator[list[str]]:
+def csv_rows(text: str) -> Iterator[list[str]]:
     """The CSV records of ``text``; a record the reader rejects (say, a field
-    over the csv module's size limit) raises ``error`` naming its line."""
+    over the csv module's size limit) raises a ``ValueError`` naming its line."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         yield from reader
     except csv.Error as exc:
-        raise error(f"line {reader.line_num}: {exc}") from None
-
-
-def _cell_error(rowno: int, attr: AttributeDef, message: str) -> DataError:
-    """The error for a rejected cell of column ``attr``, naming its row."""
-    return DataError(f"row {rowno}, column {_shown(attr.name)}: {message}")
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
 
 
 def _cell_bit(catalog: ItemCatalog, attr: AttributeDef, cell: str, rowno: int) -> int:
     """The item bit one cell of column ``attr`` sets (0 for a facility's "no").
 
-    The bit depends only on the column and the raw cell; ``rowno`` only
-    names the row in the message of a rejected cell.
+    A facility cell holds a yes/no token in any case, a numeric cell an
+    integer in one of the column's bins (both ends inclusive), and a
+    categorical cell a declared value; any other cell raises a
+    ``ValueError`` naming its row and column. The bit depends only on the
+    column and the raw cell; ``rowno`` only names the row in that message.
     """
     value = cell.strip(_ASCII_SPACE)
     if attr.kind is AttributeKind.BINARY:
-        try:
-            present = _facility_token(value)
-        except ValueError as exc:
-            raise _cell_error(rowno, attr, str(exc)) from None
-        return 1 << catalog.item_id(attr.name, "yes") if present else 0
-    if not value:
-        raise DataError(f"row {rowno}: empty value for attribute {_shown(attr.name)}")
-    if attr.kind is AttributeKind.NUMERIC:
+        token = value.lower()
+        if token in YES_TOKENS:
+            return 1 << catalog.item_id(attr.name, "yes")
+        if token in NO_TOKENS:
+            return 0
+        fault = f"unrecognized yes/no token {_shown(value)}"
+    elif not value:
+        raise ValueError(f"row {rowno}: empty value for attribute {_shown(attr.name)}")
+    elif attr.kind is AttributeKind.NUMERIC:
         try:
             number = parse_int(value)
         except ValueError as exc:
-            raise _cell_error(rowno, attr, str(exc)) from None
-        try:
-            label = bin_numeric(number, attr.bins)
-        except ValueError:
-            raise _cell_error(rowno, attr, f"value {_shown(value)} falls in no bin") from None
+            fault = str(exc)
+        else:
+            for b in attr.bins:
+                if b.lo <= number and (b.hi is None or number <= b.hi):
+                    return 1 << catalog.item_id(attr.name, b.label)
+            fault = f"value {_shown(value)} falls in no bin"
+    elif value in attr.values:
+        return 1 << catalog.item_id(attr.name, value)
     else:
-        if value not in attr.values:
-            raise _cell_error(rowno, attr, f"value {_shown(value)} not in schema")
-        label = value
-    return 1 << catalog.item_id(attr.name, label)
+        fault = f"value {_shown(value)} not in schema"
+    raise ValueError(f"row {rowno}, column {_shown(attr.name)}: {fault}")
 
 
 _PIECE = 1 << 16  # characters of plain text split into lines at a time
@@ -327,7 +294,7 @@ def _parse_csv(catalog: ItemCatalog, text: str) -> TransactionDatabase:
     """The database of the CSV records of ``text``; a record's tail is the
     tuple of its cells after the id, and a record of no cells has the
     separator ``""``."""
-    records = csv_rows(text, DataError)
+    records = csv_rows(text)
     header = next(records, None)
     rows = ((row[0], ",", tuple(row[1:])) if row else ("", "", None) for row in records)
     return _read_rows(catalog, header, rows, list)
@@ -336,13 +303,13 @@ def _parse_csv(catalog: ItemCatalog, text: str) -> TransactionDatabase:
 _UNSEEN = object()
 
 
-def _duplicate_id(record_ids: Sequence[str]) -> Optional[DataError]:
+def _duplicate_id(record_ids: Sequence[str]) -> Optional[ValueError]:
     """The error for the first row (rows count from 2) whose id repeats an
     earlier one, if any does."""
     seen: set[str] = set()
     for rowno, record_id in enumerate(record_ids, start=2):
         if record_id in seen:
-            return DataError(f"row {rowno}: duplicate record_id {_shown(record_id)}")
+            return ValueError(f"row {rowno}: duplicate record_id {_shown(record_id)}")
         seen.add(record_id)
     return None
 
@@ -376,18 +343,18 @@ def _read_rows(
     out only when the checked path met an excluded tail.
     """
     if header is None:
-        raise DataError("missing header row")
+        raise ValueError("missing header row")
     if not header or header[0] != "record_id":
-        raise DataError("row 1: first column must be 'record_id'")
+        raise ValueError("row 1: first column must be 'record_id'")
     declared = {a.name: a for a in catalog.attributes}
     for col in header[1:]:
         if col not in declared:
-            raise DataError(f"row 1: unknown column {_shown(col)}")
+            raise ValueError(f"row 1: unknown column {_shown(col)}")
     missing = declared.keys() - set(header[1:])
     if missing:
-        raise DataError(f"row 1: missing columns: {', '.join(map(_shown, sorted(missing)))}")
+        raise ValueError(f"row 1: missing columns: {', '.join(map(_shown, sorted(missing)))}")
     if len(header) != len(declared) + 1:
-        raise DataError("row 1: duplicate columns in header")
+        raise ValueError("row 1: duplicate columns in header")
     attr_by_col = [declared[col] for col in header[1:]]
     facility_cols = [k for k, a in enumerate(attr_by_col) if a.kind is AttributeKind.BINARY]
     tables: list[dict[str, int]] = [{} for _ in attr_by_col]
@@ -404,7 +371,7 @@ def _read_rows(
         if facility_cols and all(empties):
             return None
         if any(empties):
-            raise DataError(f"row {rowno}: facility cells must be all present or all empty")
+            raise ValueError(f"row {rowno}: facility cells must be all present or all empty")
         members = 0
         for table, cell, attr in zip(tables, cells, attr_by_col):
             bit = table.get(cell)
@@ -434,12 +401,12 @@ def _read_rows(
                 # only a row of no cells has neither an id cell nor a separator
                 n_cells = 1 + len(cells) if raw_id or sep else 0
                 if n_cells != width:
-                    raise DataError(f"row {rowno}: expected {width} cells, got {n_cells}")
+                    raise ValueError(f"row {rowno}: expected {width} cells, got {n_cells}")
             record_id = raw_id.strip(_ASCII_SPACE)
             if not record_id:
-                raise DataError(f"row {rowno}: empty record_id")
+                raise ValueError(f"row {rowno}: empty record_id")
             if record_id != record_id.strip():
-                raise DataError(
+                raise ValueError(
                     f"row {rowno}: record_id {_shown(record_id)} has padding other than ASCII"
                     " whitespace"
                 )
@@ -453,7 +420,7 @@ def _read_rows(
                 # a memo hit gives None only for a tail first met here
                 any_excluded |= members is None
             append_mask(members)
-    except DataError as exc:
+    except ValueError as exc:
         raise _duplicate_id(record_ids) or exc from None
     ascending = all(map(operator.lt, record_ids, itertools.islice(record_ids, 1, None)))
     if not ascending and len(set(record_ids)) != len(record_ids):
@@ -582,26 +549,26 @@ def _antecedent(cell: str) -> tuple[tuple[tuple[str, str], ...], frozenset, Opti
     return items, frozenset(items), fault
 
 
-def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterator[tuple[int, tuple]]:
+def _rule_rows(text: str, header: list[str]) -> Iterator[tuple[int, tuple]]:
     """Each row of a rule-list CSV with ``header``, as (row number, cells):
     the integer ``rule_id``, the antecedent's items (split at ``" AND "``),
     which are of distinct attributes other than ``facility``, the consequent
     item, which is a ``facility=`` item, each ``*_pct`` cell in basis points,
     then any later cell as written. Both rule lists (the reference rules and
     ``mine``'s output) are read here; a fault, such as a rule (antecedent set
-    and consequent) that an earlier row already holds, raises ``error``
-    naming its row.
+    and consequent) that an earlier row already holds, raises a
+    ``ValueError`` naming its row.
 
     Antecedent, consequent and percentage cells repeat from row to row, so
     each distinct one is parsed and checked once per file; a row still meets
     its faults in the order above, and the first one raises.
     """
-    rows = csv_rows(text, error)
+    rows = csv_rows(text)
     first = next(rows, None)
     if first is None:
-        raise error("missing header row")
+        raise ValueError("missing header row")
     if first != header:
-        raise error(f"expected header {','.join(header)}")
+        raise ValueError(f"expected header {','.join(header)}")
     end = 3 + sum(name.endswith("_pct") for name in header)
     # a parse that raises keeps nothing, and its error ends the file's read
     antecedents = functools.cache(_antecedent)
@@ -610,21 +577,21 @@ def _rule_rows(text: str, header: list[str], error: type[ValueError]) -> Iterato
     seen: set[tuple[frozenset, tuple[str, str]]] = set()
     for rowno, row in enumerate(rows, start=2):
         if len(row) != len(header):
-            raise error(f"row {rowno}: expected {len(header)} cells")
+            raise ValueError(f"row {rowno}: expected {len(header)} cells")
         try:
             rule_id = parse_int(row[0])
             antecedent, antecedent_set, fault = antecedents(row[1])
             consequent = consequents(row[2])
             percentages = list(map(basis_points, row[3:end]))
         except ValueError as exc:
-            raise error(f"row {rowno}: {exc}") from None
+            raise ValueError(f"row {rowno}: {exc}") from None
         if fault is not None:
-            raise error(f"row {rowno}: {fault}")
+            raise ValueError(f"row {rowno}: {fault}")
         if consequent[0] != "facility":
-            raise error(f"row {rowno}: consequent {_shown(row[2])} is not a facility item")
+            raise ValueError(f"row {rowno}: consequent {_shown(row[2])} is not a facility item")
         key = (antecedent_set, consequent)
         if key in seen:
-            raise error(f"row {rowno}: duplicate rule {_shown(row[1])} => {_shown(row[2])}")
+            raise ValueError(f"row {rowno}: duplicate rule {_shown(row[1])} => {_shown(row[2])}")
         seen.add(key)
         yield rowno, (rule_id, antecedent, consequent, *percentages, *row[end:])
 
@@ -633,16 +600,16 @@ def parse_golden_rules(text: str) -> list[GoldenRule]:
     """Parse the transcribed reference rules, validating percentage ranges."""
     rules: list[GoldenRule] = []
     seen_ids: set[int] = set()
-    for rowno, cells in _rule_rows(text, GOLDEN_HEADER, GoldenFileError):
+    for rowno, cells in _rule_rows(text, GOLDEN_HEADER):
         rule = GoldenRule(*cells)
         if rule.rule_id in seen_ids:
-            raise GoldenFileError(f"row {rowno}: duplicate rule_id {_shown(str(rule.rule_id))}")
+            raise ValueError(f"row {rowno}: duplicate rule_id {_shown(str(rule.rule_id))}")
         seen_ids.add(rule.rule_id)
         if rule.confidence_bp < 9000:
-            raise GoldenFileError(f"row {rowno}: confidence below 90")
+            raise ValueError(f"row {rowno}: confidence below 90")
         if rule.confidence_bp > 10000:
-            raise GoldenFileError(f"row {rowno}: confidence above 100")
+            raise ValueError(f"row {rowno}: confidence above 100")
         if not 0 < rule.support_bp <= 10000:
-            raise GoldenFileError(f"row {rowno}: support out of range")
+            raise ValueError(f"row {rowno}: support out of range")
         rules.append(rule)
     return rules

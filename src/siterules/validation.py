@@ -53,7 +53,7 @@ def parse_rules_csv(text: str) -> list[MinedRuleRow]:
     coverage.
     """
     rows = []
-    for rowno, cells in _rule_rows(text, RULES_HEADER, ValueError):
+    for rowno, cells in _rule_rows(text, RULES_HEADER):
         mined = MinedRuleRow(*cells)
         for name, bp in zip(("confidence", "coverage", "support"), cells[3:6]):
             if bp > 10000:

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from siterules.datamodel import AttributeKind, ItemClass, NumericBin, TransactionDatabase
+from siterules.datamodel import AttributeKind, ItemClass, TransactionDatabase
 from siterules.engine import count_support
+from siterules.report import RULES_HEADER
+from siterules.validation import parse_rules_csv
 from siterules import ingest
 from siterules.ingest import (
     _PIECE,
-    DataError,
     _cell_bit,
     _parse_csv,
     _parse_plain,
@@ -22,9 +23,6 @@ from siterules.ingest import (
     _plain_text,
     _read_rows,
     csv_rows,
-    GoldenFileError,
-    SchemaError,
-    bin_numeric,
     parse_golden_rules,
     parse_schema,
     parse_transactions,
@@ -81,32 +79,32 @@ class TestParseSchema:
         assert classes == [ItemClass.DEMOGRAPHIC] * 6 + [ItemClass.FACILITY] * 2
 
     def test_empty_file(self):
-        with pytest.raises(SchemaError, match="no attributes declared"):
+        with pytest.raises(ValueError, match="no attributes declared"):
             parse_schema("# nothing here\n\n")
 
     def test_duplicate_attribute(self):
         text = 'facility x "a"\nfacility x "b"\n'
-        with pytest.raises(SchemaError, match="line 2: duplicate attribute"):
+        with pytest.raises(ValueError, match="line 2: duplicate attribute"):
             parse_schema(text)
 
     def test_unknown_class_keyword(self):
-        with pytest.raises(SchemaError, match="unknown class keyword"):
+        with pytest.raises(ValueError, match="unknown class keyword"):
             parse_schema("attribute a categorical sideways values: x, y\n")
 
     def test_unknown_kind(self):
-        with pytest.raises(SchemaError, match="unknown attribute kind"):
+        with pytest.raises(ValueError, match="unknown attribute kind"):
             parse_schema("attribute a fuzzy antecedent values: x\n")
 
     def test_overlapping_bins(self):
-        with pytest.raises(SchemaError, match="non-overlapping"):
+        with pytest.raises(ValueError, match="non-overlapping"):
             parse_schema("attribute a numeric antecedent bins: 0-10=x, 10-20=y\n")
 
     def test_open_bin_must_be_last(self):
-        with pytest.raises(SchemaError, match="non-overlapping"):
+        with pytest.raises(ValueError, match="non-overlapping"):
             parse_schema("attribute a numeric antecedent bins: 0-=x, 5-9=y\n")
 
     def test_malformed_bin(self):
-        with pytest.raises(SchemaError, match="malformed bin"):
+        with pytest.raises(ValueError, match="malformed bin"):
             parse_schema("attribute a numeric antecedent bins: ten-20=x\n")
 
     @pytest.mark.skipif(
@@ -117,7 +115,7 @@ class TestParseSchema:
     def test_bin_bound_too_long_for_int_names_its_line(self, bins):
         big = "1" * (sys.get_int_max_str_digits() + 1)
         text = "facility f \"F\"\nattribute a numeric antecedent bins: " + bins.format(big=big)
-        with pytest.raises(SchemaError, match="^line 2: bin '[xy]' has a bound too long$"):
+        with pytest.raises(ValueError, match="^line 2: bin '[xy]' has a bound too long$"):
             parse_schema(text)
 
     @pytest.mark.parametrize("text", [
@@ -125,7 +123,7 @@ class TestParseSchema:
         "attribute age numeric antecedent bins: 0-10=a, 11-=a\n",
     ])
     def test_duplicate_values_carry_line_number(self, text):
-        with pytest.raises(SchemaError, match="line 1: attribute 'age' has duplicate values"):
+        with pytest.raises(ValueError, match="line 1: attribute 'age' has duplicate values"):
             parse_schema(text)
 
     @pytest.mark.parametrize("length", [40, 100_000])
@@ -135,7 +133,7 @@ class TestParseSchema:
     ], ids=["categorical", "numeric"])
     def test_a_long_attribute_name_is_echoed_by_its_start(self, declaration, length):
         name = "x" * length
-        with pytest.raises(SchemaError) as info:
+        with pytest.raises(ValueError) as info:
             parse_schema(f"attribute {name} {declaration}\n")
         # a name of up to 40 characters is echoed whole, a longer one by its
         # start and its length
@@ -149,7 +147,7 @@ class TestParseSchema:
             "attribute age categorical antecedent values: young, old\n"
             "attribute size categorical consequent values: small, big\n"
         )
-        with pytest.raises(SchemaError, match="line 2: consequents are declared with 'facility'"):
+        with pytest.raises(ValueError, match="line 2: consequents are declared with 'facility'"):
             parse_schema(text)
 
     @pytest.mark.parametrize(
@@ -167,7 +165,7 @@ class TestParseSchema:
     )
     def test_names_that_break_rule_files_rejected(self, declaration, message):
         # Rule files write items as attribute=value joined by " AND " in a CSV cell.
-        with pytest.raises(SchemaError, match=f"line 2: {re.escape(message)}"):
+        with pytest.raises(ValueError, match=f"line 2: {re.escape(message)}"):
             parse_schema(f'facility search "site search"\n{declaration}\n')
 
     @pytest.mark.parametrize("declaration", [
@@ -176,7 +174,7 @@ class TestParseSchema:
     ], ids=["categorical", "numeric"])
     def test_a_demographic_attribute_named_facility_is_refused(self, declaration):
         message = "line 2: 'facility' labels facility items; rename the attribute"
-        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_schema(f'facility door "Door"\nattribute facility {declaration}\n')
         # the facility class takes the name: its item's pair is ("facility", "facility")
         catalog = parse_schema('facility facility "Facility"\n').catalog
@@ -195,7 +193,7 @@ class TestParseSchema:
         )
         try:
             catalog = parse_schema(text).catalog
-        except SchemaError as exc:
+        except ValueError as exc:
             lineno = next(
                 k for k, (name, facility, _) in enumerate(declared, start=1)
                 if name == "facility" and not facility
@@ -207,34 +205,36 @@ class TestParseSchema:
         assert len(set(pairs)) == len(pairs)
 
     def test_syntax_error_carries_line_number(self):
-        with pytest.raises(SchemaError, match="line 2"):
+        with pytest.raises(ValueError, match="line 2"):
             parse_schema("facility ok \"fine\"\nattribute broken\n")
-
-
-BINS = (NumericBin(0, 10, "below10"), NumericBin(11, 29, "11-29"), NumericBin(30, None, "above30"))
-
-
-class TestBinNumeric:
-    @pytest.mark.parametrize(
-        "value,label",
-        [(5, "below10"), (0, "below10"), (10, "below10"), (11, "11-29"),
-         (29, "11-29"), (30, "above30"), (95, "above30")],
-    )
-    def test_boundaries(self, value, label):
-        assert bin_numeric(value, BINS) == label
-
-    def test_fraction_between_bins_errors(self):
-        with pytest.raises(ValueError, match="falls in no bin"):
-            bin_numeric(10.5, BINS)
-
-    def test_negative_errors(self):
-        with pytest.raises(ValueError, match="falls in no bin"):
-            bin_numeric(-3, BINS)
 
 
 def rows_to_csv(rows):
     header = "record_id,ownership,age,about_us,search"
     return "\n".join([header] + rows) + "\n"
+
+
+class TestNumericBins:
+    """A numeric cell takes the label of the bin that holds it, both ends inclusive."""
+
+    @pytest.mark.parametrize(
+        "age,label",
+        [("5", "below10"), ("0", "below10"), ("10", "below10"), ("11", "11-29"),
+         ("29", "11-29"), ("30", "above30"), ("95", "above30")],
+    )
+    def test_boundaries(self, small_schema, age, label):
+        db = parse_transactions(small_schema, rows_to_csv([f"c1,private,{age},Y,N"]))
+        catalog = small_schema.catalog
+        ages = [i for i in catalog.ids_of_attribute("age") if db.masks[0] >> i & 1]
+        assert ages == [catalog.item_id("age", label)]
+
+    def test_fraction_is_not_an_integer(self, small_schema):
+        with pytest.raises(ValueError, match=r"^row 2, column 'age': invalid integer '10\.5'$"):
+            parse_transactions(small_schema, rows_to_csv(["c1,private,10.5,Y,N"]))
+
+    def test_negative_falls_in_no_bin(self, small_schema):
+        with pytest.raises(ValueError, match="^row 2, column 'age': value '-3' falls in no bin$"):
+            parse_transactions(small_schema, rows_to_csv(["c1,private,-3,Y,N"]))
 
 
 class TestParseTransactions:
@@ -266,16 +266,16 @@ class TestParseTransactions:
 
     def test_unknown_column(self, small_schema):
         text = "record_id,ownership,age,about_us,search,bogus\nc1,private,5,Y,N,x\n"
-        with pytest.raises(DataError, match="unknown column"):
+        with pytest.raises(ValueError, match="unknown column"):
             parse_transactions(small_schema, text)
 
     def test_missing_column(self, small_schema):
         text = "record_id,ownership,age,about_us\nc1,private,5,Y\n"
-        with pytest.raises(DataError, match="missing columns: 'search'"):
+        with pytest.raises(ValueError, match="missing columns: 'search'"):
             parse_transactions(small_schema, text)
 
     def test_duplicate_record_id(self, small_schema):
-        with pytest.raises(DataError, match=r"^row 3: duplicate record_id 'c1'$"):
+        with pytest.raises(ValueError, match=r"^row 3: duplicate record_id 'c1'$"):
             parse_transactions(
                 small_schema, rows_to_csv(["c1,private,5,Y,N", "c1,private,6,Y,N"])
             )
@@ -284,7 +284,7 @@ class TestParseTransactions:
         "rows", [["c1,private,5,Y,N", "c1,,,,"], ["c1,,,,", "c1,private,5,Y,N"], ["c1,,,,", "c1,,,,"]]
     )
     def test_excluded_row_ids_count_as_duplicates(self, small_schema, rows):
-        with pytest.raises(DataError, match=r"^row 3: duplicate record_id 'c1'$"):
+        with pytest.raises(ValueError, match=r"^row 3: duplicate record_id 'c1'$"):
             parse_transactions(small_schema, rows_to_csv(rows))
 
     @pytest.mark.parametrize(
@@ -315,7 +315,7 @@ class TestParseTransactions:
         ],
     )
     def test_first_failing_row_is_named(self, small_schema, rows, message):
-        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_transactions(small_schema, rows_to_csv(rows))
         assert outcome(lambda: reference_rows(small_schema, rows_to_csv(rows))) == message
 
@@ -325,37 +325,37 @@ class TestParseTransactions:
         assert [t.record_id for t in db.transactions] == ["a\nb", "ab"]
 
     def test_partial_facility_row_rejected(self, small_schema):
-        with pytest.raises(DataError, match="all present or all empty"):
+        with pytest.raises(ValueError, match="all present or all empty"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,5,Y,"]))
 
     def test_unknown_categorical_value(self, small_schema):
-        with pytest.raises(DataError, match="not in schema"):
+        with pytest.raises(ValueError, match="not in schema"):
             parse_transactions(small_schema, rows_to_csv(["c1,communal,5,Y,N"]))
 
     def test_empty_demographic_cell_rejected(self, small_schema):
-        with pytest.raises(DataError, match="empty value"):
+        with pytest.raises(ValueError, match="empty value"):
             parse_transactions(small_schema, rows_to_csv(["c1,,5,Y,N"]))
 
     def test_unparseable_number(self, small_schema):
-        with pytest.raises(DataError, match="^row 2, column 'age': invalid integer 'old'$"):
+        with pytest.raises(ValueError, match="^row 2, column 'age': invalid integer 'old'$"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,old,Y,N"]))
 
     @pytest.mark.parametrize("age", ["1_0", "\u0661\u0660", "\u300025", "25\xa0"])
     def test_non_ascii_digits_rejected(self, small_schema, age):
-        with pytest.raises(DataError, match=r"row 2, column 'age': invalid integer"):
+        with pytest.raises(ValueError, match=r"row 2, column 'age': invalid integer"):
             parse_transactions(small_schema, rows_to_csv([f"c1,private,{age},Y,N"]))
 
     def test_overlong_field_names_its_line(self, small_schema):
         text = rows_to_csv(["c1,private,5,Y,N", f"c2,private,5,{'Y' * 131_073},N"])
-        with pytest.raises(DataError, match="line 3: field larger than field limit"):
+        with pytest.raises(ValueError, match="line 3: field larger than field limit"):
             parse_transactions(small_schema, text)
 
     def test_unbinnable_number(self, small_schema):
-        with pytest.raises(DataError, match="falls in no bin"):
+        with pytest.raises(ValueError, match="falls in no bin"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,-4,Y,N"]))
 
     def test_bad_token(self, small_schema):
-        with pytest.raises(DataError, match="yes/no token"):
+        with pytest.raises(ValueError, match="yes/no token"):
             parse_transactions(small_schema, rows_to_csv(["c1,private,5,maybe,N"]))
 
     def test_token_variants(self, small_schema):
@@ -445,7 +445,7 @@ def reference_rows(schema, text):
     then per row the cell count, the id, the duplicate check and every cell
     through ``_cell_bit``. The header checks are borrowed from the parser."""
     catalog = schema.catalog
-    records = csv_rows(text, DataError)
+    records = csv_rows(text)
     header = next(records, None)
     _read_rows(catalog, header, iter(()), list)
     by_name = {attr.name: attr for attr in catalog.attributes}
@@ -454,33 +454,33 @@ def reference_rows(schema, text):
     record_ids, masks, seen, excluded = [], [], set(), 0
     for rowno, row in enumerate(records, start=2):
         if len(row) != len(header):
-            raise DataError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
+            raise ValueError(f"row {rowno}: expected {len(header)} cells, got {len(row)}")
         record_id = row[0].strip(string.whitespace)
         if not record_id:
-            raise DataError(f"row {rowno}: empty record_id")
+            raise ValueError(f"row {rowno}: empty record_id")
         if record_id != record_id.strip():
-            raise DataError(
+            raise ValueError(
                 f"row {rowno}: record_id {record_id!r} has padding other than ASCII whitespace"
             )
         if record_id in seen:
-            raise DataError(f"row {rowno}: duplicate record_id {record_id!r}")
+            raise ValueError(f"row {rowno}: duplicate record_id {record_id!r}")
         seen.add(record_id)
         empties = [not row[1 + k].strip(string.whitespace) for k in facility]
         if facility and all(empties):
             excluded += 1
             continue
         if any(empties):
-            raise DataError(f"row {rowno}: facility cells must be all present or all empty")
+            raise ValueError(f"row {rowno}: facility cells must be all present or all empty")
         record_ids.append(record_id)
         masks.append(sum(_cell_bit(catalog, a, cell, rowno) for a, cell in zip(attrs, row[1:])))
     return record_ids, masks, excluded
 
 
 def outcome(parse):
-    """The columns a parse gives, or the message of the ``DataError`` it raises."""
+    """The columns a parse gives, or the message of the ``ValueError`` it raises."""
     try:
         got = parse()
-    except DataError as exc:
+    except ValueError as exc:
         return str(exc)
     if isinstance(got, TransactionDatabase):
         return list(got.record_ids), list(got.masks), got.excluded_count
@@ -829,26 +829,26 @@ class TestParseGoldenRules:
 
     def test_confidence_below_90_rejected(self):
         text = GOLDEN_HEADER + "\n1,age=below10,facility=about_us,89.00,12.08"
-        with pytest.raises(GoldenFileError, match="confidence below 90"):
+        with pytest.raises(ValueError, match="confidence below 90"):
             parse_golden_rules(text)
 
     def test_confidence_above_100_rejected(self):
         text = GOLDEN_HEADER + "\n1,age=below10,facility=about_us,101.00,12.08"
-        with pytest.raises(GoldenFileError, match="confidence above 100"):
+        with pytest.raises(ValueError, match="confidence above 100"):
             parse_golden_rules(text)
 
     def test_malformed_antecedent(self):
         text = GOLDEN_HEADER + "\n1,below10,facility=about_us,100.00,12.08"
-        with pytest.raises(GoldenFileError, match="malformed item"):
+        with pytest.raises(ValueError, match="malformed item"):
             parse_golden_rules(text)
 
     def test_zero_support_rejected(self):
         text = GOLDEN_HEADER + "\n1,age=below10,facility=about_us,100.00,0.00"
-        with pytest.raises(GoldenFileError, match="support out of range"):
+        with pytest.raises(ValueError, match="support out of range"):
             parse_golden_rules(text)
 
     def test_bad_header(self):
-        with pytest.raises(GoldenFileError, match="expected header"):
+        with pytest.raises(ValueError, match="expected header"):
             parse_golden_rules("a,b,c\n")
 
     def test_duplicate_rule_id(self):
@@ -859,7 +859,7 @@ class TestParseGoldenRules:
                 "1,age=below10,facility=search,100.00,12.08",
             ]
         )
-        with pytest.raises(GoldenFileError, match="duplicate rule_id"):
+        with pytest.raises(ValueError, match="duplicate rule_id"):
             parse_golden_rules(text)
 
     @pytest.mark.parametrize(
@@ -869,7 +869,7 @@ class TestParseGoldenRules:
     )
     def test_rule_id_takes_ascii_digits_only(self, cell):
         text = GOLDEN_HEADER + f"\n{cell},age=below10,facility=about_us,100.00,12.08"
-        with pytest.raises(GoldenFileError) as exc:
+        with pytest.raises(ValueError) as exc:
             parse_golden_rules(text)
         assert str(exc.value) == f"row 2: invalid integer {cell!r}"
 
@@ -880,9 +880,35 @@ class TestParseGoldenRules:
 
     def test_overlong_field_names_its_line(self):
         text = GOLDEN_HEADER + f"\n1,age=below10,facility={'x' * 131_073},100.00,12.08"
-        with pytest.raises(GoldenFileError, match="line 2: field larger than field limit"):
+        with pytest.raises(ValueError, match="line 2: field larger than field limit"):
             parse_golden_rules(text)
 
     def test_packaged_file_has_68_rules(self, golden):
         assert len(golden) == 68
         assert [g.rule_id for g in golden] == list(range(1, 69))
+
+
+def _read_small(text):
+    return parse_transactions(parse_schema(SMALL_SCHEMA), text)
+
+
+@pytest.mark.parametrize(
+    "read, text, message",
+    [
+        (parse_schema, "attribute broken\n", "line 1: malformed attribute declaration"),
+        # plain text, then text with a quote, which only csv.reader reads
+        (_read_small, rows_to_csv(["c1,private,-3,Y,N"]),
+         "row 2, column 'age': value '-3' falls in no bin"),
+        (_read_small, rows_to_csv(['"c1",private,5,maybe,N']),
+         "row 2, column 'about_us': unrecognized yes/no token 'maybe'"),
+        (parse_golden_rules, "a,b,c\n", f"expected header {GOLDEN_HEADER}"),
+        (parse_rules_csv, ",".join(RULES_HEADER) + "\n1,age=below10\n",
+         f"row 2: expected {len(RULES_HEADER)} cells"),
+    ],
+    ids=["schema", "data-plain", "data-csv-reader", "golden", "mined"],
+)
+def test_every_reader_refuses_with_a_plain_value_error(read, text, message):
+    with pytest.raises(ValueError) as info:
+        read(text)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message

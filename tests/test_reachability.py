@@ -91,10 +91,10 @@ ALLOWED = {
      'raise InfeasibleFixtureError( f"the published group columns admit no assignment for: '
      '{\', \'.join(failed)}" )'): _FIGURES,
     ("corpus._facility_passes", "mandatory = mandatory_sets[facility]"): _PLAN_FAILS,
-    ("corpus._facility_passes", "if set_root is None:"): _PLAN_FAILS,
-    ("corpus._facility_passes", "searched = _iter_solutions(sizes, mandatory)"): _PLAN_FAILS,
-    ("corpus._facility_passes", "searched = _search(set_root, mandatory)"): _PLAN_FAILS,
-    ("corpus._facility_passes", "if next(searched, None) is None:"): _PLAN_FAILS,
+    ("corpus._facility_passes", "set_root = set_root or _root_bounds(sizes, mandatory)"):
+        _PLAN_FAILS,
+    ("corpus._facility_passes", "if next(_search(set_root, mandatory), None) is None:"):
+        _PLAN_FAILS,
     ("corpus._facility_passes", "return None"): _PLAN_FAILS,
     ("corpus._verify_fixture",
      'raise InfeasibleFixtureError(f"fixture lost demographic count {attr}={value}")'):

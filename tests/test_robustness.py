@@ -31,9 +31,6 @@ from siterules.cli import EXIT_ERROR, build_parser, main
 from siterules.datamodel import _shown
 from siterules.ingest import (
     GOLDEN_HEADER,
-    DataError,
-    GoldenFileError,
-    SchemaError,
     _parse_item_text,
     _rule_rows,
     csv_rows,
@@ -521,7 +518,7 @@ def full_tree_main(argv):
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (SchemaError, DataError, GoldenFileError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
@@ -620,11 +617,11 @@ def test_main_parses_as_the_full_tree(work, argv):
     assert outcome(main, argv, directory) == outcome(full_tree_main, argv, directory)
 
 
-def reference_rule_rows(text, header, error):
+def reference_rule_rows(text, header, error=ValueError):
     """The rule-list reader as it parsed every row's cells in full, kept
     verbatim as the reference for the reader that parses each distinct
     cell once."""
-    rows = csv_rows(text, error)
+    rows = csv_rows(text)
     first = next(rows, None)
     if first is None:
         raise error("missing header row")
@@ -665,8 +662,8 @@ RULE_HEADERS = {"golden": GOLDEN_HEADER, "mined": RULES_HEADER}
 def read_rules(reader, text, header):
     """The rows ``reader`` yields for ``text``, or the error it raises."""
     try:
-        return list(reader(text, header, GoldenFileError))
-    except GoldenFileError as exc:
+        return list(reader(text, header))
+    except ValueError as exc:
         return f"error: {exc}"
 
 
